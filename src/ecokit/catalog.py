@@ -14,7 +14,7 @@ engine, the solver, or a spec text fails loudly here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -499,10 +499,6 @@ ENTRIES = (
 
 _BY_NAME = {e.name: e for e in ENTRIES}
 _SPECS = {}
-
-
-def names():
-    return [e.name for e in ENTRIES]
 
 
 def get_entry(name) -> CatalogEntry:

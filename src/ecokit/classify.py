@@ -13,9 +13,13 @@ supports one:
 * shrinking-return count    -> zero-radius divergence certificate.
 
 Symbolic arguments work per residue class of the label, which keeps every
-piece affine; anything outside that fragment yields an honest "inconclusive"
-rather than a claim.  Every closed form is re-expanded and compared against
-direct propagation before it is reported.
+piece affine.  One evaluator, `dsl.class_view`, turns a clause into its view
+on a class, and each detector folds one weight over that view: the label sum,
+the odd-label count, or the successors at or above k - b (the arity check in
+`dsl.validate_spec` folds the count).  Anything outside that fragment yields
+an honest "none" or "inconclusive", with the reason in the note, rather than
+a claim.  Every closed form is re-expanded and compared against direct
+propagation before it is reported.
 """
 
 from __future__ import annotations
@@ -23,19 +27,21 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, lcm
 
 from .dsl import (
+    F0,
     Affine,
-    Builtin,
+    ClassView,
     EcoSpec,
     Guard,
     Interval,
     Item,
     RuleClause,
-    _interval_tail,
+    class_view,
     expr_affine,
+    expr_text,
     reachable_probe,
+    residue_split,
     successors,
 )
 from .engine import total_series
@@ -154,151 +160,26 @@ def rational_from_finite(spec, cutoff=500):
 # ---------------------------------------------------------------------------
 # Residue-class view of the rule tail
 
-F0 = Fraction(0)
 
-
-@dataclass(frozen=True)
-class _TailClass:
-    modulus: int
-    residue: int
-    clause: RuleClause
-    threshold: int
-
-
-def _tail_classes(spec):
+def _tail_views(spec):
     """Split large labels into residue classes, each owned by one clause.
 
-    Returns (modulus, [per-class records]) with the list empty when every
-    clause is bounded, or None when the tail resists this splitting
-    (pow2/prime guards, overlapping or missing coverage).
+    Returns (modulus, [(residue, ClassView or None, reason)]), the list
+    empty when every clause is bounded, or (None, reason) when the tail
+    resists this splitting (pow2/prime guards, overlapping or missing
+    coverage).
     """
-    unbounded = [
-        c for c in spec.clauses if not any(a.kind == "le" for a in c.guard.atoms)
-    ]
-    if not unbounded:
-        return 2, []
-    modulus = 2
-    for clause in unbounded:
-        for a in clause.guard.atoms:
-            if a.kind in ("pow2", "prime"):
-                return None
-            if a.kind == "mod":
-                modulus = lcm(modulus, a.m)
-        for iv in clause.intervals:
-            modulus = lcm(modulus, 2 * iv.step)
-    out = []
-    for residue in range(modulus):
-        owners = [
-            c
-            for c in unbounded
-            if all(
-                residue % a.m == a.r for a in c.guard.atoms if a.kind == "mod"
-            )
-        ]
+    for clause in spec.clauses:
+        kinds = {a.kind for a in clause.guard.atoms}
+        if "le" not in kinds and kinds & {"pow2", "prime"}:
+            return None, "pow2/prime guard on an open-ended clause"
+    modulus, split = residue_split(spec.clauses, 2)
+    views = []
+    for r, owners in split:
         if len(owners) != 1:
-            return None
-        clause = owners[0]
-        floor = 1 if spec.mode == "eco" else 0
-        for a in clause.guard.atoms:
-            if a.kind == "ge":
-                floor = max(floor, a.c)
-        out.append(_TailClass(modulus, residue, clause, floor))
-    return modulus, out
-
-
-def _class_label_sum(clause, modulus, residue):
-    """Affine (slope, intercept) of the successor label sum on one residue
-    class, with its validity threshold, or (None, t) when not affine."""
-    quad = [F0, F0, F0]  # k^2, k, 1
-    bcoeffs = Counter()
-    threshold = 1
-    for item in clause.items:
-        mu = expr_affine(item.mult)
-        if mu is None:
-            return None, threshold
-        la = expr_affine(item.label)
-        if la is None:
-            if mu[0] != 0:
-                return None, threshold
-            bcoeffs[item.label] += Fraction(mu[1])
-        else:
-            quad[0] += Fraction(la[0] * mu[0])
-            quad[1] += Fraction(la[0] * mu[1] + la[1] * mu[0])
-            quad[2] += Fraction(la[1] * mu[1])
-    for iv in clause.intervals:
-        tail = _interval_tail(iv, modulus, residue)
-        if tail is None:
-            return None, threshold
-        threshold = max(threshold, tail.threshold)
-        la, lb = tail.lo
-        fa, fb = tail.full_count
-        s = Fraction(tail.step)
-        # Arithmetic-progression sum: count*first + step*count*(count-1)/2.
-        quad[0] += fa * la + s * fa * fa / 2
-        quad[1] += fa * lb + fb * la + s * (2 * fa * fb - fa) / 2
-        quad[2] += fb * lb + s * (fb * fb - fb) / 2
-        for ra, rb in tail.removed:
-            quad[1] -= ra
-            quad[2] -= rb
-    # The two half-sums of an even split recombine into an affine form minus
-    # the next prime: low(t) + high(t) = 2t + 3 - next_prime(t).
-    for bt in [b for b in bcoeffs if b.name == "goldbach_low"]:
-        mate = Builtin("goldbach_high", bt.args)
-        c = bcoeffs[bt]
-        if c and bcoeffs.get(mate) == c:
-            arg = expr_affine(bt.args[0])
-            if arg is not None:
-                del bcoeffs[bt]
-                del bcoeffs[mate]
-                quad[1] += 2 * c * arg[0]
-                quad[2] += c * (2 * arg[1] + 3)
-                bcoeffs[Builtin("next_prime", bt.args)] -= c
-    if any(bcoeffs.values()) or quad[0]:
-        return None, threshold
-    return (quad[1], quad[2]), threshold
-
-
-def _class_odd_count(clause, modulus, residue):
-    """Affine (slope, intercept) of how many successor labels are odd, with
-    multiplicity, on one residue class; None when parity is opaque."""
-    aff = [F0, F0]
-    threshold = 1
-    for item in clause.items:
-        la = expr_affine(item.label)
-        mu = expr_affine(item.mult)
-        if la is None or mu is None:
-            return None, threshold
-        if (la[0] * residue + la[1]) % 2:
-            aff[0] += Fraction(mu[0])
-            aff[1] += Fraction(mu[1])
-    for iv in clause.intervals:
-        tail = _interval_tail(iv, modulus, residue)
-        if tail is None:
-            return None, threshold
-        threshold = max(threshold, tail.threshold)
-        la, lb = tail.lo
-        fa, fb = tail.full_count
-        s = tail.step
-        low_odd = int(la * residue + lb) % 2
-        if s % 2 == 0:
-            # One fixed parity along the whole progression.
-            if low_odd:
-                aff[0] += fa
-                aff[1] += fb
-        else:
-            # Alternating parities; the count's own parity is fixed on the
-            # class, which makes the halved counts affine.
-            count_par = int(fa * residue + fb) % 2
-            if low_odd:
-                aff[0] += fa / 2
-                aff[1] += (fb + count_par) / 2
-            else:
-                aff[0] += fa / 2
-                aff[1] += (fb - count_par) / 2
-        for ra, rb in tail.removed:
-            if int(ra * residue + rb) % 2:
-                aff[1] -= 1
-    return (aff[0], aff[1]), threshold
+            return None, f"{len(owners)} open-ended clauses own k = {r} mod {modulus}"
+        views.append((r, *class_view(owners[0], modulus, r)))
+    return modulus, views
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +199,17 @@ def _label_sum_at(spec, k):
     return sum(v * c for v, c in successors(spec, k).items())
 
 
+def _class_values(modulus, views, fold, weight):
+    """{residue: fold(view)} over the tail classes, or (None, reason)."""
+    values = {}
+    for r, view, why in views:
+        value, why = (None, why) if view is None else fold(view)
+        if value is None:
+            return None, f"{weight} not affine on k = {r} mod {modulus}: {why}"
+        values[r] = value
+    return values, ""
+
+
 def affine_sigma(spec, probe=200):
     """AffineSigma for the spec, or None.
 
@@ -325,24 +217,24 @@ def affine_sigma(spec, probe=200):
     on every reachable label up to `probe` (which also covers the labels
     that only bounded clauses reach).
     """
-    cover = _tail_classes(spec)
-    if cover is None:
-        return None
-    modulus, classes = cover
-    if classes:
-        pairs = set()
-        for tc in classes:
-            pair, _ = _class_label_sum(tc.clause, modulus, tc.residue)
-            if pair is None:
-                return None
-            pairs.add(pair)
-        if len(pairs) != 1:
-            return None
-        alpha, beta = pairs.pop()
+    return _affine_sigma(spec, probe)[0]
+
+
+def _affine_sigma(spec, probe):
+    modulus, views = _tail_views(spec)
+    if modulus is None:
+        return None, views
+    if views:
+        sums, why = _class_values(modulus, views, ClassView.label_sum, "label sum")
+        if sums is None:
+            return None, why
+        if len(set(sums.values())) != 1:
+            return None, "label sum differs between residue classes"
+        alpha, beta = sums[0]
     else:
         labels = reachable_labels(spec, probe)
         if not labels:
-            return None
+            return None, f"all clauses bounded, yet over {probe} labels reachable"
         ordered = sorted(labels)
         sums = {k: Fraction(_label_sum_at(spec, k)) for k in ordered}
         if len(ordered) == 1:
@@ -353,11 +245,10 @@ def affine_sigma(spec, probe=200):
             k0, k1 = ordered[0], ordered[1]
             alpha = (sums[k1] - sums[k0]) / (k1 - k0)
             beta = sums[k0] - alpha * k0
-    witness = AffineSigma(alpha, beta)
     for k in reachable_probe(spec, probe):
         if _label_sum_at(spec, k) != alpha * k + beta:
-            return None
-    return witness
+            return None, f"label {k} breaks the label sum {alpha}*k + {beta}"
+    return AffineSigma(alpha, beta), ""
 
 
 def rational_gf_affine(witness, s0):
@@ -388,35 +279,31 @@ class ParityWitness:
 
 def parity_affine(spec, probe=200):
     """ParityWitness for the spec, or None (child-count mode only)."""
+    return _parity_affine(spec, probe)[0]
+
+
+def _parity_affine(spec, probe):
     if spec.mode != "eco":
-        return None
-    cover = _tail_classes(spec)
-    if cover is None:
-        return None
-    modulus, classes = cover
-    if not classes:
-        return None
-    alphas = set()
-    betas = {0: set(), 1: set()}
-    odd_counts = set()
-    for tc in classes:
-        pair, _ = _class_label_sum(tc.clause, modulus, tc.residue)
-        odd, _ = _class_odd_count(tc.clause, modulus, tc.residue)
-        if pair is None or odd is None or odd[0] != 0:
-            return None
-        alphas.add(pair[0])
-        betas[tc.residue % 2].add(pair[1])
-        odd_counts.add(odd[1])
-    if (
-        len(alphas) != 1
-        or len(betas[0]) != 1
-        or len(betas[1]) != 1
-        or len(odd_counts) != 1
-    ):
-        return None
+        return None, "child-count mode only"
+    modulus, views = _tail_views(spec)
+    if modulus is None or not views:
+        return None, views or "every clause is bounded"
+    sums, why = _class_values(modulus, views, ClassView.label_sum, "label sum")
+    if sums is None:
+        return None, why
+    odds, why = _class_values(modulus, views, ClassView.odd_count, "odd-label count")
+    if odds is None:
+        return None, why
+    if any(slope for slope, _ in odds.values()):
+        return None, "odd-label count grows with k"
+    alphas = {alpha for alpha, _ in sums.values()}
+    betas = [{beta for r, (_, beta) in sums.items() if r % 2 == p} for p in (0, 1)]
+    odd_counts = {c for _, c in odds.values()}
+    if any(len(values) != 1 for values in (alphas, *betas, odd_counts)):
+        return None, "label sum or odd-label count is not fixed by label parity"
     m = odd_counts.pop()
     if m.denominator != 1 or m < 0:
-        return None
+        return None, f"odd-label count {m} is not a nonnegative integer"
     witness = ParityWitness(
         alphas.pop(),
         betas[0].pop(),
@@ -429,10 +316,10 @@ def parity_affine(spec, probe=200):
         succ = successors(spec, k)
         want = witness.alpha * k + (witness.beta_odd if k % 2 else witness.beta_even)
         if sum(v * c for v, c in succ.items()) != want:
-            return None
+            return None, f"label {k} breaks the parity-split label sum"
         if sum(c for v, c in succ.items() if v % 2) != witness.odd_per_rule:
-            return None
-    return witness
+            return None, f"label {k} breaks the odd-label count {m}"
+    return witness, ""
 
 
 def rational_gf_parity(w):
@@ -513,6 +400,10 @@ def form_successors(form, k):
     return out
 
 
+def _item_text(item):
+    return f"({expr_text(item.label)}) x {expr_text(item.mult)}"
+
+
 def factorial_form(spec, verify_to=100):
     """Recognize the interval-plus-jumps shape, or None.
 
@@ -522,52 +413,59 @@ def factorial_form(spec, verify_to=100):
     is re-expanded against the spec for every guarded label up to
     `verify_to` before it is returned.
     """
-    if len(spec.clauses) != 1:
+    form, _ = _walk_shape(spec)
+    if form is None:
         return None
+    floors = [a.c for a in spec.clauses[0].guard.atoms]
+    for k in range(max([1 if spec.mode == "eco" else 0, *floors]), verify_to + 1):
+        if form_successors(form, k) != successors(spec, k):
+            return None
+    return form
+
+
+def _walk_shape(spec):
+    """The unverified WalkForm the rule text spells out: (form, "") or
+    (None, reason)."""
+    if len(spec.clauses) != 1:
+        return None, f"{len(spec.clauses)} clauses, the shape needs one"
     clause = spec.clauses[0]
     if any(a.kind != "ge" for a in clause.guard.atoms):
-        return None
+        return None, "guard is more than a lower bound on k"
     if len(clause.intervals) != 1 or clause.intervals[0].step != 1:
-        return None
+        return None, "the shape needs exactly one step-1 interval"
     iv = clause.intervals[0]
     lo = expr_affine(iv.lo)
     hi = expr_affine(iv.hi)
     if lo is None or hi is None or lo[0] != 0 or hi[0] != 1 or lo[1] < 0:
-        return None
+        return None, "interval does not run from a fixed base up to k plus a constant"
     base, h = lo[1], hi[1]
-    jumps = Counter()
-    if h >= 0:
-        for t in range(h + 1):
-            jumps[t] += 1
+    jumps = Counter(range(h + 1))
     offsets = set(range(1, -h)) if h < 0 else set()
     low = set()
     for e in iv.minus:
         aff = expr_affine(e)
-        if aff is None:
-            return None
+        if aff is None or aff[0] not in (0, 1):
+            return None, f"exclusion {expr_text(e)} is neither constant nor k+c"
         a, t = aff
         if a == 0:
             if t >= base:
                 low.add(t - base)
-        elif a == 1:
-            if t >= 0:
-                # A notch inside the top block cancels that jump slot; above
-                # the block it never lands, so it is a no-op.
-                if t <= h and jumps[t] > 0:
-                    jumps[t] -= 1
-            else:
-                offsets.add(-t)
+        elif t >= 0:
+            # A notch inside the top block cancels that jump slot; above
+            # the block it never lands, so it is a no-op.
+            if t <= h and jumps[t] > 0:
+                jumps[t] -= 1
         else:
-            return None
+            offsets.add(-t)
     for item in clause.items:
         la = expr_affine(item.label)
         mu = expr_affine(item.mult)
         if la is None or mu is None or la[0] != 1 or mu[0] != 0 or mu[1] < 0:
-            return None
+            return None, f"item {_item_text(item)} is not a fixed jump from k"
         jumps[la[1]] += mu[1]
     start = spec.axiom - base
     if start < 0:
-        return None
+        return None, f"axiom {spec.axiom} lies below the interval base {base}"
     form = WalkForm(
         base=base,
         jumps=tuple(sorted(jumps.elements())),
@@ -576,13 +474,7 @@ def factorial_form(spec, verify_to=100):
         start_height=start,
         mode=spec.mode,
     )
-    floor = 1 if spec.mode == "eco" else 0
-    for a in clause.guard.atoms:
-        floor = max(floor, a.c)
-    for k in range(floor, verify_to + 1):
-        if form_successors(form, k) != successors(spec, k):
-            return None
-    return form
+    return form, ""
 
 
 def to_walk_spec(form, name="walk"):
@@ -613,8 +505,12 @@ class BoundedPlusJumps:
 
 def bounded_plus_jumps(spec):
     """BoundedPlusJumps witness, or None (child-count mode only)."""
+    return _bounded_plus_jumps(spec)[0]
+
+
+def _bounded_plus_jumps(spec):
     if spec.mode != "eco":
-        return None
+        return None, "child-count mode only"
     shared = None
     bound = spec.axiom
     for clause in spec.clauses:
@@ -623,28 +519,29 @@ def bounded_plus_jumps(spec):
             la = expr_affine(item.label)
             mu = expr_affine(item.mult)
             if la is None or mu is None:
-                return None
+                return None, f"item {_item_text(item)} is not affine"
             a, t = la
             if a == 0:
                 bound = max(bound, t)
             elif a == 1 and t >= 1 and mu[0] == 0 and mu[1] >= 1:
                 jumps[t] += mu[1]
             else:
-                return None
+                return None, f"item {_item_text(item)}: not bounded, not a fixed jump"
         for iv in clause.intervals:
             lo = expr_affine(iv.lo)
             hi = expr_affine(iv.hi)
             if lo is None or hi is None or lo[0] != 0 or hi[0] != 0:
-                return None
+                span = f"{expr_text(iv.lo)}..{expr_text(iv.hi)}"
+                return None, f"interval {span} moves with k"
             bound = max(bound, hi[1])
         key = tuple(sorted(jumps.elements()))
         if shared is None:
             shared = key
         elif shared != key:
-            return None
+            return None, "clauses jump by different amounts"
     if not shared:
-        return None
-    return BoundedPlusJumps(shared, bound)
+        return None, "no upward jumps"
+    return BoundedPlusJumps(shared, bound), ""
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +551,8 @@ def bounded_plus_jumps(spec):
 @dataclass(frozen=True)
 class LinearBound:
     certified: bool
-    slope: int | None
+    slope: int | None = None
+    reason: str = ""
 
 
 def linear_bound_check(spec):
@@ -668,29 +566,30 @@ def linear_bound_check(spec):
             la = expr_affine(item.label)
             if la is None:
                 bt = item.label
-                if bt.name != "ceil_div":
-                    return LinearBound(False, None)
                 arg = expr_affine(bt.args[0])
-                den = expr_affine(bt.args[1])
+                den = expr_affine(bt.args[-1])
                 if (
-                    arg is None
+                    bt.name != "ceil_div"
+                    or arg is None
                     or den is None
                     or arg[0] != 1
                     or den[0] != 0
                     or den[1] < 2
                 ):
-                    return LinearBound(False, None)
+                    return LinearBound(False, reason=f"{expr_text(bt)} has no jump cap")
                 best = max(best, arg[1], 0)
             else:
                 a, t = la
                 if a >= 2:
-                    return LinearBound(False, None)
+                    why = f"{expr_text(item.label)} outgrows k"
+                    return LinearBound(False, reason=why)
                 if a == 1:
                     best = max(best, t)
         for iv in clause.intervals:
             hi = expr_affine(iv.hi)
             if hi is None or hi[0] >= 2:
-                return LinearBound(False, None)
+                why = f"interval top {expr_text(iv.hi)} outgrows k"
+                return LinearBound(False, reason=why)
             if hi[0] == 1:
                 best = max(best, hi[1])
     return LinearBound(True, max(best, 0))
@@ -728,111 +627,6 @@ class RadiusVerdict:
         }
 
 
-def _class_near_count(clause, modulus, residue, b):
-    """Certified affine lower bound (slope, intercept, threshold) on the
-    number of successors landing at or above k - b, for large k in the
-    class, or None when no bound is derivable."""
-    slope, inter = F0, F0
-    threshold = 1
-    for item in clause.items:
-        mu = expr_affine(item.mult)
-        if mu is None:
-            return None
-        m1, m0 = Fraction(mu[0]), Fraction(mu[1])
-        if m1 < 0:
-            return None
-        if m1 > 0 and m0 < 0:
-            threshold = max(threshold, ceil(-m0 / m1))
-        la = expr_affine(item.label)
-        if la is None:
-            bt = item.label
-            if bt.name == "next_prime":
-                arg = expr_affine(bt.args[0])
-                # next_prime(k + t) >= k + t + 1, which clears k - b.
-                if arg is not None and arg[0] == 1 and arg[1] >= -b - 1:
-                    slope += m1
-                    inter += m0
-            continue
-        a, t = la
-        if a == 1 and t >= -b:
-            slope += m1
-            inter += m0
-        elif a >= 2:
-            slope += m1
-            inter += m0
-            threshold = max(threshold, -((t + b) // (a - 1)) + 1)
-    for iv in clause.intervals:
-        tail = _interval_tail(iv, modulus, residue)
-        if tail is None:
-            return None
-        threshold = max(threshold, tail.threshold)
-        if tail.full_count == (F0, F0):
-            continue
-        lo = expr_affine(iv.lo)
-        hi = expr_affine(iv.hi)
-        if lo[0] != 0:
-            return None
-        s = iv.step
-        if hi[0] == 0:
-            threshold = max(threshold, hi[1] + b + 1)
-            continue
-        # First grid value at or above k - b sits rho above it on the class.
-        threshold = max(threshold, lo[1] + b + 1)
-        rho = (lo[1] + b - residue) % s
-        num_slope, num_inter = hi[0] - 1, hi[1] + b - rho
-        if num_slope == 0 and num_inter < 0:
-            continue
-        mod_const = (num_slope * residue + num_inter) % s
-        cnt_slope = Fraction(num_slope, s)
-        cnt_inter = Fraction(num_inter - mod_const, s) + 1
-        if cnt_slope > 0 and cnt_inter < 0:
-            threshold = max(threshold, int(-cnt_inter / cnt_slope) + 2)
-        slope += cnt_slope
-        inter += cnt_inter
-        for ra, rb in tail.removed:
-            a, t = int(ra), int(rb)
-            if a == 0:
-                # Constant notches fall below k - b once k is large enough.
-                threshold = max(threshold, t + b + 1)
-            elif a == 1:
-                if t >= -b:
-                    inter -= 1
-            else:
-                inter -= 1
-                threshold = max(threshold, -((t + b) // (a - 1)) + 1)
-    return slope, inter, threshold
-
-
-def _class_forward_jump(clause, modulus, residue):
-    """Does the clause provably offer some successor >= k + 1 for all large
-    k in the class?"""
-    for item in clause.items:
-        mu = expr_affine(item.mult)
-        if mu is None:
-            continue
-        positive = mu[0] > 0 or (mu[0] == 0 and mu[1] >= 1)
-        if not positive:
-            continue
-        la = expr_affine(item.label)
-        if la is None:
-            bt = item.label
-            if bt.name == "next_prime":
-                arg = expr_affine(bt.args[0])
-                if arg is not None and arg[0] == 1 and arg[1] >= 0:
-                    return True
-            continue
-        if la[0] >= 2 or (la[0] == 1 and la[1] >= 1):
-            return True
-    for iv in clause.intervals:
-        tail = _interval_tail(iv, modulus, residue)
-        if tail is None or tail.full_count == (F0, F0):
-            continue
-        hi = expr_affine(iv.hi)
-        if hi[0] >= 2 or (hi[0] == 1 and hi[1] >= 1):
-            return True
-    return False
-
-
 def radius_zero_check(spec, back_width=None, probe=200):
     """Run the shrinking-return test, sweeping back_width over 0..3 when it
     is not supplied.  "Does not hold" is an inconclusive verdict, never a
@@ -845,21 +639,20 @@ def radius_zero_check(spec, back_width=None, probe=200):
         return RadiusVerdict(
             False, None, None, (), (), f"no forward jump from label {no_fwd[0]}"
         )
-    cover = _tail_classes(spec)
-    if cover is None or not cover[1]:
+    modulus, views = _tail_views(spec)
+    if modulus is None or not views:
         return RadiusVerdict(
             False, None, None, (), (), "tail structure not symbolically tractable"
         )
-    modulus, classes = cover
     verdict = None
     for b in widths:
-        verdict = _radius_for_width(spec, modulus, classes, labels, succs, b)
+        verdict = _radius_for_width(modulus, views, labels, succs, b)
         if verdict.holds:
             return verdict
     return verdict
 
 
-def _radius_for_width(spec, modulus, classes, labels, succs, b):
+def _radius_for_width(modulus, views, labels, succs, b):
     tally = tuple(
         (k, sum(c for v, c in succs[k].items() if v >= k - b)) for k in labels
     )
@@ -870,21 +663,22 @@ def _radius_for_width(spec, modulus, classes, labels, succs, b):
         )
     by_residue = {}
     descriptions = []
-    for tc in classes:
-        got = _class_near_count(tc.clause, modulus, tc.residue, b)
+    for r, view, _ in views:
+        got = None if view is None else view.at_or_above(b)[0]
         if got is None:
             return RadiusVerdict(
                 False, b, None, (), shown, "return count not symbolically affine"
             )
-        if not _class_forward_jump(tc.clause, modulus, tc.residue):
+        # A forward jump is a successor at or above k + 1.
+        fwd_slope, fwd_inter, _ = view.at_or_above(-1)[0]
+        if fwd_slope < 0 or (fwd_slope == 0 and fwd_inter < 1):
             return RadiusVerdict(
                 False, b, None, (), shown, "no certified forward jump in the tail"
             )
         slope, inter, threshold = got
-        threshold = max(threshold, tc.threshold)
-        by_residue[tc.residue] = (slope, inter, threshold)
+        by_residue[r] = got
         descriptions.append(
-            f"k = {tc.residue} mod {modulus}: at least {slope}*k + {inter} "
+            f"k = {r} mod {modulus}: at least {slope}*k + {inter} "
             f"returns (k >= {threshold})"
         )
     slopes = {slope for slope, _, _ in by_residue.values()}
@@ -1046,9 +840,9 @@ def build_report(spec, order=30, cutoff=500, probe=120):
             )
         )
 
-    aw = affine_sigma(spec, probe)
+    aw, why = _affine_sigma(spec, probe)
     if aw is None:
-        results.append(CriterionResult("affine-label-sum", "none"))
+        results.append(CriterionResult("affine-label-sum", "none", note=why))
     elif spec.mode == "eco":
         rf = verified(rational_gf_affine(aw, spec.axiom))
         results.append(
@@ -1071,9 +865,9 @@ def build_report(spec, order=30, cutoff=500, probe=120):
             )
         )
 
-    pw = parity_affine(spec, probe)
+    pw, why = _parity_affine(spec, probe)
     if pw is None:
-        results.append(CriterionResult("parity-label-sum", "none"))
+        results.append(CriterionResult("parity-label-sum", "none", note=why))
     else:
         rf = verified(rational_gf_parity(pw))
         results.append(
@@ -1095,7 +889,8 @@ def build_report(spec, order=30, cutoff=500, probe=120):
     form = factorial_form(spec)
     kernel_ready = False
     if form is None:
-        results.append(CriterionResult("interval-walk-shape", "none"))
+        why = _walk_shape(spec)[1] or "the recognized shape disagrees with the rules"
+        results.append(CriterionResult("interval-walk-shape", "none", note=why))
     else:
         kernel_ready = (
             bool(form.jumps) and not form.removed_low and form.start_height == 0
@@ -1112,9 +907,9 @@ def build_report(spec, order=30, cutoff=500, probe=120):
             )
         )
 
-    bj = bounded_plus_jumps(spec)
+    bj, why = _bounded_plus_jumps(spec)
     if bj is None:
-        results.append(CriterionResult("bounded-plus-jumps", "none"))
+        results.append(CriterionResult("bounded-plus-jumps", "none", note=why))
     else:
         note = ""
         rf = None
@@ -1151,6 +946,7 @@ def build_report(spec, order=30, cutoff=500, probe=120):
             "linear-label-growth",
             "holds" if lb.certified else "none",
             {"slope": lb.slope} if lb.certified else {},
+            note=lb.reason,
         )
     )
 

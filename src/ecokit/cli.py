@@ -19,13 +19,14 @@ import time
 from pathlib import Path
 from random import Random
 
-from .catalog import ENTRIES, CatalogError, catalog_verify, get_entry, verify_entry
+from .catalog import ENTRIES, CatalogError, get_entry, verify_entry
 from .classify import ClassifyError, build_report, factorial_form
 from .contfrac import ContFracError
 from .dsl import ParseError, SpecError, parse_spec
-from .engine import WalkSampler, count_levels, sample_walks, total_series
+from .engine import WalkSampler, count_levels, sample_walks
 from .guess import GuessError, guess_rational, minimal_algebraic
 from .kernel import KernelError, gf_report
+from .series import SeriesError
 
 _WIDTH_CAP = 100_000  # label-width cap for analysis commands
 
@@ -153,6 +154,8 @@ def _cmd_classify(args):
 
 def _cmd_gf(args):
     _no_csv(args)
+    if args.order < 2:
+        raise UsageError("--order must be at least 2")
     name, spec = _load_source(args)
     form = factorial_form(spec)
     if form is None:
@@ -189,7 +192,15 @@ def _cmd_gf(args):
 def _cmd_guess(args):
     _no_csv(args)
     name, spec = _load_source(args)
-    terms = total_series(spec, args.order, max_labels=_WIDTH_CAP)
+    table = count_levels(spec, args.order - 1, max_labels=_WIDTH_CAP)
+    terms = table.totals
+    if table.stats.get("truncated"):
+        print(
+            f"error: label cap {_WIDTH_CAP} exceeded after level "
+            f"{table.stats['levels']}; only {len(terms)} of {args.order} terms",
+            file=sys.stderr,
+        )
+        return 1
     rational = guess_rational(terms, dmax=args.dmax)
     algebraic = None
     if rational is None:
@@ -513,7 +524,7 @@ def run(argv=None) -> int:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)
         return 2
-    except (ClassifyError, KernelError, ContFracError, SpecError) as exc:
+    except (ClassifyError, KernelError, ContFracError, SeriesError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

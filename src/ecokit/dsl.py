@@ -20,16 +20,20 @@ list.  Guards are conjunctions of ``k >= c``, ``k <= c``, ``k mod m == r``,
 ``always`` matches every label.  Label expressions are affine forms ``a*k+b``
 or one call to a registered builtin (``ceil_div``, ``next_prime``,
 ``goldbach_low``, ``goldbach_high``, ``pow``).
+
+``class_view`` evaluates a clause on one residue class of k, where the
+successor count, label sum and similar weights are affine in k; the arity
+check here and the symbolic detectors in ``classify`` fold over it.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 
 class ParseError(ValueError):
@@ -510,9 +514,9 @@ def parse_spec(text) -> EcoSpec:
 # Printer
 
 
-def _expr_text(e):
+def expr_text(e):
     if isinstance(e, Builtin):
-        return f"{e.name}({', '.join(_expr_text(a) for a in e.args)})"
+        return f"{e.name}({', '.join(expr_text(a) for a in e.args)})"
     a, b = e.a, e.b
     if a == 0:
         return str(b)
@@ -545,14 +549,14 @@ def spec_to_text(spec) -> str:
         guard = " and ".join(_atom_text(a) for a in clause.guard.atoms) or "always"
         parts = []
         for iv in clause.intervals:
-            inner = f"{_expr_text(iv.lo)}, {_expr_text(iv.hi)}"
+            inner = f"{expr_text(iv.lo)}, {expr_text(iv.hi)}"
             if iv.step != 1:
                 inner += f", step {iv.step}"
             if iv.minus:
-                inner += ", minus {" + ", ".join(_expr_text(e) for e in iv.minus) + "}"
+                inner += ", minus {" + ", ".join(expr_text(e) for e in iv.minus) + "}"
             parts.append(f"interval({inner})")
         for item in clause.items:
-            parts.append(f"({_expr_text(item.label)}) x {_expr_text(item.mult)}")
+            parts.append(f"({expr_text(item.label)}) x {expr_text(item.mult)}")
         lines.append(f"  rule {guard}: {', '.join(parts)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -750,143 +754,262 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class IntervalTail:
-    """Tail behaviour of an interval on one residue class of k.
+F0 = Fraction(0)
 
-    For k in the class with k >= threshold the interval holds full_count(k)
-    grid labels starting at lo(k) with the stored step, of which the affine
-    forms in `removed` are excluded (each hitting the grid exactly once), so
-    it contributes count(k) = full_count(k) - len(removed) labels.  All the
-    affine forms are (slope, intercept) Fraction pairs.
+
+@dataclass(frozen=True)
+class Progression:
+    """An interval on one residue class of k, for k >= threshold.
+
+    The grid starts at first(k), holds count(k) labels `step` apart and ends
+    at or below hi(k); each form in `removed` hits the grid exactly once and
+    is excluded.  `first`, `hi` and the removed forms are integer
+    (slope, intercept) pairs, `count` a pair of Fractions.
     """
 
-    count: tuple
-    full_count: tuple
-    lo: tuple
+    first: tuple
+    hi: tuple
     step: int
+    count: tuple
     removed: tuple
     threshold: int
 
 
 def _interval_tail(iv, modulus, residue):
-    """IntervalTail of iv on the class k = residue mod modulus, or None
-    when a bound or exclusion is not affine.  modulus must be a multiple
-    of the step."""
-    lo = expr_affine(iv.lo)
-    hi = expr_affine(iv.hi)
-    if lo is None or hi is None:
+    """Progression of iv on the class k = residue mod modulus, or None when
+    a bound or exclusion is not affine.  modulus must be a multiple of the
+    step."""
+    bounds = [expr_affine(e) for e in (iv.lo, iv.hi, *iv.minus)]
+    if None in bounds:
         return None
-    if any(expr_affine(e) is None for e in iv.minus):
-        return None
-    la, lb = lo
-    ha, hb = hi
+    (la, lb), (ha, hb), forms = bounds[0], bounds[1], bounds[2:]
     da, db = ha - la, hb - lb
-    threshold = 1
-    zero = (Fraction(0), Fraction(0))
-    if da < 0:
+    if da < 0 or (da == 0 and db < 0):
         # Eventually empty.
-        threshold = max(threshold, -(-(db + 1) // -da))
-        return IntervalTail(zero, zero, (Fraction(la), Fraction(lb)), iv.step, (), threshold)
-    if da == 0 and db < 0:
-        return IntervalTail(zero, zero, (Fraction(la), Fraction(lb)), iv.step, (), threshold)
-    if da > 0:
-        # Not empty once da*k + db >= 0.
-        threshold = max(threshold, -(db // da) if db < 0 else 1)
+        threshold = max(1, -(-(db + 1) // -da)) if da < 0 else 1
+        return Progression((la, lb), (ha, hb), iv.step, (F0, F0), (), threshold)
+    # Not empty once da*k + db >= 0.
+    threshold = -(db // da) if da > 0 and db < 0 else 1
     rho = (da * residue + db) % iv.step
-    full_a = Fraction(da, iv.step)
-    full_b = Fraction(db - rho, iv.step) + 1
-    # Exclusions that sit on the grid and in range for all large k in class.
+    count = (Fraction(da, iv.step), Fraction(db - rho, iv.step) + 1)
+
+    def settles(x, y):
+        # From which k on x(k) <= y(k) holds, or None when it never settles.
+        if x[0] < y[0]:
+            return -((y[1] - x[1]) // (y[0] - x[0])) + 1 if y[1] < x[1] else 1
+        return 1 if x[0] == y[0] and x[1] <= y[1] else None
+
+    # An exclusion on the grid ends up in range for all large k in the class,
+    # and is removed, or out of range for good, and is ignored from then on.
     removed = []
-    seen = set()
-    for e in iv.minus:
-        ea, eb = expr_affine(e)
-        if (ea, eb) in seen:
+    for e in dict.fromkeys(forms):
+        if ((e[0] - la) * residue + e[1] - lb) % iv.step:
             continue
-        seen.add((ea, eb))
-        on_grid = ((ea - la) * residue + (eb - lb)) % iv.step == 0
-        if not on_grid:
-            continue
-
-        def eventually_le(xa, xb, ya, yb):
-            # x(k) <= y(k) for all large k? (threshold updated via nonlocal)
-            nonlocal threshold
-            if xa < ya:
-                diff_a, diff_b = ya - xa, yb - xb
-                if diff_b < 0:
-                    threshold = max(threshold, -(diff_b // diff_a) + 1)
-                return True
-            if xa == ya:
-                return xb <= yb
-            return False
-
-        if eventually_le(la, lb, ea, eb) and eventually_le(ea, eb, ha, hb):
-            removed.append((Fraction(ea), Fraction(eb)))
+        above_lo = settles((la, lb), e)
+        below_hi = above_lo and settles(e, (ha, hb))
+        if above_lo is None:
+            threshold = max(threshold, settles((e[0], e[1] + 1), (la, lb)))
+        elif below_hi is None:
+            threshold = max(threshold, above_lo, settles((ha, hb + 1), e))
+        else:
+            threshold = max(threshold, above_lo, below_hi)
+            removed.append(e)
     # Collisions between distinct exclusion forms happen at single labels;
     # push the threshold past them.
-    forms = [expr_affine(e) for e in iv.minus]
-    for i in range(len(forms)):
-        for j in range(i + 1, len(forms)):
-            (xa, xb), (ya, yb) = forms[i], forms[j]
+    for i, (xa, xb) in enumerate(forms):
+        for ya, yb in forms[i + 1 :]:
             if xa != ya:
-                cross = Fraction(yb - xb, xa - ya)
-                threshold = max(threshold, int(cross) + 2)
-    count = (full_a, full_b - len(removed))
-    return IntervalTail(
-        count,
-        (full_a, full_b),
-        (Fraction(la), Fraction(lb)),
-        iv.step,
-        tuple(removed),
-        threshold,
-    )
+                threshold = max(threshold, int(Fraction(yb - xb, xa - ya)) + 2)
+    return Progression((la, lb), (ha, hb), iv.step, count, tuple(removed), threshold)
 
 
-def clause_count_tail(clause):
-    """Symbolic successor count of a clause on each residue class.
+@dataclass(frozen=True)
+class ClassView:
+    """A clause on the labels k = residue mod modulus with k >= threshold.
 
-    Returns a list of (modulus, residue, slope, intercept, threshold) entries
-    or None when the clause is not tractable symbolically (builtin
-    multiplicities, non-affine interval bounds, bounded guards are skipped).
+    `points` holds the items as (label, mult) pairs: mult an integer
+    (slope, intercept) pair, the label one too or, for a builtin label, the
+    Builtin itself.  `runs` holds the intervals as Progressions.  On such a
+    class every weight below is affine in k, and each method folds one of
+    them over the successor multiset.
     """
-    if any(a.kind == "le" for a in clause.guard.atoms):
-        return []
-    modulus = 1
-    for a in clause.guard.atoms:
-        if a.kind == "mod":
-            modulus = lcm(modulus, a.m)
-    for iv in clause.intervals:
-        modulus = lcm(modulus, iv.step)
-    base_a, base_b = Fraction(0), Fraction(0)
+
+    modulus: int
+    residue: int
+    points: tuple
+    runs: tuple
+    threshold: int
+
+    def count(self):
+        """(slope, intercept) of the number of successors."""
+        slope = sum((m[0] for _, m in self.points), F0)
+        inter = sum((m[1] for _, m in self.points), F0)
+        for run in self.runs:
+            slope += run.count[0]
+            inter += run.count[1] - len(run.removed)
+        return slope, inter
+
+    def label_sum(self):
+        """(slope, intercept) of the successor label sum, or (None, reason)."""
+        quad = [F0, F0, F0]  # k^2, k, 1
+        calls = Counter()
+        for label, (m1, m0) in self.points:
+            if isinstance(label, Builtin):
+                if m1:
+                    return None, f"{label.name} label with a k-dependent multiplicity"
+                calls[label] += m0
+            else:
+                quad[0] += label[0] * m1
+                quad[1] += label[0] * m0 + label[1] * m1
+                quad[2] += label[1] * m0
+        for run in self.runs:
+            (la, lb), (fa, fb), s = run.first, run.count, run.step
+            # Arithmetic-progression sum: count*first + step*count*(count-1)/2.
+            quad[0] += fa * la + s * fa * fa / 2
+            quad[1] += fa * lb + fb * la + s * (2 * fa * fb - fa) / 2
+            quad[2] += fb * lb + s * (fb * fb - fb) / 2
+            for ra, rb in run.removed:
+                quad[1] -= ra
+                quad[2] -= rb
+        # The two half-sums of an even split recombine into an affine form
+        # minus the next prime: low(t) + high(t) = 2t + 3 - next_prime(t).
+        for low in [b for b in calls if b.name == "goldbach_low"]:
+            high = Builtin("goldbach_high", low.args)
+            c = calls[low]
+            arg = expr_affine(low.args[0])
+            if c and calls.get(high) == c and arg is not None:
+                del calls[low], calls[high]
+                quad[1] += 2 * c * arg[0]
+                quad[2] += c * (2 * arg[1] + 3)
+                calls[Builtin("next_prime", low.args)] -= c
+        if quad[0]:
+            return None, "quadratic in k"
+        left = [b.name for b, c in calls.items() if c]
+        if left:
+            return None, f"{left[0]} labels do not cancel"
+        return (quad[1], quad[2]), ""
+
+    def odd_count(self):
+        """(slope, intercept) of the number of odd successor labels, or
+        (None, reason)."""
+        r = self.residue
+        slope, inter = F0, F0
+        for label, (m1, m0) in self.points:
+            if isinstance(label, Builtin):
+                return None, f"parity of {label.name} labels is unknown"
+            if (label[0] * r + label[1]) % 2:
+                slope += m1
+                inter += m0
+        for run in self.runs:
+            (la, lb), (fa, fb) = run.first, run.count
+            low_odd = (la * r + lb) % 2
+            if run.step % 2 == 0:
+                # One fixed parity along the whole progression.
+                slope += fa * low_odd
+                inter += fb * low_odd
+            else:
+                # Alternating parities; the count's own parity is fixed on the
+                # class, which makes the halved counts affine.
+                count_par = int(fa * r + fb) % 2
+                slope += fa / 2
+                inter += (fb + count_par) / 2 if low_odd else (fb - count_par) / 2
+            inter -= sum((a * r + t) % 2 for a, t in run.removed)
+        return (slope, inter), ""
+
+    def at_or_above(self, b):
+        """Certified lower bound (slope, intercept, threshold) on how many
+        successors land at or above k - b for large k, or (None, reason)."""
+        slope, inter, threshold = F0, F0, self.threshold
+        for label, (m1, m0) in self.points:
+            if m1 < 0:
+                return None, "a multiplicity shrinks as k grows"
+            if m1 > 0 and m0 < 0:
+                threshold = max(threshold, -(m0 // m1))
+            if isinstance(label, Builtin):
+                # next_prime(k + t) >= k + t + 1, which clears k - b.
+                arg = expr_affine(label.args[0]) if label.name == "next_prime" else None
+                if arg is None or arg[0] != 1 or arg[1] < -b - 1:
+                    continue
+            elif label[0] >= 2:
+                threshold = max(threshold, -((label[1] + b) // (label[0] - 1)) + 1)
+            elif label[0] != 1 or label[1] < -b:
+                continue
+            slope += m1
+            inter += m0
+        for run in self.runs:
+            if run.count == (F0, F0):
+                continue
+            (la, lb), (ha, hb), s = run.first, run.hi, run.step
+            if la != 0:
+                return None, "an interval's low end moves with k"
+            if ha == 0:
+                threshold = max(threshold, hb + b + 1)
+                continue
+            # The grid points below k - b are the first (k - b - lb + rho)/s,
+            # rho being the gap from k - b up to the next grid point.
+            threshold = max(threshold, lb + b + 1)
+            rho = (lb + b - self.residue) % s
+            cnt_slope = run.count[0] - Fraction(1, s)
+            cnt_inter = run.count[1] - Fraction(rho - b - lb, s)
+            if cnt_slope == 0 and cnt_inter <= 0:
+                continue
+            if cnt_slope > 0 and cnt_inter < 0:
+                threshold = max(threshold, int(-cnt_inter / cnt_slope) + 2)
+            slope += cnt_slope
+            inter += cnt_inter
+            for a, t in run.removed:
+                if a == 0:
+                    # Constant notches fall below k - b once k is large enough.
+                    threshold = max(threshold, t + b + 1)
+                elif a >= 2:
+                    inter -= 1
+                    threshold = max(threshold, -((t + b) // (a - 1)) + 1)
+                elif t >= -b:
+                    inter -= 1
+        return (slope, inter, threshold), ""
+
+
+def class_view(clause, modulus, residue):
+    """(ClassView, "") of the clause on k = residue mod modulus, or
+    (None, reason) when a multiplicity or an interval bound is not affine.
+    modulus must be a multiple of every interval step."""
+    points = []
     for item in clause.items:
-        aff = expr_affine(item.mult)
-        if aff is None:
-            return None
-        base_a += aff[0]
-        base_b += aff[1]
-    ge_floor = 1
-    for a in clause.guard.atoms:
-        if a.kind == "ge":
-            ge_floor = max(ge_floor, a.c)
-    out = []
-    for residue in range(modulus):
-        ok = True
-        for a in clause.guard.atoms:
-            if a.kind == "mod" and residue % a.m != a.r:
-                ok = False
-        if not ok:
-            continue
-        slope, intercept = base_a, base_b
-        threshold = ge_floor
-        for iv in clause.intervals:
-            tail = _interval_tail(iv, modulus, residue)
-            if tail is None:
-                return None
-            slope += tail.count[0]
-            intercept += tail.count[1]
-            threshold = max(threshold, tail.threshold)
-        out.append((modulus, residue, slope, intercept, threshold))
-    return out
+        mult = expr_affine(item.mult)
+        if mult is None:
+            return None, f"multiplicity {expr_text(item.mult)} is not affine"
+        points.append((expr_affine(item.label) or item.label, mult))
+    threshold = max([1] + [a.c for a in clause.guard.atoms if a.kind == "ge"])
+    runs = []
+    for iv in clause.intervals:
+        run = _interval_tail(iv, modulus, residue)
+        if run is None:
+            return None, "an interval bound or exclusion is not affine"
+        runs.append(run)
+        threshold = max(threshold, run.threshold)
+    return ClassView(modulus, residue, tuple(points), tuple(runs), threshold), ""
+
+
+def residue_split(clauses, scale=1):
+    """Residue classes k = r mod M of the labels past every `k <= c` guard.
+
+    M is the lcm of `scale`, of every `mod` guard and of `scale` times every
+    interval step in the open-ended clauses, so each interval grid has a
+    fixed offset on each class (and, for scale 2, a fixed parity and count
+    parity).  Returns (M, [(r, open-ended clauses whose mod guards admit r)]),
+    the list empty when every clause is bounded.  pow2/prime guards are not
+    looked at.
+    """
+    open_ended = [c for c in clauses if all(a.kind != "le" for a in c.guard.atoms)]
+    mods = [[a for a in c.guard.atoms if a.kind == "mod"] for c in open_ended]
+    steps = [scale * iv.step for c in open_ended for iv in c.intervals]
+    modulus = lcm(scale, *(a.m for ms in mods for a in ms), *steps)
+    if not open_ended:
+        return modulus, []
+    return modulus, [
+        (r, [c for c, ms in zip(open_ended, mods) if all(r % a.m == a.r for a in ms)])
+        for r in range(modulus)
+    ]
 
 
 def reachable_probe(spec, kprobe):
@@ -966,16 +1089,17 @@ def validate_spec(spec, kprobe=200, cover_to=None) -> ValidationReport:
     symbolic = []
     if spec.mode == "eco":
         for idx, clause in enumerate(spec.clauses):
-            tails = clause_count_tail(clause)
-            if tails is None:
-                symbolic.append(f"clause {idx}: skipped (non-affine parts)")
-                continue
-            if not tails:
+            modulus, split = residue_split([clause])
+            views = [class_view(clause, modulus, r)[0] for r, owners in split if owners]
+            if not views:
                 symbolic.append(f"clause {idx}: bounded guard, numeric probes only")
                 continue
-            bad = [t for t in tails if (t[2], t[3]) != (1, 0)]
+            if any(v is None for v in views):
+                symbolic.append(f"clause {idx}: skipped (non-affine parts)")
+                continue
+            bad = [v for v in views if v.count() != (1, 0)]
             if bad:
-                m, r, a, b, _ = bad[0]
+                (a, b), m, r = bad[0].count(), bad[0].modulus, bad[0].residue
                 if reach_complete:
                     # The whole reachable label set is in hand; the numeric
                     # sweep below decides, and the off-law guard region is
@@ -985,22 +1109,14 @@ def validate_spec(spec, kprobe=200, cover_to=None) -> ValidationReport:
                         "deferred to the exhaustive reachable sweep"
                     )
                     continue
-                issues.append(
-                    Issue(
-                        "arity-symbolic",
-                        f"clause {idx}: count is {a}k+{b} on k = {r} mod {m}, want k",
-                    )
-                )
+                why = f"clause {idx}: count is {a}k+{b} on k = {r} mod {m}, want k"
+                issues.append(Issue("arity-symbolic", why))
                 symbolic.append(f"clause {idx}: FAILED")
             else:
-                thr = max(t[4] for t in tails)
+                thr = max(v.threshold for v in views)
                 if thr > kprobe:
-                    issues.append(
-                        Issue(
-                            "arity-symbolic",
-                            f"clause {idx}: tail threshold {thr} beyond probe {kprobe}",
-                        )
-                    )
+                    why = f"clause {idx}: tail threshold {thr} beyond probe {kprobe}"
+                    issues.append(Issue("arity-symbolic", why))
                 symbolic.append(f"clause {idx}: count = k for k >= {thr}")
     else:
         symbolic.append("walk mode: arity law not applicable")

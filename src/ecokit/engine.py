@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
 
-from .dsl import EcoSpec, SpecError, eval_expr, match_clause, successors
+from .dsl import SpecError, eval_expr, match_clause, successors
 
 
 @dataclass

@@ -26,7 +26,6 @@ from fractions import Fraction
 
 from .qpoly import QPoly
 from .series import (
-    SeriesError,
     TruncSeries,
     UPoly,
     hensel_small_factor,

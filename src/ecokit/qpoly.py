@@ -123,17 +123,6 @@ class QPoly:
     def derivative(self):
         return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def content_free(self):
-        """Scale to coprime integer coefficients (sign preserved on the lead)."""
-        if self.is_zero():
-            return self
-        from math import gcd, lcm
-
-        den = lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = gcd(*ints)
-        return QPoly([Fraction(v, g) for v in ints])
-
     def to_str(self, var="z"):
         """Human form like '1 - 3z + z^2'."""
         if self.is_zero():

@@ -32,10 +32,6 @@ class RatFunc:
         self.den = den * inv
 
     @classmethod
-    def from_coeffs(cls, num, den):
-        return cls(QPoly(num), QPoly(den))
-
-    @classmethod
     def constant(cls, c):
         return cls(QPoly([Fraction(c)]), QPoly.one())
 

@@ -201,62 +201,6 @@ class TruncSeries:
         return f"TruncSeries([{shown}{tail}] mod z^{self.order})"
 
 
-class LaurentU:
-    """Finite Laurent polynomial in u with rational coefficients.
-
-    Exponents may be negative; the kernel construction shifts everything by
-    u^b before it ever leaves this type.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[e] = self.terms.get(e, Fraction(0)) + c
-            self.terms = {e: c for e, c in self.terms.items() if c}
-
-    def add_term(self, exponent, coeff):
-        out = dict(self.terms)
-        c = out.get(exponent, Fraction(0)) + Fraction(coeff)
-        if c:
-            out[exponent] = c
-        else:
-            out.pop(exponent, None)
-        return LaurentU(out)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentU(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
-        return LaurentU(out)
-
-    def shift(self, j):
-        """Multiply by u^j."""
-        return LaurentU({e + j: c for e, c in self.terms.items()})
-
-    def min_exponent(self):
-        return min(self.terms) if self.terms else 0
-
-    def to_qpoly(self):
-        if self.terms and min(self.terms) < 0:
-            raise SeriesError("Laurent part still present, shift before converting")
-        deg = max(self.terms, default=0)
-        coeffs = [Fraction(0)] * (deg + 1)
-        for e, c in self.terms.items():
-            coeffs[e] = c
-        return QPoly(coeffs)
-
-
 class UPoly:
     """Polynomial in u whose coefficients are truncated series in z."""
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ecokit.catalog import get_entry
+from ecokit.catalog import ENTRIES, get_entry
 from ecokit.classify import (
     ClassifyError,
     affine_sigma,
@@ -240,3 +240,29 @@ class TestReport:
     def test_summary_mentions_verdict(self):
         report = build_report(spec_of("involutions"))
         assert "zero-radius" in report.summary()
+
+
+class TestNoneReasons:
+    @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
+    def test_every_none_verdict_says_why(self, entry):
+        for r in build_report(entry.spec(), order=12).results:
+            if r.verdict == "none":
+                assert r.note and "\n" not in r.note, r.criterion
+
+    def test_runaway_reasons(self):
+        notes = {
+            r.criterion: r.note
+            for r in build_report(spec_of("runaway"), order=12).results
+            if r.verdict == "none"
+        }
+        assert set(notes) >= {
+            "affine-label-sum",
+            "parity-label-sum",
+            "interval-walk-shape",
+            "bounded-plus-jumps",
+        }
+
+    def test_evaluator_reason_reaches_the_note(self):
+        report = build_report(spec_of("catalan"), order=12)
+        note = next(r.note for r in report.results if r.criterion == "affine-label-sum")
+        assert note == "label sum not affine on k = 0 mod 2: quadratic in k"

@@ -5,6 +5,7 @@ import pytest
 
 import ecokit.cli as cli
 from ecokit.catalog import get_entry
+from ecokit.series import SeriesError
 
 FIB_TEXT = (
     "system fib { mode eco; axiom 1;\n"
@@ -94,6 +95,21 @@ class TestGF:
         assert doc["F1"][:5] == [1, 3, 11, 45, 197]
         assert doc["closed_form"]["match"] is True
 
+    @pytest.mark.parametrize("order", ["0", "1"])
+    def test_order_below_two_is_usage_error(self, capsys, order):
+        code, out, err = run(capsys, "gf", "--system", "catalan", "--order", order)
+        assert (code, out) == (2, "")
+        assert "--order must be at least 2" in err
+
+    def test_series_error_is_reported(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise SeriesError("series needs order at least 1")
+
+        monkeypatch.setattr(cli, "gf_report", broken)
+        code, _, err = run(capsys, "gf", "--system", "catalan")
+        assert code == 1
+        assert err == "error: series needs order at least 1\n"
+
 
 class TestGuess:
     def test_rational_system(self, capsys):
@@ -105,6 +121,12 @@ class TestGuess:
         code, out, _ = run(capsys, "guess", "--system", "ternary")
         assert code == 0
         assert "F^3" in out
+
+    def test_width_cap_is_reported(self, capsys):
+        code, out, err = run(capsys, "guess", "--system", "even_jumps")
+        assert (code, out) == (1, "")
+        assert "label cap 100000 exceeded after level 17" in err
+        assert "only 18 of 40 terms" in err
 
 
 class TestCatalog:
