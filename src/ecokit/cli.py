@@ -22,8 +22,8 @@ from random import Random
 from .catalog import ENTRIES, CatalogError, get_entry, verify_entry
 from .classify import ClassifyError, build_report, factorial_form
 from .contfrac import ContFracError
-from .dsl import ParseError, SpecError, parse_spec
-from .engine import WalkSampler, count_levels, sample_walks
+from .dsl import ParseError, SpecError, parse_spec, validate_spec
+from .engine import LabelCapError, WalkSampler, count_levels, sample_walks
 from .guess import GuessError, guess_rational, minimal_algebraic
 from .kernel import KernelError, gf_report
 from .series import SeriesError
@@ -55,6 +55,19 @@ def _load_source(args):
     return spec.name, spec
 
 
+def _load_valid_source(args):
+    """_load_source, and a spec file must also pass validate_spec."""
+    name, spec = _load_source(args)
+    if args.file is not None:
+        issues = validate_spec(spec).issues
+        if issues:
+            more = f" (and {len(issues) - 1} more)" if len(issues) > 1 else ""
+            raise UsageError(
+                f"{args.file}: invalid spec: [{issues[0].kind}] {issues[0].message}{more}"
+            )
+    return name, spec
+
+
 def _emit_json(obj):
     print(json.dumps(obj, indent=2))
 
@@ -81,7 +94,7 @@ def _clean_stats(stats):
 
 
 def _cmd_count(args):
-    name, spec = _load_source(args)
+    name, spec = _load_valid_source(args)
     if args.n < 0:
         raise UsageError("-n must be nonnegative")
     table = count_levels(spec, args.n, method=args.method, max_labels=args.cap)
@@ -115,12 +128,18 @@ def _cmd_count(args):
 
 
 def _cmd_sample(args):
-    name, spec = _load_source(args)
+    name, spec = _load_valid_source(args)
     if args.n < 0:
         raise UsageError("-n must be nonnegative")
     if args.count < 1:
         raise UsageError("--count must be positive")
-    walks = sample_walks(spec, args.n, args.count, args.seed, args.strategy)
+    try:
+        walks = sample_walks(
+            spec, args.n, args.count, args.seed, args.strategy, max_labels=_WIDTH_CAP
+        )
+    except LabelCapError as exc:
+        print(f"error: {exc}; no walks drawn", file=sys.stderr)
+        return 1
     if args.format == "csv":
         _emit_csv([f"step_{i}" for i in range(args.n + 1)], walks)
     elif args.format == "json":

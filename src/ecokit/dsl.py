@@ -21,6 +21,11 @@ list.  Guards are conjunctions of ``k >= c``, ``k <= c``, ``k mod m == r``,
 or one call to a registered builtin (``ceil_div``, ``next_prime``,
 ``goldbach_low``, ``goldbach_high``, ``pow``).
 
+``describe`` lowers a clause at one label into its successor description:
+points (label, mult) and runs of labels an interval step apart, less their
+exclusions.  The engine's propagators, back table and sampler read only
+this form, and ``validate_spec`` counts arities from it.
+
 ``class_view`` evaluates a clause on one residue class of k, where the
 successor count, label sum and similar weights are affine in k; the arity
 check here and the symbolic detectors in ``classify`` fold over it.
@@ -140,26 +145,45 @@ class EcoSpec:
 
 
 # ---------------------------------------------------------------------------
-# Number-theoretic builtins (exact, trial division at desk scale)
+# Number-theoretic builtins (exact; primality certified below PRIME_BOUND)
 
 
 def _is_pow2(k):
     return k >= 1 and (k & (k - 1)) == 0
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to every base above (Sorenson and Webster
+# 2015), so Miller-Rabin on those bases decides every n below it.
+PRIME_BOUND = 3317044064679887385961981
+
+
 @lru_cache(maxsize=None)
 def is_prime(n):
+    """Deterministic Miller-Rabin on the first 13 prime bases, proven exact
+    below PRIME_BOUND (about 3.3e24).  At or above it only a factor among
+    the bases decides; otherwise SpecError."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= PRIME_BOUND:
+        raise SpecError(f"primality of {n} is not certified at or above {PRIME_BOUND}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -192,7 +216,7 @@ def goldbach_pair(k):
 
 def eval_expr(e, k):
     """Evaluate a label expression at label k."""
-    if isinstance(e, Affine):
+    if type(e) is Affine:
         return e.a * k + e.b
     name, args = e.name, [eval_expr(a, k) for a in e.args]
     if name == "ceil_div":
@@ -701,24 +725,96 @@ def match_clause(spec, k):
     return hits[0]
 
 
-def expand_clause(clause, k) -> Counter:
-    out = Counter()
+def describe(clause, k):
+    """The successor description of a node labeled k under `clause`.
+
+    Returns (points, runs).  `points` holds (label, mult) pairs with
+    mult >= 1.  `runs` holds (lo, last, step, cuts): the labels lo, lo+step,
+    ..., last (lo <= last) once each, less the labels in `cuts`, a sorted
+    tuple of distinct labels on that grid.  Multiplicities of a label that
+    appears more than once add up.  A negative multiplicity raises SpecError
+    here, and exclusions off the grid are dropped here, so no consumer can
+    take a count below zero.
+    """
+    runs = []
     for iv in clause.intervals:
         lo = eval_expr(iv.lo, k)
         hi = eval_expr(iv.hi, k)
         if lo <= hi:
-            grid = set(range(lo, hi + 1, iv.step))
-            for e in iv.minus:
-                grid.discard(eval_expr(e, k))
-            for label in grid:
-                out[label] += 1
+            step = iv.step
+            last = hi - (hi - lo) % step
+            cuts = ()
+            if iv.minus:
+                cuts = {eval_expr(e, k) for e in iv.minus}
+                cuts = tuple(sorted(v for v in cuts if lo <= v <= last and (v - lo) % step == 0))
+            runs.append((lo, last, step, cuts))
+    points = []
     for item in clause.items:
         mult = eval_expr(item.mult, k)
         if mult < 0:
             raise SpecError(f"multiplicity {mult} is negative at label {k}")
         if mult:
-            out[eval_expr(item.label, k)] += mult
+            points.append((eval_expr(item.label, k), mult))
+    return tuple(points), tuple(runs)
+
+
+def describer(spec):
+    """k -> describe(clause of k, k); each distinct label is matched to its
+    clause once, and its description is rebuilt on every call."""
+    clause_of = {}
+
+    def describe_label(k):
+        clause = clause_of.get(k)
+        if clause is None:
+            clause = clause_of[k] = match_clause(spec, k)
+        return describe(clause, k)
+
+    return describe_label
+
+
+def expand(desc):
+    """{label: multiplicity} of a successor description."""
+    points, runs = desc
+    out = {}
+    get = out.get
+    for j, m in points:
+        out[j] = get(j, 0) + m
+    for lo, last, step, cuts in runs:
+        for j in range(lo, last + 1, step):
+            out[j] = get(j, 0) + 1
+        for j in cuts:
+            if out[j] == 1:
+                del out[j]
+            else:
+                out[j] -= 1
     return out
+
+
+def _arity(desc):
+    """Number of successors in a description, counted with multiplicity."""
+    points, runs = desc
+    return sum(m for _, m in points) + sum(
+        (last - lo) // step + 1 - len(cuts) for lo, last, step, cuts in runs
+    )
+
+
+def _lowest_label(desc):
+    """Smallest successor label of a description, or None when it has none."""
+    points, runs = desc
+    lows = [j for j, _ in points]
+    for lo, last, step, cuts in runs:
+        for v in cuts:  # sorted, so the cut labels at the bottom come first
+            if v != lo:
+                break
+            lo += step
+        if lo <= last:
+            lows.append(lo)
+    return min(lows, default=None)
+
+
+def expand_clause(clause, k) -> Counter:
+    """Successor label multiset of label k under `clause`."""
+    return Counter(expand(describe(clause, k)))
 
 
 def successors(spec, k) -> Counter:
@@ -1013,35 +1109,40 @@ def residue_split(clauses, scale=1):
 
 
 def reachable_probe(spec, kprobe):
-    """Labels reachable from the axiom, cut off above kprobe."""
+    """Labels reachable from the axiom, cut off above kprobe and below the
+    mode's label floor."""
     return _reachable_closure(spec, kprobe)[0]
 
 
 def _reachable_closure(spec, kprobe):
-    """(sorted reachable labels <= kprobe, whether that set is complete).
+    """(sorted reachable labels from the label floor to kprobe, stop).
 
-    Complete means the closure never produced a label beyond kprobe and
-    every label expanded cleanly, so the returned set is the entire
-    reachable label set of the system.
+    The floor is 1 in eco mode and 0 in walk mode.  `stop` is "" when the
+    closure never produced a label outside that range and every label
+    expanded cleanly, so the returned set is the entire reachable label set
+    of the system; otherwise it names the first label that was cut off or
+    failed to expand.
     """
+    floor = 1 if spec.mode == "eco" else 0
     seen = set()
-    complete = True
+    stop = ""
     frontier = [spec.axiom]
     while frontier:
         k = frontier.pop()
         if k in seen:
             continue
-        if k > kprobe:
-            complete = False
+        if not floor <= k <= kprobe:
+            where = f"below the label floor {floor}" if k < floor else f"beyond probe {kprobe}"
+            stop = stop or f"label {k} is {where}"
             continue
         seen.add(k)
         try:
             succ = successors(spec, k)
-        except SpecError:
-            complete = False
+        except SpecError as exc:
+            stop = stop or f"label {k} does not expand: {exc}"
             continue
         frontier.extend(j for j in succ if j not in seen)
-    return sorted(seen), complete
+    return sorted(seen), stop
 
 
 def validate_spec(spec, kprobe=200, cover_to=None) -> ValidationReport:
@@ -1083,7 +1184,7 @@ def validate_spec(spec, kprobe=200, cover_to=None) -> ValidationReport:
     elif spec.axiom < domain_min:
         issues.append(Issue("axiom", f"axiom {spec.axiom} has no matching clause"))
 
-    reach, reach_complete = _reachable_closure(spec, kprobe)
+    reach, reach_stop = _reachable_closure(spec, kprobe)
 
     # Symbolic arity per clause (eco mode only).
     symbolic = []
@@ -1100,7 +1201,7 @@ def validate_spec(spec, kprobe=200, cover_to=None) -> ValidationReport:
             bad = [v for v in views if v.count() != (1, 0)]
             if bad:
                 (a, b), m, r = bad[0].count(), bad[0].modulus, bad[0].residue
-                if reach_complete:
+                if not reach_stop:
                     # The whole reachable label set is in hand; the numeric
                     # sweep below decides, and the off-law guard region is
                     # provably never entered.
@@ -1124,16 +1225,15 @@ def validate_spec(spec, kprobe=200, cover_to=None) -> ValidationReport:
     # Numeric probes along reachable labels.
     for k in reach:
         try:
-            succ = successors(spec, k)
+            desc = describe(match_clause(spec, k), k)
         except SpecError as exc:
             issues.append(Issue("expansion", str(exc), k))
             continue
-        if spec.mode == "eco" and sum(succ.values()) != k:
-            issues.append(
-                Issue("arity", f"label {k} produces {sum(succ.values())} successors, want {k}", k)
-            )
-        low = min(succ, default=label_floor)
-        if low < label_floor:
+        count = _arity(desc)
+        if spec.mode == "eco" and count != k:
+            issues.append(Issue("arity", f"label {k} produces {count} successors, want {k}", k))
+        low = _lowest_label(desc)
+        if low is not None and low < label_floor:
             issues.append(Issue("label-range", f"label {k} produces label {low}", k))
 
     return ValidationReport(

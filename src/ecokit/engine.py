@@ -1,28 +1,53 @@
 """Exact level-by-level enumeration, backward counts and uniform sampling.
 
 Everything here runs on Python integers, so the counts are exact at any
-depth.  Two forward propagation methods are provided:
+depth.  Every routine reads successors through `dsl.describer`: for each
+label, points (label, mult) and runs (lo, last, step, cuts) of labels spaced
+`step` apart, less the cut labels.  Two forward propagation methods are
+provided:
 
-* ``naive`` expands every populated label through its successor multiset,
-  one point update per (source label, successor label) pair.
-* ``range`` turns each interval item into two difference-map events per
-  populated source label and reconstructs the next level with one sweep per
-  (step, residue) bucket.  On interval-heavy systems a level then costs
-  about (number of distinct labels) instead of (sum of interval lengths).
+* ``naive`` expands each label's description once into (successor label,
+  multiplicity) pairs and applies them to every level the label populates.
+  It is the oracle for the others.
+* ``range`` records two difference events per run, keyed by (step, residue
+  of lo), and rebuilds the next level with one running sum
+  (``itertools.accumulate``) per key.  On interval-heavy systems a level
+  then costs about (number of distinct labels) instead of (sum of run
+  lengths).
 
-Both produce identical tables; the naive method doubles as the oracle for
-the range method in the tests.
+``stats["update_ops"]`` counts the dictionary updates a method made: for
+``naive`` one per (populated label, distinct successor label) pair; for
+``range`` one per point, two per run, one per cut and one per label the
+rebuild writes.
+
+``closure_layers`` pushes a level of ones through the range step and keeps
+its support.  ``back_table`` lowers each reachable label once and sums every
+run of the previous row from per-(step, residue) prefix sums, so a row costs
+about its width (times a log) instead of width times run length.
+``WalkSampler`` weighs the expanded description of the current label by
+that table.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import accumulate
+from operator import mul
 from random import Random
 
-from .dsl import SpecError, eval_expr, match_clause, successors
+from .dsl import SpecError, describer, expand
+
+
+class LabelCapError(SpecError):
+    """A level holds more distinct labels than the cap allows."""
+
+    def __init__(self, cap, level):
+        super().__init__(f"label cap {cap} exceeded at level {level}")
+        self.cap = cap
+        self.level = level
 
 
 @dataclass
@@ -44,7 +69,7 @@ class CountTable:
 
     @property
     def label_sums(self):
-        return [sum(k * c for k, c in lv.items()) for lv in self.levels]
+        return [sum(map(mul, lv.keys(), lv.values())) for lv in self.levels]
 
     def count(self, n, k):
         if not 0 <= n < len(self.levels):
@@ -63,82 +88,60 @@ class CountTable:
         }
 
 
-def _succ_cache(spec):
-    cache = {}
-
-    def get(k):
-        if k not in cache:
-            cache[k] = successors(spec, k)
-        return cache[k]
-
-    return get
-
-
-def _next_level_naive(spec, level, succ, ops):
-    nxt = Counter()
+def _next_level_naive(level, succ):
+    """(next level, update ops) from each label's expanded successors."""
+    nxt = {}
+    get = nxt.get
+    ops = 0
     for k, c in level.items():
-        for j, m in succ(k).items():
-            nxt[j] += c * m
-            ops[0] += 1
-    return dict(nxt)
+        pairs = succ(k)
+        for j, m in pairs:
+            nxt[j] = get(j, 0) + c * m
+        ops += len(pairs)
+    return nxt, ops
 
 
-def _next_level_range(spec, level, ops):
-    point = Counter()
-    # diff maps keyed by (step, residue): label -> signed weight change
-    diffs = {}
-    removals = Counter()
+def _next_level_range(level, describe):
+    """(next level, update ops) from difference events on the runs."""
+    nxt, cuts = {}, {}
+    get = nxt.get
+    events = {}  # (step, residue of lo) -> {label: signed change}
+    ops = 0
     for k, c in level.items():
-        clause = match_clause(spec, k)
-        for item in clause.items:
-            mult = eval_expr(item.mult, k)
-            if mult < 0:
-                raise SpecError(f"multiplicity {mult} is negative at label {k}")
-            if mult:
-                point[eval_expr(item.label, k)] += c * mult
-                ops[0] += 1
-        for iv in clause.intervals:
-            lo = eval_expr(iv.lo, k)
-            hi = eval_expr(iv.hi, k)
-            if lo > hi:
-                continue
-            hi -= (hi - lo) % iv.step  # last grid point
-            key = (iv.step, lo % iv.step)
-            bucket = diffs.setdefault(key, Counter())
-            bucket[lo] += c
-            bucket[hi + iv.step] -= c
-            ops[0] += 2
-            cut = set()
-            for e in iv.minus:
-                v = eval_expr(e, k)
-                if lo <= v <= hi and (v - lo) % iv.step == 0:
-                    cut.add(v)
-            for v in cut:
-                removals[v] += c
-                ops[0] += 1
-    nxt = Counter(point)
-    for (step, _), bucket in diffs.items():
-        run = 0
-        events = sorted(bucket)
-        for pos, nxt_pos in zip(events, events[1:] + [None]):
-            run += bucket[pos]
-            if nxt_pos is None:
-                if run != 0:
-                    raise SpecError("difference map did not close")
-                break
+        points, runs = describe(k)
+        for j, m in points:
+            nxt[j] = get(j, 0) + c * m
+        ops += len(points)
+        for lo, last, step, cut in runs:
+            key = (step, lo % step)
+            ev = events.get(key)
+            if ev is None:
+                ev = events[key] = {}
+            ev[lo] = ev.get(lo, 0) + c
+            end = last + step
+            ev[end] = ev.get(end, 0) - c
+            ops += 2 + len(cut)
+            for j in cut:
+                cuts[j] = cuts.get(j, 0) + c
+    for (step, _), ev in events.items():
+        marks = sorted(ev)
+        running = list(accumulate(ev[x] for x in marks))
+        if running[-1]:
+            raise SpecError("difference map did not close")
+        for lo, end, run in zip(marks, marks[1:], running):
             if run:
-                for label in range(pos, nxt_pos, step):
-                    nxt[label] += run
-                    ops[0] += 1
-    for v, c in removals.items():
-        nxt[v] -= c
-    out = {}
-    for k, c in nxt.items():
-        if c < 0:
-            raise SpecError(f"negative count at label {k}")
-        if c:
-            out[k] = c
-    return out
+                for j in range(lo, end, step):
+                    nxt[j] = get(j, 0) + run
+                ops += (end - lo) // step
+    for j, c in cuts.items():
+        left = nxt[j] - c
+        if left < 0:
+            raise SpecError(f"negative count at label {j}")
+        if left:
+            nxt[j] = left
+        else:
+            del nxt[j]
+    return nxt, ops
 
 
 def count_levels(spec, n, method="auto", max_labels=None) -> CountTable:
@@ -155,17 +158,21 @@ def count_levels(spec, n, method="auto", max_labels=None) -> CountTable:
     if method not in ("naive", "range"):
         raise ValueError(f"unknown method {method!r}")
     t0 = time.perf_counter()
-    ops = [0]
-    succ = _succ_cache(spec)
+    describe = describer(spec)
+    if method == "naive":
+        step, lower = _next_level_naive, cache(lambda k: tuple(expand(describe(k)).items()))
+    else:
+        # Range levels can double in width per level (up to the label cap),
+        # so descriptions are rebuilt on every visit rather than kept for
+        # every label seen.
+        step, lower = _next_level_range, describe
+    ops = 0
     levels = [{spec.axiom: 1}]
     peak = 1
     truncated = False
     for _ in range(n):
-        cur = levels[-1]
-        if method == "naive":
-            nxt = _next_level_naive(spec, cur, succ, ops)
-        else:
-            nxt = _next_level_range(spec, cur, ops)
+        nxt, done = step(levels[-1], lower)
+        ops += done
         if max_labels is not None and len(nxt) > max_labels:
             truncated = True
             break
@@ -174,7 +181,7 @@ def count_levels(spec, n, method="auto", max_labels=None) -> CountTable:
     stats = {
         "method": method,
         "levels": len(levels) - 1,
-        "update_ops": ops[0],
+        "update_ops": ops,
         "peak_labels": peak,
         "seconds": round(time.perf_counter() - t0, 6),
     }
@@ -195,34 +202,66 @@ def total_series(spec, order, method="auto", max_labels=None):
 # Backward counts: trees hanging below a label
 
 
-def closure_layers(spec, n):
-    """Distinct-label sets R_0..R_n reachable from the axiom, level by level."""
+def _closure(spec, n, max_labels):
+    """(layers R_0..R_n, label -> description, cached for every label lowered).
+
+    Each layer is the support of the range step applied to a level of ones.
+    LabelCapError when a layer holds more than max_labels labels.
+    """
+    lowered = cache(describer(spec))
     layers = [{spec.axiom}]
-    succ = _succ_cache(spec)
-    for _ in range(n):
-        nxt = set()
-        for k in layers[-1]:
-            nxt.update(succ(k))
-        layers.append(nxt)
-    return layers
+    for depth in range(1, n + 1):
+        nxt, _ = _next_level_range(dict.fromkeys(layers[-1], 1), lowered)
+        if max_labels is not None and len(nxt) > max_labels:
+            raise LabelCapError(max_labels, depth)
+        layers.append(set(nxt))
+    return layers, lowered
 
 
-def back_table(spec, n):
+def closure_layers(spec, n, max_labels=None):
+    """Distinct-label sets R_0..R_n reachable from the axiom, level by level.
+
+    LabelCapError when a layer holds more than `max_labels` labels.
+    """
+    return _closure(spec, n, max_labels)[0]
+
+
+def _run_sum(row, prefix, lo, last, step):
+    """Sum of row[j] over the labels j of row on the grid lo, lo+step, ..., last.
+
+    `prefix` caches, per (step, residue), the row's labels of that residue in
+    increasing order and their running sums.
+    """
+    key = (step, lo % step)
+    hit = prefix.get(key)
+    if hit is None:
+        labels = sorted(j for j in row if j % step == key[1])
+        hit = prefix[key] = (labels, [0, *accumulate(row[j] for j in labels)])
+    labels, sums = hit
+    return sums[bisect_right(labels, last)] - sums[bisect_left(labels, lo)]
+
+
+def back_table(spec, n, max_labels=None):
     """g[m][k] = walks of length m starting at label k, for k reachable at depth n-m.
 
     g[n][axiom] equals the level-n total of count_levels, which gives an
-    independent route to the same number.
+    independent route to the same number.  LabelCapError when a closure
+    layer holds more than `max_labels` labels.
     """
-    layers = closure_layers(spec, n)
-    succ = _succ_cache(spec)
-    g = [dict() for _ in range(n + 1)]
-    g[0] = {k: 1 for k in layers[n]}
+    layers, lowered = _closure(spec, n, max_labels)
+    g = [dict.fromkeys(layers[n], 1)]
     for m in range(1, n + 1):
-        prev = g[m - 1]
-        g[m] = {
-            k: sum(mult * prev[j] for j, mult in succ(k).items())
-            for k in layers[n - m]
-        }
+        prev, prefix, row = g[-1], {}, {}
+        # Every successor of a label in layers[n-m] lies in layers[n-m+1],
+        # the labels of prev; a cut label may be missing from it.
+        for k in layers[n - m]:
+            points, runs = lowered(k)
+            total = sum(mult * prev[j] for j, mult in points)
+            for lo, last, step, cuts in runs:
+                total += _run_sum(prev, prefix, lo, last, step)
+                total -= sum(prev.get(j, 0) for j in cuts)
+            row[k] = total
+        g.append(row)
     return g
 
 
@@ -242,29 +281,27 @@ class WalkSampler:
       array, built lazily and memoized.
     """
 
-    def __init__(self, spec, n):
+    def __init__(self, spec, n, max_labels=None):
         self.spec = spec
         self.n = n
-        self.g = back_table(spec, n)
+        self.g = back_table(spec, n, max_labels)
         self.total = self.g[n][spec.axiom]
-        self._succ = _succ_cache(spec)
+        describe = describer(spec)
+        # The labels are those of the back table, which the label cap bounds.
+        self._children = cache(lambda k: sorted(expand(describe(k)).items()))
         self._prefix = {}
 
     def _weighted_children(self, k, rem):
         # Children sorted by label; weight = multiplicity * subtree count.
-        succ = self._succ(k)
-        return [(j, succ[j] * self.g[rem - 1][j]) for j in sorted(succ)]
+        below = self.g[rem - 1]
+        return [(j, m * below[j]) for j, m in self._children(k)]
 
     def _prefix_sums(self, k, rem):
         key = (k, rem)
         hit = self._prefix.get(key)
         if hit is None:
             children = self._weighted_children(k, rem)
-            acc, sums = 0, []
-            for _, w in children:
-                acc += w
-                sums.append(acc)
-            hit = ([j for j, _ in children], sums)
+            hit = ([j for j, _ in children], list(accumulate(w for _, w in children)))
             self._prefix[key] = hit
         return hit
 
@@ -294,9 +331,13 @@ class WalkSampler:
         return walk
 
 
-def sample_walks(spec, n, count, seed, strategy="binary"):
-    """Draw `count` independent uniform walks with one seeded generator."""
-    sampler = WalkSampler(spec, n)
+def sample_walks(spec, n, count, seed, strategy="binary", max_labels=None):
+    """Draw `count` independent uniform walks with one seeded generator.
+
+    LabelCapError when a level reachable within n steps holds more than
+    `max_labels` labels.
+    """
+    sampler = WalkSampler(spec, n, max_labels)
     rng = Random(seed)
     return [sampler.sample(rng, strategy=strategy) for _ in range(count)]
 

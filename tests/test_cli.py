@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ecokit
 import ecokit.cli as cli
 from ecokit.catalog import get_entry
 from ecokit.series import SeriesError
@@ -11,6 +16,18 @@ FIB_TEXT = (
     "system fib { mode eco; axiom 1;\n"
     " rule k <= 1: (2) x 1;\n"
     " rule k >= 2: (1) x 1, (2) x 1; }\n"
+)
+
+
+# Breaks the eco arity law: every label gets two successors.
+BAD_ARITY_TEXT = "system bad { mode eco; axiom 1; rule k >= 1: (k) x 1, (k+1) x 1; }\n"
+# Labels fall below the walk-mode floor 0 without bound.
+FALLING_TEXT = "system down { mode walk; axiom 1; rule always: (k-1) x 2; }\n"
+# Labels 2^n - 1; 2^61 - 1 is a Mersenne prime.
+MERSENNE_TEXT = (
+    "system mersenne { mode walk; axiom 1;\n"
+    " rule prime(k): (2*k+1) x 1;\n"
+    " rule !prime(k): (2*k+1) x 1; }\n"
 )
 
 
@@ -45,6 +62,22 @@ class TestCount:
         assert "label cap 500 exceeded" in err
         assert out.rstrip().endswith("29559718")
 
+    @pytest.mark.parametrize("command", ["count", "sample"])
+    @pytest.mark.parametrize("text", [BAD_ARITY_TEXT, FALLING_TEXT])
+    def test_invalid_file_is_rejected(self, capsys, tmp_path, command, text):
+        path = tmp_path / "bad.eco"
+        path.write_text(text)
+        code, out, err = run(capsys, command, "--file", str(path), "-n", "4")
+        assert (code, out) == (2, "")
+        assert "invalid spec" in err
+
+    def test_prime_guard_on_a_mersenne_prime(self, capsys, tmp_path):
+        path = tmp_path / "mersenne.eco"
+        path.write_text(MERSENNE_TEXT)
+        code, out, _ = run(capsys, "count", "--file", str(path), "-n", "62")
+        assert code == 0
+        assert out.rstrip().endswith("62\t1")
+
 
 class TestSample:
     def test_length_zero_walk(self, capsys):
@@ -63,6 +96,11 @@ class TestSample:
         assert first == second
         assert len(json.loads(first[1])["walks"]) == 5
 
+    def test_label_cap_stops_before_the_back_table(self, capsys):
+        code, out, err = run(capsys, "sample", "--system", "even_jumps", "-n", "30")
+        assert (code, out) == (1, "")
+        assert err == "error: label cap 100000 exceeded at level 18; no walks drawn\n"
+
 
 class TestClassify:
     def test_spec_file(self, capsys, tmp_path):
@@ -72,6 +110,16 @@ class TestClassify:
         assert code == 0
         assert "finite-labels" in out
         assert "1/(1 - z - z^2)" in out
+
+    def test_falling_labels_do_not_hang(self, tmp_path):
+        path = tmp_path / "down.eco"
+        path.write_text(FALLING_TEXT)
+        env = dict(os.environ, PYTHONPATH=str(Path(ecokit.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "ecokit.cli", "classify", "--file", str(path)],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert done.returncode == 0
 
     def test_csv_not_offered(self, capsys):
         code, _, err = run(

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
 from ecokit.dsl import (
+    PRIME_BOUND,
     ParseError,
     SpecError,
     eval_expr,
@@ -15,6 +18,7 @@ from ecokit.dsl import (
     to_canonical_json,
     validate_spec,
 )
+from ecokit.dsl import _reachable_closure
 
 CATALAN = """
 system catalan {
@@ -110,6 +114,42 @@ class TestBuiltins:
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
         assert {n for n in range(2, 30) if is_prime(n)} == primes
 
+    def test_is_prime_matches_trial_division(self):
+        sieve = [True] * 20000
+        sieve[0] = sieve[1] = False
+        for p in range(2, 142):
+            if sieve[p]:
+                sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+        assert [n for n in range(20000) if is_prime(n)] == [
+            n for n in range(20000) if sieve[n]
+        ]
+
+    @pytest.mark.parametrize("n", [2**31 - 1, 10**9 + 7, 2**61 - 1, 10**18 + 9, 10**24 + 7])
+    def test_is_prime_known_primes(self, n):
+        assert is_prime(n)
+
+    @pytest.mark.parametrize(
+        "n, factors",
+        [
+            (561, (3, 11, 17)),  # Carmichael
+            (2**67 - 1, (193707721, 761838257287)),  # Mersenne composite
+            (2047, (23, 89)),  # strong pseudoprime to base 2
+            (3215031751, (151, 751, 28351)),  # strong to bases 2, 3, 5, 7
+            (3825123056546413051, (149491, 747451, 34233211)),  # bases 2..23
+            (318665857834031151167461, (399165290221, 798330580441)),  # bases 2..37
+        ],
+    )
+    def test_is_prime_rejects_strong_pseudoprimes(self, n, factors):
+        assert math.prod(factors) == n
+        assert not is_prime(n)
+
+    def test_is_prime_refuses_beyond_certified_bound(self):
+        # The bound is itself a strong pseudoprime to all 13 bases.
+        assert PRIME_BOUND == 1287836182261 * 2575672364521
+        with pytest.raises(SpecError, match=f"primality of {PRIME_BOUND} is not certified"):
+            is_prime(PRIME_BOUND)
+        assert not is_prime(3 * PRIME_BOUND)  # a small factor still decides
+
     def test_goldbach_pair_sums_to_target(self):
         for k in range(3, 120):
             q, r = goldbach_pair(k)
@@ -197,6 +237,14 @@ class TestValidation:
             "system t { mode walk; axiom 0; rule always: (0) x 1, (k+1) x 1; }"
         )
         assert validate_spec(spec).ok
+
+    def test_closure_stops_at_the_label_floor(self):
+        down = parse_spec("system down { mode walk; axiom 1; rule always: (k-1) x 2; }")
+        assert _reachable_closure(down, 200) == ([0, 1], "label -1 is below the label floor 0")
+        report = validate_spec(down)
+        assert [(i.kind, i.message) for i in report.issues] == [
+            ("label-range", "label 0 produces label -1")
+        ]
 
     def test_match_clause_requires_unique_guard(self):
         overlapping = parse_spec(

@@ -5,6 +5,7 @@ import pytest
 from ecokit.catalog import get_entry
 from ecokit.dsl import parse_spec, successors
 from ecokit.engine import (
+    LabelCapError,
     WalkSampler,
     antidiagonal_values,
     back_table,
@@ -92,6 +93,16 @@ class TestClosureAndBackTable:
             fwd = total_series(spec, 9)
             for r in range(9):
                 assert back_table(spec, r)[r][spec.axiom] == fwd[r]
+
+    def test_label_cap_stops_closure_and_back_table(self):
+        # Layer L of even_jumps holds 2^(L-1) labels, so layer 10 is the
+        # first above 500.
+        spec = spec_of("even_jumps")
+        for build in (closure_layers, back_table):
+            with pytest.raises(LabelCapError) as exc:
+                build(spec, 30, max_labels=500)
+            assert (exc.value.cap, exc.value.level) == (500, 10)
+        assert len(closure_layers(spec, 9, max_labels=500)[9]) == 256
 
 
 class TestSampler:
