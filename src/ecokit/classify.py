@@ -37,9 +37,11 @@ from .dsl import (
     Interval,
     Item,
     RuleClause,
+    SpecError,
     class_view,
     expr_affine,
     expr_text,
+    _reachable_closure,
     reachable_probe,
     residue_split,
     successors,
@@ -52,6 +54,16 @@ from .ratfunc import RatFunc
 
 class ClassifyError(ValueError):
     """An internal consistency check failed while classifying."""
+
+
+class ClosureError(SpecError):
+    """The reachable closure met a label that rules the spec out: one below
+    the label floor, or one with too many successors to expand.  `issue` is
+    the closure's stop."""
+
+    def __init__(self, issue):
+        super().__init__(issue.message)
+        self.issue = issue
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +229,10 @@ def affine_sigma(spec, probe=200):
     on every reachable label up to `probe` (which also covers the labels
     that only bounded clauses reach).
     """
-    return _affine_sigma(spec, probe)[0]
+    return _affine_sigma(spec, probe, reachable_probe(spec, probe))[0]
 
 
-def _affine_sigma(spec, probe):
+def _affine_sigma(spec, probe, reach):
     modulus, views = _tail_views(spec)
     if modulus is None:
         return None, views
@@ -245,7 +257,7 @@ def _affine_sigma(spec, probe):
             k0, k1 = ordered[0], ordered[1]
             alpha = (sums[k1] - sums[k0]) / (k1 - k0)
             beta = sums[k0] - alpha * k0
-    for k in reachable_probe(spec, probe):
+    for k in reach:
         if _label_sum_at(spec, k) != alpha * k + beta:
             return None, f"label {k} breaks the label sum {alpha}*k + {beta}"
     return AffineSigma(alpha, beta), ""
@@ -279,10 +291,10 @@ class ParityWitness:
 
 def parity_affine(spec, probe=200):
     """ParityWitness for the spec, or None (child-count mode only)."""
-    return _parity_affine(spec, probe)[0]
+    return _parity_affine(spec, reachable_probe(spec, probe))[0]
 
 
-def _parity_affine(spec, probe):
+def _parity_affine(spec, reach):
     if spec.mode != "eco":
         return None, "child-count mode only"
     modulus, views = _tail_views(spec)
@@ -312,7 +324,7 @@ def _parity_affine(spec, probe):
         spec.axiom,
         int(_label_sum_at(spec, spec.axiom)),
     )
-    for k in reachable_probe(spec, probe):
+    for k in reach:
         succ = successors(spec, k)
         want = witness.alpha * k + (witness.beta_odd if k % 2 else witness.beta_even)
         if sum(v * c for v, c in succ.items()) != want:
@@ -631,8 +643,11 @@ def radius_zero_check(spec, back_width=None, probe=200):
     """Run the shrinking-return test, sweeping back_width over 0..3 when it
     is not supplied.  "Does not hold" is an inconclusive verdict, never a
     claim of a positive radius."""
+    return _radius_zero(spec, back_width, reachable_probe(spec, probe))
+
+
+def _radius_zero(spec, back_width, labels):
     widths = (0, 1, 2, 3) if back_width is None else (back_width,)
-    labels = reachable_probe(spec, probe)
     succs = {k: successors(spec, k) for k in labels}
     no_fwd = [k for k in labels if max(succs[k], default=-1) < k + 1]
     if no_fwd:
@@ -811,7 +826,12 @@ def build_report(spec, order=30, cutoff=500, probe=120):
     propagation before it enters the report.  Systems whose label support
     widens exponentially get a shorter series (width-capped propagation);
     their closed forms, when any exist, are checked on what was computed.
+    Raises ClosureError, before any propagation, when the reachable closure
+    falls below the label floor or meets a label too wide to expand.
     """
+    reach, stop = _reachable_closure(spec, probe)
+    if stop is not None and stop.kind in ("label-range", "width"):
+        raise ClosureError(stop)
     series = tuple(total_series(spec, order, max_labels=100_000))
     results = []
     closed = None
@@ -840,7 +860,7 @@ def build_report(spec, order=30, cutoff=500, probe=120):
             )
         )
 
-    aw, why = _affine_sigma(spec, probe)
+    aw, why = _affine_sigma(spec, probe, reach)
     if aw is None:
         results.append(CriterionResult("affine-label-sum", "none", note=why))
     elif spec.mode == "eco":
@@ -865,7 +885,7 @@ def build_report(spec, order=30, cutoff=500, probe=120):
             )
         )
 
-    pw, why = _parity_affine(spec, probe)
+    pw, why = _parity_affine(spec, reach)
     if pw is None:
         results.append(CriterionResult("parity-label-sum", "none", note=why))
     else:
@@ -950,7 +970,7 @@ def build_report(spec, order=30, cutoff=500, probe=120):
         )
     )
 
-    rz = radius_zero_check(spec, None, probe)
+    rz = _radius_zero(spec, None, reach)
     results.append(
         CriterionResult(
             "zero-radius",

@@ -20,7 +20,7 @@ from pathlib import Path
 from random import Random
 
 from .catalog import ENTRIES, CatalogError, get_entry, verify_entry
-from .classify import ClassifyError, build_report, factorial_form
+from .classify import ClassifyError, ClosureError, build_report, factorial_form
 from .contfrac import ContFracError
 from .dsl import ParseError, SpecError, parse_spec, validate_spec
 from .engine import LabelCapError, WalkSampler, count_levels, sample_walks
@@ -162,7 +162,12 @@ def _cmd_sample(args):
 def _cmd_classify(args):
     _no_csv(args)
     name, spec = _load_source(args)
-    report = build_report(spec, order=args.order)
+    try:
+        report = build_report(spec, order=args.order)
+    except ClosureError as exc:
+        raise UsageError(
+            f"{args.file or name}: invalid spec: [{exc.issue.kind}] {exc.issue.message}"
+        )
     if args.format == "json":
         _emit_json({"command": "classify", "system": name, **report.to_json_obj()})
     else:

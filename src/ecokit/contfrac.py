@@ -9,11 +9,17 @@ with one nesting level per height.  A walk must spend two steps to visit a
 height and return, so truncating the nesting at depth d only disturbs
 coefficients from z^(2d) on; evaluating bottom-up in exact arithmetic with
 depth ceil(N/2)+1 therefore gives the first N coefficients exactly.
+
+The evaluation runs on integer lists.  Each denominator has constant term
+1, so its inverse is an integer recurrence, and the level at height j only
+needs its first N - 2j coefficients, since the z^2 factors above it shift
+the rest past z^(N-1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .dsl import SpecError, eval_expr, successors
 from .series import TruncSeries
@@ -96,16 +102,16 @@ def cf_excursions(rule, order=32, depth=None):
     """
     if depth is None:
         depth = -(-order // 2) + 1
-    tail = TruncSeries.one(order)
+    tail = [1] + [0] * (order - 2 * depth - 1)
     for j in range(depth - 1, -1, -1):
         stay = rule.stay(j)
         weight = rule.up(j) * rule.down(j + 1)
         if stay < 0 or weight < 0:
             raise ContFracError(f"negative multiplicity at level {j}")
-        denom = (
-            TruncSeries.one(order)
-            - TruncSeries.from_poly([0, stay], order)
-            - tail.shift(2).truncate(order).scale(weight)
-        )
-        tail = denom.inverse()
-    return tail
+        # 1 / (1 - stay z - weight z^2 tail), to order - 2j coefficients.
+        out = [1][: order - 2 * j]
+        for m in range(1, order - 2 * j):
+            acc = sum(map(mul, tail[: m - 1], reversed(out[: m - 1])))
+            out.append(stay * out[m - 1] + weight * acc)
+        tail = out
+    return TruncSeries(tail)

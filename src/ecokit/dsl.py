@@ -714,6 +714,9 @@ def from_canonical_json(text) -> EcoSpec:
 # ---------------------------------------------------------------------------
 # Expansion
 
+# The reachable closure expands no label with more successor labels than this.
+MAX_SUCCESSORS = 100_000
+
 
 def match_clause(spec, k):
     """The unique clause guarding k."""
@@ -1117,31 +1120,46 @@ def reachable_probe(spec, kprobe):
 def _reachable_closure(spec, kprobe):
     """(sorted reachable labels from the label floor to kprobe, stop).
 
-    The floor is 1 in eco mode and 0 in walk mode.  `stop` is "" when the
+    The floor is 1 in eco mode and 0 in walk mode.  `stop` is None when the
     closure never produced a label outside that range and every label
     expanded cleanly, so the returned set is the entire reachable label set
-    of the system; otherwise it names the first label that was cut off or
-    failed to expand.
+    of the system; otherwise it is an Issue for the first label that was cut
+    off ("label-range" below the floor, "probe" above kprobe), failed to
+    expand ("expansion") or has more than MAX_SUCCESSORS successor labels
+    ("width", counted before anything is expanded).
     """
     floor = 1 if spec.mode == "eco" else 0
     seen = set()
-    stop = ""
+    stop = None
     frontier = [spec.axiom]
     while frontier:
         k = frontier.pop()
         if k in seen:
             continue
-        if not floor <= k <= kprobe:
-            where = f"below the label floor {floor}" if k < floor else f"beyond probe {kprobe}"
-            stop = stop or f"label {k} is {where}"
-            continue
-        seen.add(k)
-        try:
-            succ = successors(spec, k)
-        except SpecError as exc:
-            stop = stop or f"label {k} does not expand: {exc}"
-            continue
-        frontier.extend(j for j in succ if j not in seen)
+        issue = None
+        if k < floor:
+            issue = Issue("label-range", f"label {k} is below the label floor {floor}", k)
+        elif k > kprobe:
+            issue = Issue("probe", f"label {k} is beyond probe {kprobe}", k)
+        else:
+            seen.add(k)
+            try:
+                desc = describe(match_clause(spec, k), k)
+            except SpecError as exc:
+                issue = Issue("expansion", f"label {k} does not expand: {exc}", k)
+            else:
+                # What expand(desc) walks over; multiplicities cost nothing.
+                points, runs = desc
+                width = len(points) + sum((last - lo) // step + 1 for lo, last, step, _ in runs)
+                if width > MAX_SUCCESSORS:
+                    issue = Issue(
+                        "width",
+                        f"label {k} has {width} successor labels, more than {MAX_SUCCESSORS}",
+                        k,
+                    )
+                else:
+                    frontier.extend(j for j in expand(desc) if j not in seen)
+        stop = stop or issue
     return sorted(seen), stop
 
 
@@ -1185,6 +1203,8 @@ def validate_spec(spec, kprobe=200, cover_to=None) -> ValidationReport:
         issues.append(Issue("axiom", f"axiom {spec.axiom} has no matching clause"))
 
     reach, reach_stop = _reachable_closure(spec, kprobe)
+    if reach_stop is not None and reach_stop.kind == "width":
+        issues.append(reach_stop)
 
     # Symbolic arity per clause (eco mode only).
     symbolic = []
@@ -1201,7 +1221,7 @@ def validate_spec(spec, kprobe=200, cover_to=None) -> ValidationReport:
             bad = [v for v in views if v.count() != (1, 0)]
             if bad:
                 (a, b), m, r = bad[0].count(), bad[0].modulus, bad[0].residue
-                if not reach_stop:
+                if reach_stop is None:
                     # The whole reachable label set is in hand; the numeric
                     # sweep below decides, and the off-law guard region is
                     # provably never entered.

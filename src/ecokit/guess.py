@@ -6,6 +6,14 @@ fitting window and then re-verified against every remaining term, so a
 returned form is never a low-order coincidence with the data it was fitted
 on.  Verification against finitely many terms is strong evidence, not a
 proof; callers that need certainty must prove the form independently.
+
+Most candidates have no solution: their coefficient matrix has full column
+rank.  `nullspace_basis` settles those with a certificate modulo the prime
+2^61 - 1 (an integer matrix has at least the rank over Q that it has mod
+p), and runs the exact `Fraction` elimination only when the certificate
+fails, so the returned bases are the ones exact elimination gives.  The
+algebraic fit builds its rows by list convolution of the terms, so integer
+terms give integer rows.
 """
 
 from __future__ import annotations
@@ -13,10 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .qpoly import QPoly
 from .ratfunc import RatFunc
 from .series import TruncSeries
+
+
+_PRIME = (1 << 61) - 1  # modulus of the full-rank certificate
 
 
 class GuessError(ValueError):
@@ -46,12 +58,42 @@ def _rref(rows):
     return pivots
 
 
+def _full_rank_mod_p(rows, ncols):
+    """True when the rows have rank ncols modulo _PRIME.
+
+    Each row is scaled to integers first; a nonzero ncols x ncols minor mod
+    p is nonzero over Z, so True proves full column rank over Q.
+    """
+    pivots = []  # (column, row normalised to 1 there), in insertion order
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        red = [x.numerator * (den // x.denominator) % _PRIME for x in row]
+        for c, prow in pivots:
+            f = red[c]
+            if f:
+                red = [(a - f * b) % _PRIME for a, b in zip(red, prow)]
+        c = next((i for i, a in enumerate(red) if a), None)
+        if c is None:
+            continue
+        inv = pow(red[c], -1, _PRIME)
+        pivots.append((c, [a * inv % _PRIME for a in red]))
+        if len(pivots) == ncols:
+            return True
+    return False
+
+
 def nullspace_basis(rows, ncols):
-    """Basis of the kernel of the given row list (entries Fraction-like)."""
+    """Basis of the kernel of the given row list (entries int or Fraction).
+
+    A full-rank certificate mod p answers [] without exact arithmetic;
+    every other case runs the exact RREF, whose result is unique.
+    """
     if not rows:
         return [
             [Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)
         ]
+    if len(rows) >= ncols and _full_rank_mod_p(rows, ncols):
+        return []
     work = [[Fraction(x) for x in row] for row in rows]
     pivots = _rref(work)
     pivot_set = set(pivots)
@@ -230,17 +272,17 @@ def guess_algebraic(terms, deg_z, deg_f, holdout=10):
             f"(bidegree ({deg_z},{deg_f}), holdout={holdout}), got {order}"
         )
     fit_order = order - holdout
-    series = TruncSeries(tuple(Fraction(t) for t in terms))
-    powers = [TruncSeries.one(order)]
+    head = terms[:fit_order]
+    powers = [[1] + [0] * (fit_order - 1)]
     for _ in range(deg_f):
-        powers.append(powers[-1] * series)
+        prev = powers[-1]
+        powers.append(
+            [sum(map(mul, prev[: m + 1], reversed(head[: m + 1]))) for m in range(fit_order)]
+        )
     cols = [(j, i) for j in range(deg_f + 1) for i in range(deg_z + 1)]
-    rows = []
-    for m in range(fit_order):
-        row = []
-        for j, i in cols:
-            row.append(powers[j][m - i] if 0 <= m - i else Fraction(0))
-        rows.append(row)
+    rows = [
+        [powers[j][m - i] if m >= i else 0 for j, i in cols] for m in range(fit_order)
+    ]
     for vec in nullspace_basis(rows, len(cols)):
         if not any(vec[idx] for idx, (j, _) in enumerate(cols) if j >= 1):
             continue

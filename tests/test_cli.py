@@ -23,6 +23,8 @@ FIB_TEXT = (
 BAD_ARITY_TEXT = "system bad { mode eco; axiom 1; rule k >= 1: (k) x 1, (k+1) x 1; }\n"
 # Labels fall below the walk-mode floor 0 without bound.
 FALLING_TEXT = "system down { mode walk; axiom 1; rule always: (k-1) x 2; }\n"
+# Label 1 already has 2^31 + 1 successors.
+WIDE_TEXT = "system wide { mode walk; axiom 1; rule always: interval(0, pow(2, k+30)); }\n"
 # Labels 2^n - 1; 2^61 - 1 is a Mersenne prime.
 MERSENNE_TEXT = (
     "system mersenne { mode walk; axiom 1;\n"
@@ -70,6 +72,13 @@ class TestCount:
         code, out, err = run(capsys, command, "--file", str(path), "-n", "4")
         assert (code, out) == (2, "")
         assert "invalid spec" in err
+
+    def test_large_multiplicity_is_not_a_wide_label(self, capsys, tmp_path):
+        path = tmp_path / "heavy.eco"
+        path.write_text("system heavy { mode walk; axiom 0; rule always: (k+1) x pow(2, k+20); }\n")
+        code, out, _ = run(capsys, "count", "--file", str(path), "-n", "2")
+        assert code == 0
+        assert out.rstrip().endswith("2\t2199023255552")
 
     def test_prime_guard_on_a_mersenne_prime(self, capsys, tmp_path):
         path = tmp_path / "mersenne.eco"
@@ -119,7 +128,18 @@ class TestClassify:
             [sys.executable, "-m", "ecokit.cli", "classify", "--file", str(path)],
             env=env, capture_output=True, timeout=60,
         )
-        assert done.returncode == 0
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert b"[label-range] label -1 is below the label floor 0" in done.stderr
+
+    @pytest.mark.parametrize("argv", [("count", "-n", "1"), ("classify",)])
+    def test_too_wide_label_is_rejected_before_expansion(self, capsys, tmp_path, argv):
+        path = tmp_path / "wide.eco"
+        path.write_text(WIDE_TEXT)
+        code, out, err = run(capsys, *argv, "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            "invalid spec: [width] label 1 has 2147483649 successor labels, more than 100000\n"
+        )
 
     def test_csv_not_offered(self, capsys):
         code, _, err = run(

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecokit.catalog import get_entry
 from ecokit.contfrac import BirthDeathRule, ContFracError, cf_excursions
@@ -53,3 +55,34 @@ class TestExcursions:
         shallow = cf_excursions(rule, 20, depth=3).as_ints()
         diverge = next(i for i in range(20) if exact[i] != shallow[i])
         assert diverge >= 6
+
+
+def excursions_by_height(rule, order):
+    """Walks from height 0 back to height 0, counted level by level over the
+    heights, with down(h), stay(h), up(h) ways to step from height h."""
+    out = []
+    level = {0: 1}
+    for _ in range(order):
+        out.append(level.get(0, 0))
+        nxt = {}
+        for h, ways in level.items():
+            steps = [(h, rule.stay(h)), (h + 1, rule.up(h))]
+            if h > 0:
+                steps.append((h - 1, rule.down(h)))
+            for g, m in steps:
+                if m:
+                    nxt[g] = nxt.get(g, 0) + ways * m
+        level = nxt
+    return out
+
+
+affine = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(affine, affine, affine, st.integers(1, 24))
+def test_continued_fraction_counts_excursions(down, stay, up, order):
+    rule = BirthDeathRule.from_functions(
+        *(lambda k, c=c, s=s: c + s * k for c, s in (down, stay, up))
+    )
+    assert cf_excursions(rule, order).as_ints() == excursions_by_height(rule, order)

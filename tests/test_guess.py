@@ -1,14 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecokit.catalog import get_entry
 from ecokit.engine import total_series
 from ecokit.guess import (
     GuessError,
+    _full_rank_mod_p,
     guess_algebraic,
     guess_rational,
     minimal_algebraic,
+    nullspace_basis,
 )
 from ecokit.qpoly import QPoly
 from ecokit.ratfunc import RatFunc
@@ -96,3 +100,90 @@ class TestAlgebraic:
         got = minimal_algebraic(terms_of("fibonacci", 40))
         assert got is not None
         assert got.relation.degree_f == 1
+
+
+P = (1 << 61) - 1
+
+
+def reference_nullspace(rows, ncols):
+    """Kernel basis from a plain Fraction RREF: free columns in order, each
+    vector 1 at its free column and minus the RREF entries at the pivots."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pick is None:
+            continue
+        work[r], work[pick] = work[pick], work[r]
+        work[r] = [x / work[r][c] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[free] = Fraction(1)
+            for r, c in enumerate(pivots):
+                vec[c] = -work[r][free]
+            basis.append(vec)
+    return basis
+
+
+entries = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=5)
+)
+
+
+@st.composite
+def matrices(draw):
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return rows, ncols
+
+
+@st.composite
+def deficient_matrices(draw):
+    """At least ncols rows, all combinations of fewer than ncols base rows."""
+    ncols = draw(st.integers(2, 6))
+    base = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=ncols - 1))
+    nrows = draw(st.integers(ncols, ncols + 3))
+    rows = []
+    for _ in range(nrows):
+        coef = draw(st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base)))
+        rows.append([sum((c * b[j] for c, b in zip(coef, base)), Fraction(0))
+                     for j in range(ncols)])
+    return rows, ncols
+
+
+@st.composite
+def p_multiple_matrices(draw):
+    """P times a unit triangular matrix, rows shuffled: zero mod P,
+    regular over Q."""
+    n = draw(st.integers(1, 6))
+    rows = [
+        [P * (int(i == j) if j <= i else draw(st.integers(-3, 3))) for i in range(n)]
+        for j in range(n)
+    ]
+    return draw(st.permutations(rows)), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices(), deficient_matrices()))
+def test_nullspace_matches_reference_rref(case):
+    rows, ncols = case
+    assert nullspace_basis(rows, ncols) == reference_nullspace(rows, ncols)
+
+
+@settings(max_examples=50, deadline=None)
+@given(p_multiple_matrices())
+def test_singular_mod_p_falls_back_to_exact_rref(case):
+    rows, ncols = case
+    assert not _full_rank_mod_p(rows, ncols)
+    assert nullspace_basis(rows, ncols) == [] == reference_nullspace(rows, ncols)
