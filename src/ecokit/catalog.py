@@ -23,11 +23,10 @@ from .contfrac import BirthDeathRule, cf_excursions
 from .dsl import parse_spec
 from .engine import total_series
 from .kernel import (
-    _POWER_RELATIONS,
-    _SQRT_FORMS,
     build_kernel,
     closed_form_check,
     closed_form_series,
+    closed_form_text,
     kernel_gfs,
 )
 from .qpoly import QPoly
@@ -121,8 +120,10 @@ ORACLES = {
 class CatalogEntry:
     """One built-in system: source text, frozen data, verification hooks.
 
-    form is None or one of ("rational", num, den), ("sqrt", registry name),
-    ("special", builder name); oracle is None or (oracle name, params);
+    form is None or one of ("rational", num, den), ("sqrt", num, disc, den)
+    for (num - sqrt(disc)) / den, ("power", m) for the relation
+    F = (1 + zF)^m, ("special", builder name); oracle is None or (oracle
+    name, params);
     kernel marks systems whose walk shape supports the algebraic route;
     radius_ratio = (n, target, rel_tol) checks f_n / f_(n+1) numerically.
     """
@@ -143,14 +144,15 @@ class CatalogEntry:
         return _spec_cache(self.name)
 
     def closed_form_series(self, order):
-        """Expand the entry's closed form to `order` terms, or None."""
-        if self.form is None:
+        """Expand the entry's closed form to `order` terms, or None when it
+        has none or only a relation ("power", checked by the kernel)."""
+        if self.form is None or self.form[0] == "power":
             return None
         kind = self.form[0]
         if kind == "rational":
             return self.rational_form().expand(order)
         if kind == "sqrt":
-            return closed_form_series(self.form[1], order)
+            return closed_form_series(self.form, order)
         if kind == "special":
             return _SPECIAL_FORMS[self.form[1]](order)
         raise ValueError(f"unknown form kind {kind!r}")
@@ -167,12 +169,8 @@ class CatalogEntry:
             return None
         if self.form[0] == "rational":
             return self.rational_form().to_str()
-        if self.form[0] == "sqrt":
-            num, disc, den = _SQRT_FORMS[self.form[1]]
-            return (
-                f"({QPoly(num).to_str()} - sqrt({QPoly(disc).to_str()}))"
-                f"/({QPoly(den).to_str()})"
-            )
+        if self.form[0] in ("sqrt", "power"):
+            return closed_form_text(self.form)
         return _SPECIAL_TEXT[self.form[1]]
 
 
@@ -299,7 +297,7 @@ ENTRIES = (
         text="system catalan { mode eco; axiom 2;\n  rule k >= 2: interval(2, k+1); }",
         golden=(1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796),
         sequence_id="M1459",
-        form=("sqrt", "catalan"),
+        form=("sqrt", (1, -2), (1, -4), (0, 0, 2)),
         oracle=("m_catalan", (2,)),
         kernel=True,
     ),
@@ -310,7 +308,7 @@ ENTRIES = (
         "  rule always: interval(1, k-1), (k+1) x 1; }",
         golden=(1, 1, 2, 4, 9, 21, 51, 127, 323, 835),
         sequence_id="M1184",
-        form=("sqrt", "motzkin"),
+        form=("sqrt", (1, -1), (1, -2, -3), (0, 0, 2)),
         kernel=True,
     ),
     CatalogEntry(
@@ -320,7 +318,7 @@ ENTRIES = (
         "  rule k >= 3: interval(3, k), (k+1) x 2; }",
         golden=(1, 3, 11, 45, 197, 903, 4279, 20793, 103049, 518859),
         sequence_id="M2898",
-        form=("sqrt", "schroeder"),
+        form=("sqrt", (1, -3), (1, -6, 1), (0, 0, 4)),
         kernel=True,
     ),
     CatalogEntry(
@@ -331,7 +329,7 @@ ENTRIES = (
         "  rule k >= 4: interval(4, k), (k+1) x 3; }",
         golden=(1, 4, 19, 100, 562, 3304, 20071, 124996, 793774, 5120632),
         sequence_id="M3556",
-        form=("sqrt", "fan"),
+        form=("sqrt", (1, -4), (1, -8, 4), (0, 0, 6)),
         kernel=True,
     ),
     CatalogEntry(
@@ -340,6 +338,7 @@ ENTRIES = (
         text="system ternary { mode eco; axiom 3;\n  rule k >= 3: interval(3, k+2); }",
         golden=(1, 3, 12, 55, 273, 1428, 7752, 43263, 246675, 1430715),
         sequence_id="M2926",
+        form=("power", 3),
         oracle=("m_catalan", (3,)),
         kernel=True,
     ),
@@ -350,6 +349,7 @@ ENTRIES = (
         "  rule k >= 4: interval(4, k+3); }",
         golden=(1, 4, 22, 140, 969, 7084, 53820, 420732, 3362260, 27343888),
         sequence_id="M3587",
+        form=("power", 4),
         oracle=("m_catalan", (4,)),
         kernel=True,
     ),
@@ -359,6 +359,7 @@ ENTRIES = (
         text="system quinary { mode eco; axiom 5;\n"
         "  rule k >= 5: interval(5, k+4); }",
         golden=(1, 5, 35, 285, 2530, 23751, 231880, 2330445, 23950355, 250543370),
+        form=("power", 5),
         oracle=("m_catalan", (5,)),
         kernel=True,
     ),
@@ -543,10 +544,10 @@ def verify_entry(entry, form_order=25):
             f" expected={list(entry.golden)}"
         )
 
-    if entry.form is None:
+    want = entry.closed_form_series(form_order)
+    if want is None:
         checks["closed_form"] = "skip"
     else:
-        want = entry.closed_form_series(form_order)
         got = total_series(spec, want.order)
         ok = want.as_ints() == got
         checks["closed_form"] = "pass" if ok else "fail"
@@ -580,8 +581,8 @@ def verify_entry(entry, form_order=25):
         else:
             gf = kernel_gfs(build_kernel(form, L + 1), L + 1)
             ok = tuple(gf.F1.as_ints()[:L]) == entry.golden
-            if ok and (entry.name in _SQRT_FORMS or entry.name in _POWER_RELATIONS):
-                verdict = closed_form_check(entry.name, gf.F1)
+            if ok and entry.form and entry.form[0] in ("sqrt", "power"):
+                verdict = closed_form_check(entry.form, gf.F1)
                 ok = verdict["match"]
                 if not ok:
                     diagnostics.append(

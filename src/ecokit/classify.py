@@ -20,6 +20,12 @@ the odd-label count, or the successors at or above k - b (the arity check in
 an honest "none" or "inconclusive", with the reason in the note, rather than
 a claim.  Every closed form is re-expanded and compared against direct
 propagation before it is reported.
+
+A report walks the reachable labels once, with `dsl._reachable_closure` to
+`dsl.PROBE`: the label set counts as finite exactly when that walk
+completes, and the numeric checks read its labels.  Those checks fold each
+label's concrete successor description (`dsl.describe`), never a class view,
+so they stay an independent check of the symbolic folds.
 """
 
 from __future__ import annotations
@@ -27,9 +33,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .dsl import (
     F0,
+    PROBE,
     Affine,
     ClassView,
     EcoSpec,
@@ -38,13 +46,18 @@ from .dsl import (
     Item,
     RuleClause,
     SpecError,
+    _arity,
+    _at_or_above,
+    _label_sum,
+    _odd_count,
+    _reachable_closure,
     class_view,
+    describe,
+    describer,
+    expand,
     expr_affine,
     expr_text,
-    _reachable_closure,
-    reachable_probe,
     residue_split,
-    successors,
 )
 from .engine import total_series
 from .guess import guess_rational
@@ -70,35 +83,35 @@ class ClosureError(SpecError):
 # Reachable labels and the finite-label rational solve
 
 
-def reachable_labels(spec, cutoff=500):
-    """Closure of {axiom} under the successor map, or None once more than
-    `cutoff` distinct labels have appeared."""
-    seen = {spec.axiom}
-    frontier = [spec.axiom]
-    while frontier:
-        k = frontier.pop()
-        for j in successors(spec, k):
-            if j not in seen:
-                seen.add(j)
-                if len(seen) > cutoff:
-                    return None
-                frontier.append(j)
-    return frozenset(seen)
+def _closure(spec):
+    """(describe, reachable labels up to PROBE, stop): one cached describer
+    and one walk of `dsl._reachable_closure`, shared by a whole report."""
+    describe_at = cache(describer(spec))
+    return describe_at, *_reachable_closure(spec, PROBE, describe_at)
 
 
-def transition_matrix(spec, labels):
+def reachable_labels(spec):
+    """Every label reachable from the axiom, or None unless the closure
+    completes within PROBE."""
+    _, labels, stop = _closure(spec)
+    return None if stop else frozenset(labels)
+
+
+def transition_matrix(spec, labels, describe_at=None):
     """pi[j][k]: how many k-successors a node labeled j has.
 
     Requires the label set to be closed; in child-count mode each row must
     sum to its own label.
     """
+    describe_at = describe_at or describer(spec)
     pi = {}
     for j in sorted(labels):
-        row = successors(spec, j)
+        desc = describe_at(j)
+        row = expand(desc)
         stray = [k for k in row if k not in labels]
         if stray:
             raise ClassifyError(f"label {stray[0]} leaves the given label set")
-        if spec.mode == "eco" and sum(row.values()) != j:
+        if spec.mode == "eco" and _arity(desc) != j:
             raise ClassifyError(f"label {j} does not have {j} successors")
         pi[j] = row
     return pi
@@ -134,21 +147,21 @@ def _solve_poly_system(rows, d):
     return sol
 
 
-def rational_from_finite(spec, cutoff=500):
+def rational_from_finite(spec, closure=None):
     """Exact totals generating function when finitely many labels occur.
 
     The per-label level counts x_k(z) satisfy
         x_k = [k = axiom] + z * sum_j pi[j][k] x_j,
     a finite linear system solved here over polynomials; the summed solution
     is re-expanded and checked against direct propagation before returning.
+    `closure` is a report's `_closure(spec)`, walked here when not given.
     """
-    labels = reachable_labels(spec, cutoff)
-    if labels is None:
-        raise ClassifyError(f"more than {cutoff} labels reachable")
-    ordered = sorted(labels)
+    describe_at, ordered, stop = closure or _closure(spec)
+    if stop is not None:
+        raise ClassifyError(f"label set not finite within probe: {stop.message}")
     idx = {k: i for i, k in enumerate(ordered)}
     d = len(ordered)
-    pi = transition_matrix(spec, labels)
+    pi = transition_matrix(spec, set(ordered), describe_at)
     z = QPoly.x()
     rows = [[QPoly.zero() for _ in range(d + 1)] for _ in range(d)]
     for k, i in idx.items():
@@ -207,10 +220,6 @@ class AffineSigma:
     beta: Fraction
 
 
-def _label_sum_at(spec, k):
-    return sum(v * c for v, c in successors(spec, k).items())
-
-
 def _class_values(modulus, views, fold, weight):
     """{residue: fold(view)} over the tail classes, or (None, reason)."""
     values = {}
@@ -222,17 +231,18 @@ def _class_values(modulus, views, fold, weight):
     return values, ""
 
 
-def affine_sigma(spec, probe=200):
+def affine_sigma(spec):
     """AffineSigma for the spec, or None.
 
     Proved symbolically on each tail residue class and then checked exactly
-    on every reachable label up to `probe` (which also covers the labels
-    that only bounded clauses reach).
+    on every reachable label up to PROBE (which also covers the labels that
+    only bounded clauses reach).
     """
-    return _affine_sigma(spec, probe, reachable_probe(spec, probe))[0]
+    return _affine_sigma(spec, _closure(spec))[0]
 
 
-def _affine_sigma(spec, probe, reach):
+def _affine_sigma(spec, closure):
+    describe_at, reach, stop = closure
     modulus, views = _tail_views(spec)
     if modulus is None:
         return None, views
@@ -243,22 +253,19 @@ def _affine_sigma(spec, probe, reach):
         if len(set(sums.values())) != 1:
             return None, "label sum differs between residue classes"
         alpha, beta = sums[0]
+    elif stop is not None:
+        return None, f"every clause is bounded, yet {stop.message}"
     else:
-        labels = reachable_labels(spec, probe)
-        if not labels:
-            return None, f"all clauses bounded, yet over {probe} labels reachable"
-        ordered = sorted(labels)
-        sums = {k: Fraction(_label_sum_at(spec, k)) for k in ordered}
-        if len(ordered) == 1:
-            k0 = ordered[0]
-            alpha = sums[k0] / k0 if k0 else F0
-            beta = sums[k0] - alpha * k0
+        # Fit through the two lowest reachable labels, or the only one.
+        k0, k1 = reach[0], reach[min(1, len(reach) - 1)]
+        s0, s1 = (Fraction(_label_sum(describe_at(k))) for k in (k0, k1))
+        if k1 == k0:
+            alpha = s0 / k0 if k0 else F0
         else:
-            k0, k1 = ordered[0], ordered[1]
-            alpha = (sums[k1] - sums[k0]) / (k1 - k0)
-            beta = sums[k0] - alpha * k0
+            alpha = (s1 - s0) / (k1 - k0)
+        beta = s0 - alpha * k0
     for k in reach:
-        if _label_sum_at(spec, k) != alpha * k + beta:
+        if _label_sum(describe_at(k)) != alpha * k + beta:
             return None, f"label {k} breaks the label sum {alpha}*k + {beta}"
     return AffineSigma(alpha, beta), ""
 
@@ -289,12 +296,13 @@ class ParityWitness:
     s1: int
 
 
-def parity_affine(spec, probe=200):
+def parity_affine(spec):
     """ParityWitness for the spec, or None (child-count mode only)."""
-    return _parity_affine(spec, reachable_probe(spec, probe))[0]
+    return _parity_affine(spec, _closure(spec))[0]
 
 
-def _parity_affine(spec, reach):
+def _parity_affine(spec, closure):
+    describe_at, reach, _ = closure
     if spec.mode != "eco":
         return None, "child-count mode only"
     modulus, views = _tail_views(spec)
@@ -322,14 +330,14 @@ def _parity_affine(spec, reach):
         betas[1].pop(),
         int(m),
         spec.axiom,
-        int(_label_sum_at(spec, spec.axiom)),
+        _label_sum(describe_at(spec.axiom)),
     )
     for k in reach:
-        succ = successors(spec, k)
+        desc = describe_at(k)
         want = witness.alpha * k + (witness.beta_odd if k % 2 else witness.beta_even)
-        if sum(v * c for v, c in succ.items()) != want:
+        if _label_sum(desc) != want:
             return None, f"label {k} breaks the parity-split label sum"
-        if sum(c for v, c in succ.items() if v % 2) != witness.odd_per_rule:
+        if _odd_count(desc) != witness.odd_per_rule:
             return None, f"label {k} breaks the odd-label count {m}"
     return witness, ""
 
@@ -363,7 +371,7 @@ def rational_gf_parity(w):
 class WalkForm:
     """Successor structure "interval up to k-1, with notches, plus jumps".
 
-    successors(k) = {base..k-1}
+    A node labeled k has the successors {base..k-1}
                     minus {k-d : d in removed_offsets}
                     minus {base+c : c in removed_low}
                     plus the multiset {k+j : j in jumps}.
@@ -402,7 +410,7 @@ class WalkForm:
         }
 
 
-def form_successors(form, k):
+def form_expansion(form, k):
     """Successor multiset the walk form predicts for a node labeled k."""
     removed = {k - d for d in form.removed_offsets}
     removed |= {form.base + c for c in form.removed_low}
@@ -428,9 +436,10 @@ def factorial_form(spec, verify_to=100):
     form, _ = _walk_shape(spec)
     if form is None:
         return None
-    floors = [a.c for a in spec.clauses[0].guard.atoms]
+    clause = spec.clauses[0]  # the only one, guarding every k from here on
+    floors = [a.c for a in clause.guard.atoms]
     for k in range(max([1 if spec.mode == "eco" else 0, *floors]), verify_to + 1):
-        if form_successors(form, k) != successors(spec, k):
+        if form_expansion(form, k) != expand(describe(clause, k)):
             return None
     return form
 
@@ -639,17 +648,17 @@ class RadiusVerdict:
         }
 
 
-def radius_zero_check(spec, back_width=None, probe=200):
+def radius_zero_check(spec, back_width=None):
     """Run the shrinking-return test, sweeping back_width over 0..3 when it
     is not supplied.  "Does not hold" is an inconclusive verdict, never a
     claim of a positive radius."""
-    return _radius_zero(spec, back_width, reachable_probe(spec, probe))
+    return _radius_zero(spec, back_width, _closure(spec))
 
 
-def _radius_zero(spec, back_width, labels):
+def _radius_zero(spec, back_width, closure):
+    describe_at, labels, _ = closure
     widths = (0, 1, 2, 3) if back_width is None else (back_width,)
-    succs = {k: successors(spec, k) for k in labels}
-    no_fwd = [k for k in labels if max(succs[k], default=-1) < k + 1]
+    no_fwd = [k for k in labels if not _at_or_above(describe_at(k), k + 1)]
     if no_fwd:
         return RadiusVerdict(
             False, None, None, (), (), f"no forward jump from label {no_fwd[0]}"
@@ -661,16 +670,14 @@ def _radius_zero(spec, back_width, labels):
         )
     verdict = None
     for b in widths:
-        verdict = _radius_for_width(modulus, views, labels, succs, b)
+        verdict = _radius_for_width(modulus, views, labels, describe_at, b)
         if verdict.holds:
             return verdict
     return verdict
 
 
-def _radius_for_width(modulus, views, labels, succs, b):
-    tally = tuple(
-        (k, sum(c for v, c in succs[k].items() if v >= k - b)) for k in labels
-    )
+def _radius_for_width(modulus, views, labels, describe_at, b):
+    tally = tuple((k, _at_or_above(describe_at(k), k - b)) for k in labels)
     shown = tally[:12]
     if any(m2 < m1 for (_, m1), (_, m2) in zip(tally, tally[1:])):
         return RadiusVerdict(
@@ -819,120 +826,81 @@ class ClassificationReport:
         return "\n".join(lines)
 
 
-def build_report(spec, order=30, cutoff=500, probe=120):
+def build_report(spec, order=30):
     """Evaluate every criterion on the spec and bundle the verdicts.
 
-    Any closed form is re-expanded to `order` terms and compared with direct
+    The reachable closure is walked once, to PROBE, and every detector reads
+    it: the label set is finite exactly when the walk completes.  Any closed
+    form is re-expanded to `order` terms and compared with direct
     propagation before it enters the report.  Systems whose label support
     widens exponentially get a shorter series (width-capped propagation);
     their closed forms, when any exist, are checked on what was computed.
     Raises ClosureError, before any propagation, when the reachable closure
     falls below the label floor or meets a label too wide to expand.
     """
-    reach, stop = _reachable_closure(spec, probe)
+    closure = _closure(spec)
+    _, reach, stop = closure
     if stop is not None and stop.kind in ("label-range", "width"):
         raise ClosureError(stop)
     series = tuple(total_series(spec, order, max_labels=100_000))
     results = []
-    closed = None
-    source = None
+    closed = source = None
 
-    def verified(rf):
-        if tuple(rf.expand(len(series)).as_ints()) != series:
-            raise ClassifyError("closed form disagrees with propagation")
-        return rf
+    def add(criterion, verdict, witness=None, rf=None, note=""):
+        # Every closed form is checked against propagation; the first one
+        # found becomes the report's.
+        nonlocal closed, source
+        if rf is not None:
+            if tuple(rf.expand(len(series)).as_ints()) != series:
+                raise ClassifyError("closed form disagrees with propagation")
+            if closed is None:
+                closed, source = rf, criterion
+        results.append(CriterionResult(criterion, verdict, witness or {}, rf, note))
 
-    labels = reachable_labels(spec, cutoff)
-    if labels is not None:
-        rf = verified(rational_from_finite(spec, cutoff))
-        results.append(
-            CriterionResult(
-                "finite-labels", "holds", {"labels": sorted(labels)}, rf
-            )
-        )
-        closed, source = rf, "finite-labels"
+    if stop is None:
+        add("finite-labels", "holds", {"labels": reach}, rational_from_finite(spec, closure))
     else:
-        results.append(
-            CriterionResult(
-                "finite-labels",
-                "none",
-                note=f"more than {cutoff} distinct labels reachable",
-            )
-        )
+        add("finite-labels", "none", note=stop.message)
 
-    aw, why = _affine_sigma(spec, probe, reach)
+    aw, why = _affine_sigma(spec, closure)
     if aw is None:
-        results.append(CriterionResult("affine-label-sum", "none", note=why))
-    elif spec.mode == "eco":
-        rf = verified(rational_gf_affine(aw, spec.axiom))
-        results.append(
-            CriterionResult(
-                "affine-label-sum",
-                "holds",
-                {"alpha": aw.alpha, "beta": aw.beta},
-                rf,
-            )
-        )
-        if closed is None:
-            closed, source = rf, "affine-label-sum"
+        add("affine-label-sum", "none", note=why)
     else:
-        results.append(
-            CriterionResult(
-                "affine-label-sum",
-                "holds",
-                {"alpha": aw.alpha, "beta": aw.beta},
-                note="no totals formula outside child-count mode",
-            )
-        )
+        witness = {"alpha": aw.alpha, "beta": aw.beta}
+        if spec.mode == "eco":
+            add("affine-label-sum", "holds", witness, rational_gf_affine(aw, spec.axiom))
+        else:
+            note = "no totals formula outside child-count mode"
+            add("affine-label-sum", "holds", witness, note=note)
 
-    pw, why = _parity_affine(spec, reach)
+    pw, why = _parity_affine(spec, closure)
     if pw is None:
-        results.append(CriterionResult("parity-label-sum", "none", note=why))
+        add("parity-label-sum", "none", note=why)
     else:
-        rf = verified(rational_gf_parity(pw))
-        results.append(
-            CriterionResult(
-                "parity-label-sum",
-                "holds",
-                {
-                    "alpha": pw.alpha,
-                    "beta_even": pw.beta_even,
-                    "beta_odd": pw.beta_odd,
-                    "odd_per_rule": pw.odd_per_rule,
-                },
-                rf,
-            )
-        )
-        if closed is None:
-            closed, source = rf, "parity-label-sum"
+        witness = {k: getattr(pw, k) for k in ("alpha", "beta_even", "beta_odd", "odd_per_rule")}
+        add("parity-label-sum", "holds", witness, rational_gf_parity(pw))
 
     form = factorial_form(spec)
     kernel_ready = False
     if form is None:
         why = _walk_shape(spec)[1] or "the recognized shape disagrees with the rules"
-        results.append(CriterionResult("interval-walk-shape", "none", note=why))
+        add("interval-walk-shape", "none", note=why)
     else:
-        kernel_ready = (
-            bool(form.jumps) and not form.removed_low and form.start_height == 0
-        )
+        kernel_ready = bool(form.jumps) and not form.removed_low and form.start_height == 0
         note = (
             "algebraic route applies"
             if kernel_ready
             else "recognized, but low exclusions or a raised start keep the "
             "algebraic route out of scope"
         )
-        results.append(
-            CriterionResult(
-                "interval-walk-shape", "holds", form.to_json_obj(), note=note
-            )
-        )
+        add("interval-walk-shape", "holds", form.to_json_obj(), note=note)
 
     bj, why = _bounded_plus_jumps(spec)
     if bj is None:
-        results.append(CriterionResult("bounded-plus-jumps", "none", note=why))
+        add("bounded-plus-jumps", "none", note=why)
     else:
         note = ""
-        rf = None
+        fit = None
         if closed is None:
             need = 2 * 8 + 10 + 2
             terms = (
@@ -941,51 +909,30 @@ def build_report(spec, order=30, cutoff=500, probe=120):
                 else tuple(total_series(spec, need, max_labels=100_000))
             )
             fit = guess_rational(terms, 8, 10) if len(terms) >= need else None
-            if fit is None:
-                note = "no rational fit within degree 8"
-            else:
-                rf = verified(fit.func)
-                note = (
-                    f"rational form fitted from {len(terms)} terms, "
-                    f"{fit.verified_terms} beyond the fitting window"
-                )
-                closed, source = rf, "bounded-plus-jumps"
-        results.append(
-            CriterionResult(
-                "bounded-plus-jumps",
-                "holds",
-                {"jumps": list(bj.jumps), "bound": bj.bound},
-                rf,
-                note,
+            note = (
+                "no rational fit within degree 8"
+                if fit is None
+                else f"rational form fitted from {len(terms)} terms, "
+                f"{fit.verified_terms} beyond the fitting window"
             )
-        )
+        witness = {"jumps": list(bj.jumps), "bound": bj.bound}
+        add("bounded-plus-jumps", "holds", witness, fit.func if fit else None, note)
 
     lb = linear_bound_check(spec)
-    results.append(
-        CriterionResult(
-            "linear-label-growth",
-            "holds" if lb.certified else "none",
-            {"slope": lb.slope} if lb.certified else {},
-            note=lb.reason,
-        )
-    )
+    witness = {"slope": lb.slope} if lb.certified else {}
+    add("linear-label-growth", "holds" if lb.certified else "none", witness, note=lb.reason)
 
-    rz = _radius_zero(spec, None, reach)
-    results.append(
-        CriterionResult(
-            "zero-radius",
-            "holds" if rz.holds else "inconclusive",
-            {
-                "back_width": rz.back_width,
-                "slope": rz.slope,
-                "classes": rz.classes,
-                "probe": rz.probe,
-            }
-            if rz.holds
-            else {},
-            note=rz.reason,
-        )
-    )
+    rz = _radius_zero(spec, None, closure)
+    if rz.holds:
+        witness = {
+            "back_width": rz.back_width,
+            "slope": rz.slope,
+            "classes": rz.classes,
+            "probe": rz.probe,
+        }
+        add("zero-radius", "holds", witness, note=rz.reason)
+    else:
+        add("zero-radius", "inconclusive", note=rz.reason)
 
     if closed is not None:
         overall = "rational"

@@ -189,7 +189,8 @@ def _cmd_gf(args):
             file=sys.stderr,
         )
         return 1
-    report = gf_report(name, form, order=args.order, window=args.window)
+    closed = get_entry(args.system).form if args.system is not None else None
+    report = gf_report(name, form, order=args.order, window=args.window, closed=closed)
     if args.format == "json":
         _emit_json({"command": "gf", **report})
         return 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .dsl import SpecError, eval_expr, successors
+from .dsl import SpecError, describer, eval_expr, expand
 from .series import TruncSeries
 
 
@@ -75,10 +75,11 @@ class BirthDeathRule:
         """Read the three multiplicities off a spec whose jumps all lie in
         {-1, 0, +1}; any larger jump is an error."""
         floor = 1 if spec.mode == "eco" else 0
+        describe = describer(spec)
         table = {}
         for k in range(floor, check_to + 1):
             try:
-                succ = successors(spec, k)
+                succ = expand(describe(k))
             except SpecError:
                 continue  # below the guarded domain, so the label never occurs
             stray = [j for j in succ if abs(j - k) > 1]

@@ -23,8 +23,9 @@ or one call to a registered builtin (``ceil_div``, ``next_prime``,
 
 ``describe`` lowers a clause at one label into its successor description:
 points (label, mult) and runs of labels an interval step apart, less their
-exclusions.  The engine's propagators, back table and sampler read only
-this form, and ``validate_spec`` counts arities from it.
+exclusions.  The engine, ``validate_spec``, ``classify`` and ``contfrac``
+read only this form; folds such as the arity, the label sum and the count
+at or above a label cost O(points + runs).
 
 ``class_view`` evaluates a clause on one residue class of k, where the
 successor count, label sum and similar weights are affine in k; the arity
@@ -714,8 +715,11 @@ def from_canonical_json(text) -> EcoSpec:
 # ---------------------------------------------------------------------------
 # Expansion
 
-# The reachable closure expands no label with more successor labels than this.
+# The reachable closure expands no label with more successor labels than this,
+# and no label above PROBE; validate_spec and the classify detectors probe
+# the labels up to PROBE.
 MAX_SUCCESSORS = 100_000
+PROBE = 200
 
 
 def match_clause(spec, k):
@@ -815,14 +819,40 @@ def _lowest_label(desc):
     return min(lows, default=None)
 
 
-def expand_clause(clause, k) -> Counter:
-    """Successor label multiset of label k under `clause`."""
-    return Counter(expand(describe(clause, k)))
+def _label_sum(desc):
+    """Sum of the successor labels of a description, with multiplicity."""
+    points, runs = desc
+    return sum(j * m for j, m in points) + sum(
+        ((last - lo) // step + 1) * (lo + last) // 2 - sum(cuts) for lo, last, step, cuts in runs
+    )
+
+
+def _odd_count(desc):
+    """Number of odd successor labels of a description, with multiplicity.
+    A run with an odd step alternates parities from lo on; one with an even
+    step keeps the parity of lo."""
+    points, runs = desc
+    total = sum(m for j, m in points if j % 2)
+    for lo, last, step, cuts in runs:
+        n = (last - lo) // step + 1
+        total += ((n + lo % 2) // 2 if step % 2 else n * (lo % 2)) - sum(j % 2 for j in cuts)
+    return total
+
+
+def _at_or_above(desc, t):
+    """Number of successors labeled t or more, with multiplicity.  In a run,
+    -((lo - t) // step) grid labels lie below t when t > lo."""
+    points, runs = desc
+    total = sum(m for j, m in points if j >= t)
+    for lo, last, step, cuts in runs:
+        total += max(0, (last - lo) // step + 1 + min(0, (lo - t) // step))
+        total -= sum(j >= t for j in cuts)
+    return total
 
 
 def successors(spec, k) -> Counter:
     """Successor label multiset of a node labeled k."""
-    return expand_clause(match_clause(spec, k), k)
+    return Counter(expand(describe(match_clause(spec, k), k)))
 
 
 # ---------------------------------------------------------------------------
@@ -1111,14 +1141,10 @@ def residue_split(clauses, scale=1):
     ]
 
 
-def reachable_probe(spec, kprobe):
-    """Labels reachable from the axiom, cut off above kprobe and below the
-    mode's label floor."""
-    return _reachable_closure(spec, kprobe)[0]
-
-
-def _reachable_closure(spec, kprobe):
-    """(sorted reachable labels from the label floor to kprobe, stop).
+def _reachable_closure(spec, kprobe, describe_at):
+    """(sorted reachable labels from the label floor to kprobe, stop), each
+    label lowered through `describe_at`, a `describer(spec)`; this is the
+    one walker of reachable labels.
 
     The floor is 1 in eco mode and 0 in walk mode.  `stop` is None when the
     closure never produced a label outside that range and every label
@@ -1144,7 +1170,7 @@ def _reachable_closure(spec, kprobe):
         else:
             seen.add(k)
             try:
-                desc = describe(match_clause(spec, k), k)
+                desc = describe_at(k)
             except SpecError as exc:
                 issue = Issue("expansion", f"label {k} does not expand: {exc}", k)
             else:
@@ -1163,7 +1189,7 @@ def _reachable_closure(spec, kprobe):
     return sorted(seen), stop
 
 
-def validate_spec(spec, kprobe=200, cover_to=None) -> ValidationReport:
+def validate_spec(spec, kprobe=PROBE, cover_to=None) -> ValidationReport:
     """Check the structural laws: guard coverage, arity, label positivity.
 
     The arity law (eco mode: a node labeled k has exactly k successors) is
@@ -1202,7 +1228,8 @@ def validate_spec(spec, kprobe=200, cover_to=None) -> ValidationReport:
     elif spec.axiom < domain_min:
         issues.append(Issue("axiom", f"axiom {spec.axiom} has no matching clause"))
 
-    reach, reach_stop = _reachable_closure(spec, kprobe)
+    describe_at = describer(spec)
+    reach, reach_stop = _reachable_closure(spec, kprobe, describe_at)
     if reach_stop is not None and reach_stop.kind == "width":
         issues.append(reach_stop)
 
@@ -1245,7 +1272,7 @@ def validate_spec(spec, kprobe=200, cover_to=None) -> ValidationReport:
     # Numeric probes along reachable labels.
     for k in reach:
         try:
-            desc = describe(match_clause(spec, k), k)
+            desc = describe_at(k)
         except SpecError as exc:
             issues.append(Issue("expansion", str(exc), k))
             continue

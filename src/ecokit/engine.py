@@ -33,7 +33,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate
 from operator import mul
 from random import Random
@@ -48,6 +48,18 @@ class LabelCapError(SpecError):
         super().__init__(f"label cap {cap} exceeded at level {level}")
         self.cap = cap
         self.level = level
+
+
+class _OverCap(Exception):
+    """A run alone puts more distinct labels into the next level than the cap
+    allows, found before any of them is written."""
+
+
+def _check_runs(runs, cap):
+    # A run of L grid labels less its cuts holds L - len(cuts) distinct labels.
+    for lo, last, step, cuts in runs:
+        if (last - lo) // step - len(cuts) >= cap:
+            raise _OverCap
 
 
 @dataclass
@@ -101,14 +113,19 @@ def _next_level_naive(level, succ):
     return nxt, ops
 
 
-def _next_level_range(level, describe):
-    """(next level, update ops) from difference events on the runs."""
+def _next_level_range(level, describe, cap=None):
+    """(next level, update ops) from difference events on the runs.
+
+    _OverCap, before the rebuild writes any run label, when a single run is
+    wider than `cap` labels."""
     nxt, cuts = {}, {}
     get = nxt.get
     events = {}  # (step, residue of lo) -> {label: signed change}
     ops = 0
     for k, c in level.items():
         points, runs = describe(k)
+        if cap is not None:
+            _check_runs(runs, cap)
         for j, m in points:
             nxt[j] = get(j, 0) + c * m
         ops += len(points)
@@ -150,7 +167,9 @@ def count_levels(spec, n, method="auto", max_labels=None) -> CountTable:
     `max_labels` caps the number of distinct labels per level: systems whose
     label support widens exponentially stop early instead of exhausting
     memory, and the table then holds fewer than n+1 levels (recorded in
-    stats["truncated"]).
+    stats["truncated"]).  A level with one run wider than the cap is cut
+    from its descriptions, before any of its labels is written, and its
+    update ops are not counted.
     """
     if method == "auto":
         has_intervals = any(c.intervals for c in spec.clauses)
@@ -160,18 +179,30 @@ def count_levels(spec, n, method="auto", max_labels=None) -> CountTable:
     t0 = time.perf_counter()
     describe = describer(spec)
     if method == "naive":
-        step, lower = _next_level_naive, cache(lambda k: tuple(expand(describe(k)).items()))
+
+        @cache
+        def lower(k):
+            desc = describe(k)
+            if max_labels is not None:
+                _check_runs(desc[1], max_labels)
+            return tuple(expand(desc).items())
+
+        step = _next_level_naive
     else:
         # Range levels can double in width per level (up to the label cap),
         # so descriptions are rebuilt on every visit rather than kept for
         # every label seen.
-        step, lower = _next_level_range, describe
+        step, lower = partial(_next_level_range, cap=max_labels), describe
     ops = 0
     levels = [{spec.axiom: 1}]
     peak = 1
     truncated = False
     for _ in range(n):
-        nxt, done = step(levels[-1], lower)
+        try:
+            nxt, done = step(levels[-1], lower)
+        except _OverCap:
+            truncated = True
+            break
         ops += done
         if max_labels is not None and len(nxt) > max_labels:
             truncated = True
@@ -211,7 +242,10 @@ def _closure(spec, n, max_labels):
     lowered = cache(describer(spec))
     layers = [{spec.axiom}]
     for depth in range(1, n + 1):
-        nxt, _ = _next_level_range(dict.fromkeys(layers[-1], 1), lowered)
+        try:
+            nxt, _ = _next_level_range(dict.fromkeys(layers[-1], 1), lowered, max_labels)
+        except _OverCap:
+            raise LabelCapError(max_labels, depth) from None
         if max_labels is not None and len(nxt) > max_labels:
             raise LabelCapError(max_labels, depth)
         layers.append(set(nxt))

@@ -11,8 +11,8 @@ exact series arithmetic:
 * kernel_gfs extracts S (Newton when b = 0, a Hensel lift otherwise), reads
   off F(z,1), expands -S/K row by row for F(z,u) and the excursion column
   F(z,0), and cross-checks the rows against F(z,1);
-* closed_form_check compares a named system's series against its catalog
-  closed form (square-root expression or algebraic relation).
+* closed_form_check compares a series against a closed form: a square-root
+  expression ("sqrt", num, disc, den) or the relation ("power", m).
 
 Guards raise KernelError; a negative or fractional walk count anywhere means
 the form was mis-detected, never a warning to ignore.
@@ -218,72 +218,51 @@ def _reconcile_excursions(kp, small, f0):
 
 
 # ---------------------------------------------------------------------------
-# Named closed forms
-
-_SQRT_FORMS = {
-    # (numerator poly, discriminant poly, denominator poly): the series is
-    # (num - sqrt(disc)) / den.
-    "catalan": ([1, -2], [1, -4], [0, 0, 2]),
-    "motzkin": ([1, -1], [1, -2, -3], [0, 0, 2]),
-    "schroeder": ([1, -3], [1, -6, 1], [0, 0, 4]),
-    "fan": ([1, -4], [1, -8, 4], [0, 0, 6]),
-}
-
-_POWER_RELATIONS = {"ternary": 3, "quaternary": 4, "quinary": 5}
+# Closed forms: ("sqrt", num, disc, den) is (num - sqrt(disc)) / den with
+# coefficient-list polynomials in z, and ("power", m) is F = (1 + zF)^m.
 
 
-def closed_form_series(name, order):
-    """Expand the registered closed form of a named system to `order`."""
-    if name not in _SQRT_FORMS:
-        raise KernelError(f"no square-root closed form registered for {name!r}")
-    num, disc, den = _SQRT_FORMS[name]
-    num_s = TruncSeries.from_poly(num, order + 2)
-    disc_s = TruncSeries.from_poly(disc, order + 2)
-    den_s = TruncSeries.from_poly(den, order + 2)
-    return (num_s - disc_s.sqrt()) / den_s
+def closed_form_text(form):
+    """The printed form of a "sqrt" or "power" closed form."""
+    if form[0] == "power":
+        return f"F = (1+zF)^{form[1]}"
+    _, num, disc, den = form
+    return f"({QPoly(num).to_str()} - sqrt({QPoly(disc).to_str()}))/({QPoly(den).to_str()})"
 
 
-def closed_form_check(name, f1):
-    """Compare a computed series against the system's closed form.
+def closed_form_series(form, order):
+    """Expand a "sqrt" closed form to `order` terms."""
+    if not form or form[0] != "sqrt":
+        raise KernelError(f"not a square-root closed form: {form!r}")
+    num, disc, den = (TruncSeries.from_poly(c, order + 2) for c in form[1:])
+    return (num - disc.sqrt()) / den
 
-    Square-root forms are expanded and compared coefficientwise; the m-ary
-    systems are checked through their defining relation F = (1 + zF)^m.
-    Returns a verdict dict with the first mismatching index on failure.
+
+def closed_form_check(form, f1):
+    """Compare a computed series against a "sqrt" or "power" closed form.
+
+    Square-root forms are expanded and compared coefficientwise; a power
+    form is checked through its defining relation F = (1 + zF)^m.  Returns
+    a verdict dict with the first mismatching index on failure.
     """
     order = f1.order
-    if name in _POWER_RELATIONS:
-        m = _POWER_RELATIONS[name]
+    if form[0] == "power":
         power = TruncSeries.one(order) + f1.shift(1).truncate(order)
         acc = TruncSeries.one(order)
-        for _ in range(m):
+        for _ in range(form[1]):
             acc = acc * power
         residual = acc - f1
         first = next((i for i in range(order) if residual[i]), None)
-        return {
-            "name": name,
-            "form": f"F = (1+zF)^{m}",
-            "match": first is None,
-            "first_mismatch": first,
-        }
-    want = closed_form_series(name, order)
-    n = min(order, want.order)
-    first = next((i for i in range(n) if want[i] != f1[i]), None)
-    num, disc, den = _SQRT_FORMS[name]
-    text = (
-        f"({QPoly(num).to_str()} - sqrt({QPoly(disc).to_str()}))"
-        f"/({QPoly(den).to_str()})"
-    )
-    return {
-        "name": name,
-        "form": text,
-        "match": first is None,
-        "first_mismatch": first,
-    }
+    else:
+        want = closed_form_series(form, order)
+        first = next((i for i in range(min(order, want.order)) if want[i] != f1[i]), None)
+    return {"form": closed_form_text(form), "match": first is None, "first_mismatch": first}
 
 
-def gf_report(name, form, order=32, window=12):
+def gf_report(name, form, order=32, window=12, closed=None):
     """JSON-ready record of one kernel run: kernel and small-factor
-    coefficients, the extracted series, and the internal verdicts."""
+    coefficients, the extracted series, and the internal verdicts, plus the
+    check against `closed` when it is a "sqrt" or "power" closed form."""
     kp = build_kernel(form, order)
     gf = kernel_gfs(kp, order, window)
     report = {
@@ -301,6 +280,6 @@ def gf_report(name, form, order=32, window=12):
             "coefficients_nonnegative_integers": True,
         },
     }
-    if name in _SQRT_FORMS or name in _POWER_RELATIONS:
-        report["closed_form"] = closed_form_check(name, gf.F1)
+    if closed is not None and closed[0] in ("sqrt", "power"):
+        report["closed_form"] = {"name": name, **closed_form_check(closed, gf.F1)}
     return report

@@ -182,10 +182,6 @@ class TruncSeries:
             out.append(acc * inv)
         return TruncSeries(out)
 
-    def eval_poly(self):
-        """The coefficients as a QPoly, valid when the tail truly vanishes."""
-        return QPoly(self.coeffs)
-
     def as_ints(self):
         """Coefficient list as ints; fails loudly on a non-integer coefficient."""
         out = []

@@ -1,7 +1,10 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+import ecokit
 from ecokit.catalog import (
     ENTRIES,
     ORACLES,
@@ -24,6 +27,17 @@ class TestInventory:
     def test_unknown_name(self):
         with pytest.raises(CatalogError, match="unknown system"):
             get_entry("sandpile")
+
+    def test_no_module_but_the_catalog_names_an_entry(self):
+        names = {e.name for e in ENTRIES}
+        found = []
+        for path in sorted(Path(ecokit.__file__).parent.glob("*.py")):
+            if path.name == "catalog.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Constant) and node.value in names:
+                    found.append(f"{path.name}:{node.lineno} {node.value!r}")
+        assert not found
 
     @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e.name)
     def test_spec_parses_and_validates(self, entry):

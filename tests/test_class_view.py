@@ -1,5 +1,6 @@
-"""Property test: every weight the residue-class evaluator folds agrees with
-direct expansion of generated affine clauses."""
+"""Property test: every weight the residue-class evaluator folds, and every
+fold over a concrete successor description, agrees with direct expansion of
+generated affine clauses."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +12,13 @@ from ecokit.dsl import (
     Interval,
     Item,
     RuleClause,
+    _arity,
+    _at_or_above,
+    _label_sum,
+    _odd_count,
     class_view,
-    expand_clause,
+    describe,
+    expand,
     residue_split,
 )
 
@@ -71,15 +77,23 @@ def test_weights_match_expansion(clause):
     for view in views(clause, 1) + views(clause, 2):
         slope, inter = view.count()
         for k in class_labels(view):
-            succ = expand_clause(clause, k)
+            desc = describe(clause, k)
+            succ = expand(desc)
             assert slope * k + inter == sum(succ.values()), k
+            # The description folds, at this one label, against the same
+            # expansion.
+            assert _arity(desc) == sum(succ.values()), k
+            assert _label_sum(desc) == sum(v * c for v, c in succ.items()), k
+            assert _odd_count(desc) == sum(c for v, c in succ.items() if v % 2), k
+            for t in {k - 3, k - 1, k, k + 1, 0, 1, *succ}:
+                assert _at_or_above(desc, t) == sum(c for v, c in succ.items() if v >= t), (k, t)
     # Parity needs scale 2: each grid then has a fixed parity on the class.
     for view in views(clause, 2):
         sums, _ = view.label_sum()
         odds, why = view.odd_count()
         assert why == ""
         for k in class_labels(view):
-            succ = expand_clause(clause, k)
+            succ = expand(describe(clause, k))
             if sums is not None:
                 assert sums[0] * k + sums[1] == sum(v * c for v, c in succ.items()), k
             assert odds[0] * k + odds[1] == sum(c for v, c in succ.items() if v % 2), k
@@ -95,6 +109,6 @@ def test_at_or_above_is_a_lower_bound(clause, b):
         slope, inter, threshold = bound
         for k in class_labels(view):
             if k >= threshold:
-                succ = expand_clause(clause, k)
+                succ = expand(describe(clause, k))
                 exact = sum(c for v, c in succ.items() if v >= k - b)
                 assert slope * k + inter <= exact, k

@@ -9,7 +9,7 @@ from ecokit.classify import (
     bounded_plus_jumps,
     build_report,
     factorial_form,
-    form_successors,
+    form_expansion,
     linear_bound_check,
     parity_affine,
     radius_zero_check,
@@ -54,6 +54,18 @@ class TestFiniteLabels:
     def test_rational_solve_rejects_unbounded(self):
         with pytest.raises(ClassifyError):
             rational_from_finite(spec_of("catalan"))
+
+    def test_finite_label_set_beyond_the_probe(self):
+        # The only label, 300, lies above the probe: the closure does not
+        # complete, and the closed form comes from the label sum instead.
+        spec = parse_spec("system big { mode eco; axiom 300; rule always: (300) x 300; }")
+        report = build_report(spec)
+        finite = report.results[0]
+        assert (finite.criterion, finite.verdict) == ("finite-labels", "none")
+        assert finite.note == "label 300 is beyond probe 200"
+        assert report.overall == "rational"
+        assert report.closed_form_source == "affine-label-sum"
+        assert report.closed_form.to_str() == "1/(1 - 300z)"
 
 
 class TestAffineLabelSum:
@@ -128,7 +140,7 @@ class TestWalkForm:
             form = factorial_form(spec)
             floor = spec.axiom
             for k in range(floor, 40):
-                assert form_successors(form, k) == dict(successors(spec, k))
+                assert form_expansion(form, k) == dict(successors(spec, k))
 
     def test_to_walk_spec_roundtrip(self):
         spec = spec_of("motzkin")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,17 @@ BAD_ARITY_TEXT = "system bad { mode eco; axiom 1; rule k >= 1: (k) x 1, (k+1) x 
 FALLING_TEXT = "system down { mode walk; axiom 1; rule always: (k-1) x 2; }\n"
 # Label 1 already has 2^31 + 1 successors.
 WIDE_TEXT = "system wide { mode walk; axiom 1; rule always: interval(0, pow(2, k+30)); }\n"
+# Label 131 has 2^131 + 1 successors; the reachable closure meets it.
+LATE_TEXT = (
+    "system late { mode walk; axiom 0;\n"
+    " rule k <= 130: (k+1) x 1;\n"
+    " rule k >= 131: interval(0, pow(2, k)); }\n"
+)
+# The same with the wide label 231 beyond the closure's probe, so only the
+# propagation's label cap stands between it and expansion.
+LATE2_TEXT = LATE_TEXT.replace("late", "late2").replace("130", "230").replace("131", "231")
+# A Motzkin walk that happens to carry a catalog name.
+MISNAMED_TEXT = "system catalan { mode walk; axiom 0; rule always: interval(0, k-1), (k+1) x 1; }\n"
 # Labels 2^n - 1; 2^61 - 1 is a Mersenne prime.
 MERSENNE_TEXT = (
     "system mersenne { mode walk; axiom 1;\n"
@@ -37,6 +49,20 @@ def run(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_limited(*argv):
+    """The CLI in a child process with 800 MB of address space and a 60 s
+    timeout, so a runaway expansion fails the test instead of the host."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ecokit.__file__).parents[1]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (800 << 20, 800 << 20))
+
+    return subprocess.run(
+        [sys.executable, "-m", "ecokit.cli", *argv],
+        env=env, capture_output=True, timeout=60, preexec_fn=limit,
+    )
 
 
 class TestCount:
@@ -123,13 +149,16 @@ class TestClassify:
     def test_falling_labels_do_not_hang(self, tmp_path):
         path = tmp_path / "down.eco"
         path.write_text(FALLING_TEXT)
-        env = dict(os.environ, PYTHONPATH=str(Path(ecokit.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-m", "ecokit.cli", "classify", "--file", str(path)],
-            env=env, capture_output=True, timeout=60,
-        )
+        done = run_limited("classify", "--file", str(path))
         assert (done.returncode, done.stdout) == (2, b"")
         assert b"[label-range] label -1 is below the label floor 0" in done.stderr
+
+    def test_wide_label_within_the_probe_is_rejected(self, tmp_path):
+        path = tmp_path / "late.eco"
+        path.write_text(LATE_TEXT)
+        done = run_limited("classify", "--file", str(path))
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert b"invalid spec: [width] label 131 has " in done.stderr
 
     @pytest.mark.parametrize("argv", [("count", "-n", "1"), ("classify",)])
     def test_too_wide_label_is_rejected_before_expansion(self, capsys, tmp_path, argv):
@@ -148,7 +177,34 @@ class TestClassify:
         assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (("count", "-n", "240", "--cap", "1000"), 1, "label cap 1000 exceeded after level 231;"),
+        (("count", "-n", "240", "--cap", "9", "--method", "naive"), 1, "label cap 9 exceeded"),
+        (("guess", "--order", "240"), 1, "label cap 100000 exceeded after level 231;"),
+        (("classify", "--order", "240", "--format", "json"), 0, ""),
+    ],
+)
+def test_wide_run_beyond_the_probe_stops_at_the_cap(tmp_path, argv, code, err):
+    path = tmp_path / "late2.eco"
+    path.write_text(LATE2_TEXT)
+    done = run_limited(argv[0], "--file", str(path), *argv[1:])
+    assert done.returncode == code
+    assert err.encode() in done.stderr if err else done.stderr == b""
+    if argv[0] == "classify":
+        assert json.loads(done.stdout)["series"] == [1] * 232
+
+
 class TestGF:
+    def test_closed_form_follows_the_entry_not_the_name(self, capsys, tmp_path):
+        path = tmp_path / "catalan.eco"
+        path.write_text(MISNAMED_TEXT)
+        code, out, err = run(capsys, "gf", "--file", str(path))
+        assert (code, err) == (0, "")
+        assert "all walks   F(z,1): [1, 1, 2, 4, 9, 21, " in out
+        assert "closed form" not in out
+
     def test_interval_route_required(self, capsys):
         code, _, err = run(capsys, "gf", "--system", "bell")
         assert code == 1

@@ -18,7 +18,7 @@ from ecokit.dsl import (
     to_canonical_json,
     validate_spec,
 )
-from ecokit.dsl import Issue, _reachable_closure
+from ecokit.dsl import Issue, _reachable_closure, describer
 
 CATALAN = """
 system catalan {
@@ -240,7 +240,7 @@ class TestValidation:
 
     def test_closure_stops_at_the_label_floor(self):
         down = parse_spec("system down { mode walk; axiom 1; rule always: (k-1) x 2; }")
-        assert _reachable_closure(down, 200) == (
+        assert _reachable_closure(down, 200, describer(down)) == (
             [0, 1], Issue("label-range", "label -1 is below the label floor 0", -1)
         )
         report = validate_spec(down)

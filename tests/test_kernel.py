@@ -105,31 +105,33 @@ class TestKernelGFs:
 
 class TestClosedForms:
     def test_sqrt_series_prefixes(self):
-        assert closed_form_series("catalan", 6).as_ints() == [1, 2, 5, 14, 42, 132]
-        assert closed_form_series("motzkin", 6).as_ints() == [1, 1, 2, 4, 9, 21]
-        assert closed_form_series("schroeder", 5).as_ints() == [1, 3, 11, 45, 197]
-        assert closed_form_series("fan", 5).as_ints() == [1, 4, 19, 100, 562]
+        assert closed_form_series(get_entry("catalan").form, 6).as_ints() == [1, 2, 5, 14, 42, 132]
+        assert closed_form_series(get_entry("motzkin").form, 6).as_ints() == [1, 1, 2, 4, 9, 21]
+        assert closed_form_series(get_entry("schroeder").form, 5).as_ints() == [1, 3, 11, 45, 197]
+        assert closed_form_series(get_entry("fan").form, 5).as_ints() == [1, 4, 19, 100, 562]
 
     def test_unregistered_name_raises(self):
         with pytest.raises(KernelError):
-            closed_form_series("bell", 5)
+            closed_form_series(get_entry("bell").form, 5)
 
     def test_check_passes_on_engine_series(self):
         f1 = TruncSeries(total_series(get_entry("ternary").spec(), 20))
-        verdict = closed_form_check("ternary", f1)
+        verdict = closed_form_check(get_entry("ternary").form, f1)
         assert verdict["match"] and verdict["form"] == "F = (1+zF)^3"
 
     def test_check_reports_first_mismatch(self):
         wrong = list(total_series(get_entry("catalan").spec(), 20))
         wrong[7] += 1
-        verdict = closed_form_check("catalan", TruncSeries(wrong))
+        verdict = closed_form_check(get_entry("catalan").form, TruncSeries(wrong))
         assert not verdict["match"]
         assert verdict["first_mismatch"] == 7
 
 
 class TestReport:
     def test_report_is_json_ready(self):
-        report = gf_report("catalan", form_of("catalan"), order=12, window=4)
+        report = gf_report(
+            "catalan", form_of("catalan"), order=12, window=4, closed=get_entry("catalan").form
+        )
         blob = json.loads(json.dumps(report))
         assert blob["F1"][:5] == [1, 2, 5, 14, 42]
         assert blob["closed_form"]["match"] is True

@@ -66,10 +66,6 @@ class TestTruncSeries:
         with pytest.raises(Exception):
             TruncSeries([Fraction(1, 2)]).as_ints()
 
-    def test_eval_poly_roundtrip(self):
-        p = TruncSeries([1, 0, 7]).eval_poly()
-        assert p == QPoly([1, 0, 7])
-
 
 class TestUPoly:
     def test_slices_roundtrip(self):
