@@ -64,6 +64,10 @@ from .guess import guess_rational
 from .qpoly import QPoly
 from .ratfunc import RatFunc
 
+# A report's propagation stops before a level with more distinct labels than
+# this, and the report marks its series partial.
+LABEL_CAP = 100_000
+
 
 class ClassifyError(ValueError):
     """An internal consistency check failed while classifying."""
@@ -798,9 +802,10 @@ class ClassificationReport:
     closed_form_source: str | None
     overall: str
     series: tuple
+    partial: dict | None = None
 
     def to_json_obj(self):
-        return {
+        obj = {
             "name": self.name,
             "mode": self.mode,
             "axiom": self.axiom,
@@ -810,8 +815,11 @@ class ClassificationReport:
             else _ratfunc_json(self.closed_form),
             "closed_form_source": self.closed_form_source,
             "series": list(self.series),
-            "criteria": [r.to_json_obj() for r in self.results],
         }
+        if self.partial:
+            obj["partial"] = self.partial
+        obj["criteria"] = [r.to_json_obj() for r in self.results]
+        return obj
 
     def summary(self):
         lines = [f"{self.name}: {self.overall}"]
@@ -833,8 +841,10 @@ def build_report(spec, order=30):
     it: the label set is finite exactly when the walk completes.  Any closed
     form is re-expanded to `order` terms and compared with direct
     propagation before it enters the report.  Systems whose label support
-    widens exponentially get a shorter series (width-capped propagation);
-    their closed forms, when any exist, are checked on what was computed.
+    widens exponentially get a shorter series (propagation capped at
+    LABEL_CAP labels), with `partial` naming the cap and the last level
+    computed; their closed forms, when any exist, are checked on what was
+    computed.
     Raises ClosureError, before any propagation, when the reachable closure
     falls below the label floor or meets a label too wide to expand.
     """
@@ -842,7 +852,9 @@ def build_report(spec, order=30):
     _, reach, stop = closure
     if stop is not None and stop.kind in ("label-range", "width"):
         raise ClosureError(stop)
-    series = tuple(total_series(spec, order, max_labels=100_000))
+    series = tuple(total_series(spec, order, max_labels=LABEL_CAP))
+    # Only the label cap stops propagation short of `order` terms.
+    partial = {"cap": LABEL_CAP, "level": len(series) - 1} if len(series) < order else None
     results = []
     closed = source = None
 
@@ -906,7 +918,7 @@ def build_report(spec, order=30):
             terms = (
                 series
                 if len(series) >= need
-                else tuple(total_series(spec, need, max_labels=100_000))
+                else tuple(total_series(spec, need, max_labels=LABEL_CAP))
             )
             fit = guess_rational(terms, 8, 10) if len(terms) >= need else None
             note = (
@@ -951,4 +963,5 @@ def build_report(spec, order=30):
         closed_form_source=source,
         overall=overall,
         series=series,
+        partial=partial,
     )

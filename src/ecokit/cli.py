@@ -22,7 +22,7 @@ from random import Random
 from .catalog import ENTRIES, CatalogError, get_entry, verify_entry
 from .classify import ClassifyError, ClosureError, build_report, factorial_form
 from .contfrac import ContFracError
-from .dsl import ParseError, SpecError, parse_spec, validate_spec
+from .dsl import MAX_SUCCESSORS, ParseError, SpecError, parse_spec, validate_spec
 from .engine import LabelCapError, WalkSampler, count_levels, sample_walks
 from .guess import GuessError, guess_rational, minimal_algebraic
 from .kernel import KernelError, gf_report
@@ -118,9 +118,13 @@ def _cmd_count(args):
         for i, v in enumerate(totals):
             print(f"{i}\t{v}")
     if table.stats.get("truncated"):
+        budget = (
+            f"label cap {args.cap}"
+            if args.cap is not None
+            else f"width budget of {MAX_SUCCESSORS} labels per successor run"
+        )
         print(
-            f"error: label cap {args.cap} exceeded after level "
-            f"{table.stats['levels']}; output is partial",
+            f"error: {budget} exceeded after level {table.stats['levels']}; output is partial",
             file=sys.stderr,
         )
         return 1
@@ -173,6 +177,13 @@ def _cmd_classify(args):
     else:
         print(f"system: {name}")
         print(report.summary())
+        if report.partial:
+            print(
+                f"note: label cap {report.partial['cap']} exceeded after level "
+                f"{report.partial['level']}; series has {len(report.series)} of "
+                f"{args.order} terms",
+                file=sys.stderr,
+            )
     return 0
 
 
@@ -369,9 +380,10 @@ def _bench_count(name, spec, args):
     else:
         print(f"bench count {name}  n={args.n}")
         for m, s in rows:
+            fallback = f"  fallback_labels={s['fallback_labels']}" if m == "range" else ""
             print(
                 f"  {m:<6} {s['seconds']:>10.4f} s   "
-                f"update_ops={s['update_ops']}  peak_labels={s['peak_labels']}"
+                f"update_ops={s['update_ops']}  peak_labels={s['peak_labels']}{fallback}"
             )
         if naive is not None:
             print(f"  totals agree through level {args.n}")

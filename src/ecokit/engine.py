@@ -13,12 +13,25 @@ provided:
   of lo), and rebuilds the next level with one running sum
   (``itertools.accumulate``) per key.  On interval-heavy systems a level
   then costs about (number of distinct labels) instead of (sum of run
-  lengths).
+  lengths).  A level whose label span is near its number of labels is held
+  as a list indexed by label, and on each residue class k = r mod M where
+  one affine clause guards every label from a threshold on
+  (``dsl.residue_split``, ``dsl.class_view``) the class is batched: each
+  point, each run end and each cut is one strided slice operation over the
+  class's counts, with no per-label description.  Labels below a class
+  threshold (a ``k <= c`` guard, a multiplicity still below 1, a run not
+  yet of its affine shape), labels of classes ``class_view`` rejects or a
+  pow2/prime guard tests, and every label of a sparse level (span much
+  wider than its number of labels) are lowered one at a time as before;
+  ``stats["fallback_labels"]`` counts them.
 
-``stats["update_ops"]`` counts the dictionary updates a method made: for
-``naive`` one per (populated label, distinct successor label) pair; for
-``range`` one per point, two per run, one per cut and one per label the
-rebuild writes.
+``stats["update_ops"]`` counts the updates a method made: for ``naive`` one
+per (populated label, distinct successor label) pair; for ``range`` one per
+point, two per run, one per cut and one per label the rebuild writes.  The
+batched route counts the same: per class, the per-label ops times the
+nonzero counts of its slice, and per (step, residue) key, the nonzero
+entries of the rebuilt running sum.  Without a label cap, propagation still
+stops (marked truncated) before a run wider than ``dsl.MAX_SUCCESSORS``.
 
 ``closure_layers`` pushes a level of ones through the range step and keeps
 its support.  ``back_table`` lowers each reachable label once and sums every
@@ -34,11 +47,20 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import accumulate
-from operator import mul
+from itertools import accumulate, compress, count, repeat
+from math import lcm
+from operator import add, mul, sub
 from random import Random
 
-from .dsl import SpecError, describer, expand
+from .dsl import (
+    MAX_SUCCESSORS,
+    Builtin,
+    SpecError,
+    class_view,
+    describer,
+    expand,
+    residue_split,
+)
 
 
 class LabelCapError(SpecError):
@@ -101,7 +123,8 @@ class CountTable:
 
 
 def _next_level_naive(level, succ):
-    """(next level, update ops) from each label's expanded successors."""
+    """(next level, update ops, labels lowered one at a time: all of them)
+    from each label's expanded successors."""
     nxt = {}
     get = nxt.get
     ops = 0
@@ -110,19 +133,112 @@ def _next_level_naive(level, succ):
         for j, m in pairs:
             nxt[j] = get(j, 0) + c * m
         ops += len(pairs)
-    return nxt, ops
+    return nxt, ops, len(level)
 
 
-def _next_level_range(level, describe, cap=None):
-    """(next level, update ops) from difference events on the runs.
+# ---------------------------------------------------------------------------
+# Range propagation: per-label events on sparse levels, strided slices of a
+# dense level on the residue classes an affine clause covers
 
-    _OverCap, before the rebuild writes any run label, when a single run is
-    wider than `cap` labels."""
+
+# A level goes dense when its label span is at most this many times its
+# number of labels, plus the slack, and at least the modulus; the next
+# level's span must keep the same ratio to a bound on its number of labels.
+_DENSE_RATIO = 4
+_DENSE_SLACK = 64
+# Each residue class costs a class view up front and a slice per level, so
+# specs whose guards and steps need a larger modulus are not batched.
+_MAX_MODULUS = 1024
+
+
+@dataclass(frozen=True)
+class _Class:
+    """An affine clause on the labels k = residue mod modulus, k >= threshold.
+
+    Forms are integer (slope, intercept) pairs in k.  `points` holds
+    (label form, multiplicity form), every multiplicity at least 1 from the
+    threshold on; `runs` holds (lo form, end form, step, removed forms),
+    `end` being one step past the last grid label.  `ops` is the update ops
+    one label of the class costs: one per point, two per run and one per
+    removed label.
+    """
+
+    threshold: int
+    points: tuple
+    runs: tuple
+    ops: int
+
+
+def _class_of(clauses, modulus, residue, floor):
+    """The _Class of one residue class, or None when its labels must be
+    lowered one at a time: no single open-ended clause guards it, a guard
+    tests pow2 or prime, a label or bound is not affine, or a multiplicity
+    turns negative."""
+    if len(clauses) != 1:
+        return None
+    (clause,) = clauses
+    if any(a.kind in ("pow2", "prime") for a in clause.guard.atoms):
+        return None
+    view, _ = class_view(clause, modulus, residue)
+    if view is None:
+        return None
+    threshold = max(view.threshold, floor)
+    points = []
+    for label, (c, d) in view.points:
+        if isinstance(label, Builtin) or c < 0 or (c == 0 and d < 0):
+            return None
+        if c:
+            # c*k + d >= 1 from here on.
+            threshold = max(threshold, -((d - 1) // c))
+        if c or d:
+            points.append((label, (c, d)))
+    runs = []
+    for run in view.runs:
+        if run.count != (0, 0):  # else empty from the threshold on
+            (la, lb), s = run.first, run.step
+            end = (la + int(s * run.count[0]), lb + int(s * run.count[1]))
+            runs.append(((la, lb), end, s, run.removed))
+    ops = len(points) + sum(2 + len(run[3]) for run in runs)
+    return _Class(threshold, tuple(points), tuple(runs), ops)
+
+
+def _class_plan(spec):
+    """(modulus, [_Class or None for each residue]) for the batched step, or
+    None when no residue class can be batched.  Labels up to every `k <= c`
+    guard are left to the per-label route, so a bounded clause never meets
+    a batched label."""
+    steps = [a.m for c in spec.clauses for a in c.guard.atoms if a.kind == "mod"]
+    if lcm(*steps, *(iv.step for c in spec.clauses for iv in c.intervals)) > _MAX_MODULUS:
+        return None
+    modulus, split = residue_split(spec.clauses)
+    floor = 1 + max(
+        (a.c for c in spec.clauses for a in c.guard.atoms if a.kind == "le"), default=0
+    )
+    classes = [_class_of(clauses, modulus, r, floor) for r, clauses in split]
+    if not any(classes):
+        return None
+    return modulus, classes
+
+
+def _strided(arr, start, stride, n, weights, op):
+    """arr[start + t*stride] = op(arr[start + t*stride], weights[t]) for
+    t < n; a zero stride folds every weight into arr[start]."""
+    if stride:
+        stop = start + stride * n
+        sl = slice(start, stop if stop >= 0 else None, stride)
+        arr[sl] = map(op, arr[sl], weights)
+    else:
+        arr[start] = op(arr[start], sum(weights))
+
+
+def _sparse_step(items, describe, cap):
+    """(next level, update ops) from per-label difference events on the runs,
+    each (step, residue of lo) key rebuilt with one running sum."""
     nxt, cuts = {}, {}
     get = nxt.get
     events = {}  # (step, residue of lo) -> {label: signed change}
     ops = 0
-    for k, c in level.items():
+    for k, c in items:
         points, runs = describe(k)
         if cap is not None:
             _check_runs(runs, cap)
@@ -161,6 +277,130 @@ def _next_level_range(level, describe, cap=None):
     return nxt, ops
 
 
+def _dense_step(level, base, top, plan, describe, cap):
+    """(next level, update ops, labels lowered one at a time) with the level
+    held as a list indexed by label - base, or None when the next level
+    would be too sparse for one.
+
+    Each batched class adds its slice of counts to strided slices: a point
+    to the next level, a run's two ends to the difference array of its
+    (step, residue) key, a removed label to the next level with a minus
+    sign.  The other labels add their descriptions into the same arrays."""
+    modulus, classes = plan
+    cur = list(map(level.get, range(base, top + 1), repeat(0)))
+    size = len(cur)
+    lone, batches = [], []
+    for r, cls in enumerate(classes):
+        i = (r - base) % modulus
+        stop = size if cls is None else min(size, max(i, cls.threshold - base))
+        lone += [(base + j, cur[j]) for j in range(i, stop, modulus) if cur[j]]
+        if stop < size:
+            j = stop + (i - stop) % modulus
+            counts = cur[j::modulus]
+            if any(counts):
+                a, b = 0, len(counts)
+                while not counts[a]:
+                    a += 1
+                while not counts[b - 1]:
+                    b -= 1
+                batches.append((cls, base + j + a * modulus, counts[a:b]))
+
+    # Widths and the next level's span, before anything is written.
+    described = [(c, describe(k)) for k, c in lone]
+    ends, bound = [], 0
+    for _, (points, runs) in described:
+        if cap is not None:
+            _check_runs(runs, cap)
+        ends += [j for j, _ in points]
+        ends += [x for lo, last, _, _ in runs for x in (lo, last)]
+        bound += len(points) + sum((last - lo) // step + 1 for lo, last, step, _ in runs)
+    for cls, k0, counts in batches:
+        k1 = k0 + modulus * (len(counts) - 1)
+        ends += [a * k + b for (a, b), _ in cls.points for k in (k0, k1)]
+        bound += len(counts) * len(cls.points)
+        for (la, lb), (ea, eb), s, removed in cls.runs:
+            lo, end = la * k1 + lb, ea * k1 + eb
+            if cap is not None and (end - lo) // s - 1 - len(removed) >= cap:
+                raise _OverCap
+            ends += [la * k0 + lb, la * k1 + lb, ea * k0 + eb - s, end - s]
+            bound += len(counts) * (end - lo) // s
+    if not ends:
+        return {}, 0, len(lone)
+    low, high = min(ends), max(ends)
+    if high - low > _DENSE_RATIO * bound + _DENSE_SLACK:
+        return None
+
+    nxt = [0] * (high - low + 1)
+    diffs = {}  # (step, residue) -> (lowest grid label, difference array)
+
+    def diff(step, residue):
+        hit = diffs.get((step, residue))
+        if hit is None:
+            g0 = low + (residue - low) % step
+            hit = diffs[(step, residue)] = (g0, [0] * ((high - g0) // step + 2))
+        return hit
+
+    ops, cut = 0, False
+    for c, (points, runs) in described:
+        for j, m in points:
+            nxt[j - low] += c * m
+        ops += len(points)
+        for lo, last, step, cuts in runs:
+            g0, d = diff(step, lo % step)
+            d[(lo - g0) // step] += c
+            d[(last - g0) // step + 1] -= c
+            ops += 2 + len(cuts)
+            for j in cuts:
+                nxt[j - low] -= c
+                cut = True
+    for cls, k0, counts in batches:
+        n = len(counts)
+        ops += cls.ops * (n - counts.count(0))
+        for (a, b), (c, d) in cls.points:
+            if c:
+                weights = map(mul, counts, range(c * k0 + d, c * (k0 + modulus * n) + d, c * modulus))
+            else:
+                weights = counts if d == 1 else map(mul, counts, repeat(d))
+            _strided(nxt, a * k0 + b - low, a * modulus, n, weights, add)
+        for (la, lb), (ea, eb), s, removed in cls.runs:
+            g0, d = diff(s, (la * k0 + lb) % s)
+            _strided(d, (la * k0 + lb - g0) // s, la * modulus // s, n, counts, add)
+            _strided(d, (ea * k0 + eb - g0) // s, ea * modulus // s, n, counts, sub)
+            for ra, rb in removed:
+                _strided(nxt, ra * k0 + rb - low, ra * modulus, n, counts, sub)
+                cut = True
+    # The first key rebuilt may overwrite a next level nothing else wrote to.
+    touched = cut or bool(described) or any(cls.points for cls, _, _ in batches)
+    for (step, _), (g0, d) in diffs.items():
+        running = list(accumulate(d))
+        if running.pop():
+            raise SpecError("difference map did not close")
+        ops += len(running) - running.count(0)
+        sl = slice(g0 - low, None, step)
+        nxt[sl] = map(add, nxt[sl], running) if touched else running
+        touched = True
+    if cut and min(nxt) < 0:
+        raise SpecError(f"negative count at label {low + nxt.index(min(nxt))}")
+    return dict(compress(zip(count(low), nxt), nxt)), ops, len(lone)
+
+
+def _next_level_range(level, describe, plan, cap=None):
+    """(next level, update ops, labels lowered one at a time).
+
+    A level whose label span is near its number of labels goes through
+    `_dense_step` with the batched classes of `plan` (from `_class_plan`);
+    any other level is lowered label by label.  _OverCap, before any label
+    is written, when a single run is wider than `cap` labels."""
+    if plan is not None and level:
+        base, top = min(level), max(level)
+        if plan[0] <= top - base + 1 <= _DENSE_RATIO * len(level) + _DENSE_SLACK:
+            done = _dense_step(level, base, top, plan, describe, cap)
+            if done is not None:
+                return done
+    nxt, ops = _sparse_step(level.items(), describe, cap)
+    return nxt, ops, len(level)
+
+
 def count_levels(spec, n, method="auto", max_labels=None) -> CountTable:
     """Tabulate labels over the first n+1 levels of the generating tree.
 
@@ -169,7 +409,8 @@ def count_levels(spec, n, method="auto", max_labels=None) -> CountTable:
     memory, and the table then holds fewer than n+1 levels (recorded in
     stats["truncated"]).  A level with one run wider than the cap is cut
     from its descriptions, before any of its labels is written, and its
-    update ops are not counted.
+    update ops are not counted.  Without a cap, a run wider than
+    MAX_SUCCESSORS labels stops the table the same way.
     """
     if method == "auto":
         has_intervals = any(c.intervals for c in spec.clauses)
@@ -178,13 +419,13 @@ def count_levels(spec, n, method="auto", max_labels=None) -> CountTable:
         raise ValueError(f"unknown method {method!r}")
     t0 = time.perf_counter()
     describe = describer(spec)
+    width = MAX_SUCCESSORS if max_labels is None else max_labels
     if method == "naive":
 
         @cache
         def lower(k):
             desc = describe(k)
-            if max_labels is not None:
-                _check_runs(desc[1], max_labels)
+            _check_runs(desc[1], width)
             return tuple(expand(desc).items())
 
         step = _next_level_naive
@@ -192,18 +433,20 @@ def count_levels(spec, n, method="auto", max_labels=None) -> CountTable:
         # Range levels can double in width per level (up to the label cap),
         # so descriptions are rebuilt on every visit rather than kept for
         # every label seen.
-        step, lower = partial(_next_level_range, cap=max_labels), describe
-    ops = 0
+        step = partial(_next_level_range, plan=_class_plan(spec), cap=width)
+        lower = describe
+    ops = lone = 0
     levels = [{spec.axiom: 1}]
     peak = 1
     truncated = False
     for _ in range(n):
         try:
-            nxt, done = step(levels[-1], lower)
+            nxt, done, lowered = step(levels[-1], lower)
         except _OverCap:
             truncated = True
             break
         ops += done
+        lone += lowered
         if max_labels is not None and len(nxt) > max_labels:
             truncated = True
             break
@@ -214,8 +457,10 @@ def count_levels(spec, n, method="auto", max_labels=None) -> CountTable:
         "levels": len(levels) - 1,
         "update_ops": ops,
         "peak_labels": peak,
-        "seconds": round(time.perf_counter() - t0, 6),
     }
+    if method == "range":
+        stats["fallback_labels"] = lone
+    stats["seconds"] = round(time.perf_counter() - t0, 6)
     if truncated:
         stats["truncated"] = True
     return CountTable(mode=spec.mode, levels=levels, stats=stats)
@@ -240,10 +485,11 @@ def _closure(spec, n, max_labels):
     LabelCapError when a layer holds more than max_labels labels.
     """
     lowered = cache(describer(spec))
+    plan = _class_plan(spec)
     layers = [{spec.axiom}]
     for depth in range(1, n + 1):
         try:
-            nxt, _ = _next_level_range(dict.fromkeys(layers[-1], 1), lowered, max_labels)
+            nxt, _, _ = _next_level_range(dict.fromkeys(layers[-1], 1), lowered, plan, max_labels)
         except _OverCap:
             raise LabelCapError(max_labels, depth) from None
         if max_labels is not None and len(nxt) > max_labels:

@@ -196,6 +196,32 @@ def test_wide_run_beyond_the_probe_stops_at_the_cap(tmp_path, argv, code, err):
         assert json.loads(done.stdout)["series"] == [1] * 232
 
 
+def test_uncapped_count_stops_at_the_width_budget(tmp_path):
+    path = tmp_path / "late2.eco"
+    path.write_text(LATE2_TEXT)
+    done = run_limited("count", "--file", str(path), "-n", "240")
+    assert done.returncode == 1
+    assert done.stderr == (
+        b"error: width budget of 100000 labels per successor run exceeded "
+        b"after level 231; output is partial\n"
+    )
+    assert done.stdout.splitlines()[-1] == b"231\t1"
+
+
+def test_classify_names_the_cap_that_shortened_its_series(tmp_path):
+    path = tmp_path / "late2.eco"
+    path.write_text(LATE2_TEXT)
+    argv = ("classify", "--file", str(path), "--order", "240")
+    text = run_limited(*argv)
+    assert text.returncode == 0
+    assert text.stderr == (
+        b"note: label cap 100000 exceeded after level 231; series has 232 of 240 terms\n"
+    )
+    assert text.stdout.splitlines()[-1] == b"  series: " + b", ".join([b"1"] * 10)
+    doc = json.loads(run_limited(*argv, "--format", "json").stdout)
+    assert doc["partial"] == {"cap": 100000, "level": 231}
+
+
 class TestGF:
     def test_closed_form_follows_the_entry_not_the_name(self, capsys, tmp_path):
         path = tmp_path / "catalan.eco"
@@ -298,3 +324,12 @@ class TestBench:
                            "--system", "motzkin", "-n", "40")
         assert code == 0
         assert "totals agree" in out
+        assert "fallback_labels=39" in out
+
+    def test_count_benchmark_json_counts_fallback_labels(self, capsys):
+        code, out, _ = run(capsys, "bench", "--task", "count", "--system", "catalan",
+                           "-n", "40", "--format", "json")
+        assert code == 0
+        methods = json.loads(out)["methods"]
+        assert methods["range"]["fallback_labels"] == 0
+        assert "fallback_labels" not in methods["naive"]

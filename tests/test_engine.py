@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 from ecokit.catalog import get_entry
-from ecokit.dsl import parse_spec, successors
+from ecokit.dsl import SpecError, parse_spec, successors
 from ecokit.engine import (
     LabelCapError,
     WalkSampler,
@@ -74,6 +74,24 @@ class TestCounting:
         assert table.stats["truncated"]
         assert table.depth < 40
         assert all(len(lv) <= 500 for lv in table.levels)
+
+    @pytest.mark.parametrize("method", ["naive", "range"])
+    def test_uncapped_levels_stop_at_the_width_budget(self, method):
+        # Label 3 has 200001 successors, more than MAX_SUCCESSORS.
+        spec = parse_spec(
+            "system w { mode walk; axiom 0; rule k <= 2: (k+1) x 1;"
+            " rule k >= 3: interval(0, 200000); }"
+        )
+        table = count_levels(spec, 10, method=method)
+        assert table.stats["truncated"] and table.depth == 3
+
+    @pytest.mark.parametrize("method", ["naive", "range"])
+    def test_overlapping_guards_raise_on_both_routes(self, method):
+        spec = parse_spec(
+            "system o { mode walk; axiom 3; rule k <= 3: (k+1) x 1; rule always: (k+1) x 1; }"
+        )
+        with pytest.raises(SpecError, match="guards overlap at label 3"):
+            count_levels(spec, 2, method=method)
 
     def test_total_series_zero_order(self):
         assert total_series(spec_of("catalan"), 0) == []

@@ -1,5 +1,12 @@
 """Property test: the naive and range propagators, the closure layers, the
-back table and both sampling strategies agree on generated affine specs."""
+back table and both sampling strategies agree on generated affine specs.
+
+The generated guards mix `k <= c`, `k >= c` and `k mod m == r` atoms, the
+intervals have steps up to 3, moving low ends and exclusions, and some
+multiplicities start at 0, so the range method's batched residue classes,
+its per-label route below their thresholds and its sparse levels all run."""
+
+from functools import cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +19,7 @@ from ecokit.dsl import (
     Interval,
     Item,
     RuleClause,
+    describer,
     successors,
 )
 from ecokit.engine import back_table, closure_layers, count_levels, sample_walks
@@ -21,9 +29,16 @@ def affine(slopes, lo, hi):
     return st.builds(Affine, st.sampled_from(slopes), st.integers(lo, hi))
 
 
-# Labels, multiplicities and interval low ends stay nonnegative for k >= 0;
-# high ends and exclusions may fall anywhere.
-items = st.builds(Item, affine((0, 1, 2), 0, 3), affine((0, 1), 0, 2))
+def items(floor):
+    # Labels stay nonnegative for k >= 0; a multiplicity k - floor is 0 on
+    # the clause's lowest label.  Label slope 3 spreads levels out until
+    # they are sparse.
+    mult = st.one_of(affine((0,), 0, 2), affine((1,), -floor, 2 - floor))
+    return st.builds(Item, affine((0, 1, 2, 3), 0, 3), mult)
+
+
+# Interval low ends stay nonnegative for k >= 0; high ends and exclusions
+# may fall anywhere.
 intervals = st.builds(
     Interval,
     affine((0, 1), 0, 3),
@@ -31,29 +46,61 @@ intervals = st.builds(
     st.integers(1, 3),
     st.lists(affine((0, 1, 2), -1, 4), max_size=2).map(tuple),
 )
-bodies = st.tuples(
-    st.lists(items, max_size=2).map(tuple), st.lists(intervals, max_size=2).map(tuple)
-)
+
+
+@cache
+def bodies(floor):
+    return st.tuples(
+        st.lists(items(floor), max_size=2).map(tuple), st.lists(intervals, max_size=2).map(tuple)
+    )
 
 
 @st.composite
 def specs(draw):
-    """A walk-mode spec: one clause for every label, or a split at k <= t."""
+    """A walk-mode spec: one clause for the labels k <= t when split at t,
+    then one clause per residue mod m for the rest (no mod atom for m = 1)."""
     split = draw(st.one_of(st.none(), st.integers(0, 3)))
-    if split is None:
-        guards = [Guard(())]
-    else:
-        guards = [Guard((GuardAtom("le", c=split),)), Guard((GuardAtom("ge", c=split + 1),))]
-    clauses = tuple(RuleClause(g, *draw(bodies)) for g in guards)
+    m = draw(st.integers(1, 3))
+    guards = []
+    floor = 0
+    if split is not None:
+        guards.append(((GuardAtom("le", c=split),), 0))
+        floor = split + 1
+    for r in range(m):
+        atoms = (GuardAtom("ge", c=floor),) if split is not None else ()
+        if m > 1:
+            atoms += (GuardAtom("mod", m=m, r=r),)
+        guards.append((atoms, floor))
+    clauses = tuple(RuleClause(Guard(atoms), *draw(bodies(low))) for atoms, low in guards)
     return EcoSpec("generated", "walk", draw(st.integers(0, 3)), clauses)
 
 
-@settings(max_examples=150, deadline=None)
-@given(specs(), st.integers(0, 5), st.integers(0, 2**16))
+def recount_ops(spec, levels):
+    """The range method's update ops, recounted from each label's
+    description: one per point, two per run and one per cut, plus one per
+    grid label that some run of each (step, residue) key covers."""
+    describe = describer(spec)
+    ops = 0
+    for level in levels[:-1]:
+        covered = {}
+        for k in level:
+            points, runs = describe(k)
+            ops += len(points)
+            for lo, last, step, cuts in runs:
+                ops += 2 + len(cuts)
+                covered.setdefault((step, lo % step), set()).update(range(lo, last + 1, step))
+        ops += sum(map(len, covered.values()))
+    return ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs(), st.integers(0, 6), st.integers(0, 2**16))
 def test_engine_routes_agree(spec, n, seed):
     naive = count_levels(spec, n, method="naive")
     ranged = count_levels(spec, n, method="range")
     assert naive.levels == ranged.levels
+    assert ranged.stats["update_ops"] == recount_ops(spec, naive.levels)
+    assert ranged.stats["fallback_labels"] <= sum(map(len, naive.levels[:-1]))
     assert closure_layers(spec, n) == [set(level) for level in naive.levels]
     total = naive.totals[n]
     assert back_table(spec, n)[n][spec.axiom] == total
@@ -62,3 +109,43 @@ def test_engine_routes_agree(spec, n, seed):
         assert sample_walks(spec, n, 3, seed, strategy="binary") == seq
         for walk in seq:
             assert all(b in successors(spec, a) for a, b in zip(walk, walk[1:]))
+
+
+def clause(atoms, items=(), intervals=()):
+    return RuleClause(Guard(tuple(atoms)), tuple(items), tuple(intervals))
+
+
+# Labels k >= 3 are batched per residue mod 2: a step-2 run with a moving low
+# end and an exclusion, a multiplicity that is 0 at k = 3, and labels 0..2
+# are lowered one at a time.
+MIXED = EcoSpec("mixed", "walk", 0, (
+    clause([GuardAtom("le", c=2)], [Item(Affine(1, 1), Affine(0, 1))]),
+    clause(
+        [GuardAtom("ge", c=3), GuardAtom("mod", m=2, r=0)],
+        [Item(Affine(1, 1), Affine(0, 1))],
+        [Interval(Affine(1, -3), Affine(1, 2), 2, (Affine(1, -1),))],
+    ),
+    clause(
+        [GuardAtom("ge", c=3), GuardAtom("mod", m=2, r=1)],
+        [Item(Affine(1, 1), Affine(0, 2)), Item(Affine(0, 1), Affine(1, -3))],
+        [Interval(Affine(0, 1), Affine(1, -1))],
+    ),
+))
+# Labels 3k + 6 spread every level out until it is sparse.
+SPREAD = EcoSpec("spread", "eco", 3, (
+    clause([GuardAtom("ge", c=1)], [Item(Affine(0, 3), Affine(1, -1)), Item(Affine(3, 6), Affine(0, 1))]),
+))
+
+
+def test_batched_and_sparse_routes():
+    table = count_levels(MIXED, 30, method="range")
+    assert table.levels == count_levels(MIXED, 30, method="naive").levels
+    assert table.stats["update_ops"] == recount_ops(MIXED, table.levels)
+    labels = sum(map(len, table.levels[:-1]))
+    # About three labels per level sit below the threshold.
+    assert table.stats["fallback_labels"] < 4 * 30 < labels
+    spread = count_levels(SPREAD, 30, method="range")
+    assert spread.levels == count_levels(SPREAD, 30, method="naive").levels
+    assert spread.stats["update_ops"] == recount_ops(SPREAD, spread.levels)
+    # Only the first levels are dense enough for a list.
+    assert spread.stats["fallback_labels"] > sum(map(len, spread.levels[:-1])) - 30
