@@ -4,7 +4,8 @@ Each criterion here inspects the rule set itself, not the numbers it
 produces, and emits a closed-form generating function when the structure
 supports one:
 
-* finite label set          -> exact rational solve of the level-count system;
+* finite label set          -> shortest recurrence of the level totals, of
+                               length at most the label count;
 * affine label sum          -> order-2 rational form (child-count mode only);
 * parity-split label sum    -> order-3 rational form;
 * interval-plus-jumps shape -> walk reformulation for the algebraic route;
@@ -59,8 +60,8 @@ from .dsl import (
     expr_text,
     residue_split,
 )
-from .engine import total_series
-from .guess import guess_rational
+from .engine import count_levels, total_series
+from .guess import guess_rational, shortest_recurrence
 from .qpoly import QPoly
 from .ratfunc import RatFunc
 
@@ -84,7 +85,7 @@ class ClosureError(SpecError):
 
 
 # ---------------------------------------------------------------------------
-# Reachable labels and the finite-label rational solve
+# Reachable labels and the finite-label closed form
 
 
 def _closure(spec):
@@ -121,65 +122,38 @@ def transition_matrix(spec, labels, describe_at=None):
     return pi
 
 
-def _solve_poly_system(rows, d):
-    # Fraction-free elimination keeps every entry a polynomial; the exact
-    # divisions below cannot leave remainders when the input rows do not.
-    prev = QPoly.one()
-    for col in range(d):
-        if rows[col][col].is_zero():
-            swap = next(
-                (r for r in range(col + 1, d) if not rows[r][col].is_zero()), None
-            )
-            if swap is None:
-                raise ClassifyError("singular level-count system")
-            rows[col], rows[swap] = rows[swap], rows[col]
-        for r in range(col + 1, d):
-            for c in range(col + 1, d + 1):
-                num = rows[r][c] * rows[col][col] - rows[r][col] * rows[col][c]
-                q, rem = divmod(num, prev)
-                if not rem.is_zero():
-                    raise ClassifyError("fraction-free elimination failed")
-                rows[r][c] = q
-            rows[r][col] = QPoly.zero()
-        prev = rows[col][col]
-    sol = [None] * d
-    for i in range(d - 1, -1, -1):
-        acc = RatFunc(rows[i][d], QPoly.one())
-        for j in range(i + 1, d):
-            acc = acc - RatFunc(rows[i][j], QPoly.one()) * sol[j]
-        sol[i] = acc / RatFunc(rows[i][i], QPoly.one())
-    return sol
-
-
 def rational_from_finite(spec, closure=None):
     """Exact totals generating function when finitely many labels occur.
 
-    The per-label level counts x_k(z) satisfy
-        x_k = [k = axiom] + z * sum_j pi[j][k] x_j,
-    a finite linear system solved here over polynomials; the summed solution
-    is re-expanded and checked against direct propagation before returning.
-    `closure` is a report's `_closure(spec)`, walked here when not given.
+    With d reachable labels, the level totals are u^T M^n v for the d x d
+    transition matrix M, so by Cayley-Hamilton they satisfy a recurrence of
+    length at most d.  The shortest one, found from 2d totals (iterating the
+    `transition_matrix` rows on an integer vector), is therefore the exact
+    generating function; it is re-expanded and checked against direct
+    propagation before returning.  `closure` is a report's `_closure(spec)`,
+    walked here when not given.
     """
     describe_at, ordered, stop = closure or _closure(spec)
     if stop is not None:
         raise ClassifyError(f"label set not finite within probe: {stop.message}")
-    idx = {k: i for i, k in enumerate(ordered)}
     d = len(ordered)
+    idx = {k: i for i, k in enumerate(ordered)}
     pi = transition_matrix(spec, set(ordered), describe_at)
-    z = QPoly.x()
-    rows = [[QPoly.zero() for _ in range(d + 1)] for _ in range(d)]
-    for k, i in idx.items():
-        rows[i][i] = rows[i][i] + QPoly.one()
-        for j, jj in idx.items():
-            c = pi[j].get(k, 0)
+    rows = [[(idx[k], m) for k, m in pi[j].items()] for j in ordered]
+    vec = [0] * d
+    vec[idx[spec.axiom]] = 1
+    terms = []
+    for _ in range(2 * d):
+        terms.append(sum(vec))
+        nxt = [0] * d
+        for row, c in zip(rows, vec):
             if c:
-                rows[i][jj] = rows[i][jj] - z * QPoly([Fraction(c)])
-        if k == spec.axiom:
-            rows[i][d] = QPoly.one()
-    sol = _solve_poly_system(rows, d)
-    total = RatFunc(QPoly.zero(), QPoly.one())
-    for x in sol:
-        total = total + x
+                for i, m in row:
+                    nxt[i] += c * m
+        vec = nxt
+    total = shortest_recurrence(terms, d)
+    if total is None:
+        raise ClassifyError(f"level totals need a recurrence longer than {d} labels")
     check = 2 * max(total.num.degree, total.den.degree, 1) + 5
     if tuple(total.expand(check).as_ints()) != tuple(total_series(spec, check)):
         raise ClassifyError("finite-label solve disagrees with propagation")
@@ -428,21 +402,25 @@ def _item_text(item):
     return f"({expr_text(item.label)}) x {expr_text(item.mult)}"
 
 
-def factorial_form(spec, verify_to=100):
+FORM_CHECK_TO = 100  # last label a recognized walk form is checked on
+
+
+def factorial_form(spec):
     """Recognize the interval-plus-jumps shape, or None.
 
     The single clause must expand one step-1 interval from a fixed base up
     to k plus a constant, minus constant labels or fixed-offset notches,
     together with fixed jumps of constant multiplicity.  The recognized form
     is re-expanded against the spec for every guarded label up to
-    `verify_to` before it is returned.
+    FORM_CHECK_TO before it is returned.
     """
     form, _ = _walk_shape(spec)
     if form is None:
         return None
     clause = spec.clauses[0]  # the only one, guarding every k from here on
     floors = [a.c for a in clause.guard.atoms]
-    for k in range(max([1 if spec.mode == "eco" else 0, *floors]), verify_to + 1):
+    floor = max([1 if spec.mode == "eco" else 0, *floors])
+    for k in range(floor, FORM_CHECK_TO + 1):
         if form_expansion(form, k) != expand(describe(clause, k)):
             return None
     return form
@@ -623,6 +601,8 @@ def linear_bound_check(spec):
 # ---------------------------------------------------------------------------
 # Zero-radius certificate
 
+BACK_WIDTHS = (0, 1, 2, 3)  # the back widths b tried, in order
+
 
 @dataclass(frozen=True)
 class RadiusVerdict:
@@ -652,16 +632,15 @@ class RadiusVerdict:
         }
 
 
-def radius_zero_check(spec, back_width=None):
-    """Run the shrinking-return test, sweeping back_width over 0..3 when it
-    is not supplied.  "Does not hold" is an inconclusive verdict, never a
-    claim of a positive radius."""
-    return _radius_zero(spec, back_width, _closure(spec))
+def radius_zero_check(spec):
+    """Run the shrinking-return test, sweeping back_width over BACK_WIDTHS.
+    "Does not hold" is an inconclusive verdict, never a claim of a positive
+    radius."""
+    return _radius_zero(spec, _closure(spec))
 
 
-def _radius_zero(spec, back_width, closure):
+def _radius_zero(spec, closure):
     describe_at, labels, _ = closure
-    widths = (0, 1, 2, 3) if back_width is None else (back_width,)
     no_fwd = [k for k in labels if not _at_or_above(describe_at(k), k + 1)]
     if no_fwd:
         return RadiusVerdict(
@@ -673,7 +652,7 @@ def _radius_zero(spec, back_width, closure):
             False, None, None, (), (), "tail structure not symbolically tractable"
         )
     verdict = None
-    for b in widths:
+    for b in BACK_WIDTHS:
         verdict = _radius_for_width(modulus, views, labels, describe_at, b)
         if verdict.holds:
             return verdict
@@ -842,9 +821,9 @@ def build_report(spec, order=30):
     form is re-expanded to `order` terms and compared with direct
     propagation before it enters the report.  Systems whose label support
     widens exponentially get a shorter series (propagation capped at
-    LABEL_CAP labels), with `partial` naming the cap and the last level
-    computed; their closed forms, when any exist, are checked on what was
-    computed.
+    LABEL_CAP labels, or at the naive route's pair budget), with `partial`
+    naming the budget and the last level computed; their closed forms, when
+    any exist, are checked on what was computed.
     Raises ClosureError, before any propagation, when the reachable closure
     falls below the label floor or meets a label too wide to expand.
     """
@@ -852,9 +831,16 @@ def build_report(spec, order=30):
     _, reach, stop = closure
     if stop is not None and stop.kind in ("label-range", "width"):
         raise ClosureError(stop)
-    series = tuple(total_series(spec, order, max_labels=LABEL_CAP))
-    # Only the label cap stops propagation short of `order` terms.
-    partial = {"cap": LABEL_CAP, "level": len(series) - 1} if len(series) < order else None
+    table = count_levels(spec, max(order, 1) - 1, max_labels=LABEL_CAP)
+    series = tuple(table.totals[:order])
+    # Only a budget stops propagation short of `order` terms: the label cap,
+    # or the naive route's cached pairs.
+    budget = table.stats.get("budget")
+    partial = budget and (
+        {"cap": LABEL_CAP, "level": table.depth}
+        if budget == f"label cap {LABEL_CAP}"
+        else {"budget": budget, "level": table.depth}
+    )
     results = []
     closed = source = None
 
@@ -934,7 +920,7 @@ def build_report(spec, order=30):
     witness = {"slope": lb.slope} if lb.certified else {}
     add("linear-label-growth", "holds" if lb.certified else "none", witness, note=lb.reason)
 
-    rz = _radius_zero(spec, None, closure)
+    rz = _radius_zero(spec, closure)
     if rz.holds:
         witness = {
             "back_width": rz.back_width,

@@ -22,7 +22,7 @@ from random import Random
 from .catalog import ENTRIES, CatalogError, get_entry, verify_entry
 from .classify import ClassifyError, ClosureError, build_report, factorial_form
 from .contfrac import ContFracError
-from .dsl import MAX_SUCCESSORS, ParseError, SpecError, parse_spec, validate_spec
+from .dsl import ParseError, SpecError, parse_spec, validate_spec
 from .engine import LabelCapError, WalkSampler, count_levels, sample_walks
 from .guess import GuessError, guess_rational, minimal_algebraic
 from .kernel import KernelError, gf_report
@@ -118,13 +118,9 @@ def _cmd_count(args):
         for i, v in enumerate(totals):
             print(f"{i}\t{v}")
     if table.stats.get("truncated"):
-        budget = (
-            f"label cap {args.cap}"
-            if args.cap is not None
-            else f"width budget of {MAX_SUCCESSORS} labels per successor run"
-        )
         print(
-            f"error: {budget} exceeded after level {table.stats['levels']}; output is partial",
+            f"error: {table.stats['budget']} exceeded after level "
+            f"{table.stats['levels']}; output is partial",
             file=sys.stderr,
         )
         return 1
@@ -178,8 +174,9 @@ def _cmd_classify(args):
         print(f"system: {name}")
         print(report.summary())
         if report.partial:
+            stop = report.partial.get("budget") or f"label cap {report.partial['cap']}"
             print(
-                f"note: label cap {report.partial['cap']} exceeded after level "
+                f"note: {stop} exceeded after level "
                 f"{report.partial['level']}; series has {len(report.series)} of "
                 f"{args.order} terms",
                 file=sys.stderr,
@@ -232,7 +229,7 @@ def _cmd_guess(args):
     terms = table.totals
     if table.stats.get("truncated"):
         print(
-            f"error: label cap {_WIDTH_CAP} exceeded after level "
+            f"error: {table.stats['budget']} exceeded after level "
             f"{table.stats['levels']}; only {len(terms)} of {args.order} terms",
             file=sys.stderr,
         )

@@ -25,6 +25,9 @@ from .dsl import SpecError, describer, eval_expr, expand
 from .series import TruncSeries
 
 
+CHECK_TO = 60  # last level the multiplicities are checked or read on
+
+
 class ContFracError(ValueError):
     """The rule moves labels by more than one step, or counts are invalid."""
 
@@ -54,12 +57,12 @@ class BirthDeathRule:
     mode: str = "walk"
 
     @classmethod
-    def from_functions(cls, down, stay, up, mode="walk", check_to=60):
+    def from_functions(cls, down, stay, up, mode="walk"):
         """Wrap three per-level multiplicity functions (callables or label
         expressions), validating nonnegativity and the eco arity law."""
         rule = cls(_as_function(down), _as_function(stay), _as_function(up), mode)
         floor = 1 if mode == "eco" else 0
-        for k in range(floor, check_to + 1):
+        for k in range(floor, CHECK_TO + 1):
             d = rule.down(k) if k > 0 else 0
             s, u = rule.stay(k), rule.up(k)
             if min(d, s, u) < 0:
@@ -71,13 +74,13 @@ class BirthDeathRule:
         return rule
 
     @classmethod
-    def from_spec(cls, spec, check_to=60):
+    def from_spec(cls, spec):
         """Read the three multiplicities off a spec whose jumps all lie in
         {-1, 0, +1}; any larger jump is an error."""
         floor = 1 if spec.mode == "eco" else 0
         describe = describer(spec)
         table = {}
-        for k in range(floor, check_to + 1):
+        for k in range(floor, CHECK_TO + 1):
             try:
                 succ = expand(describe(k))
             except SpecError:

@@ -1189,19 +1189,18 @@ def _reachable_closure(spec, kprobe, describe_at):
     return sorted(seen), stop
 
 
-def validate_spec(spec, kprobe=PROBE, cover_to=None) -> ValidationReport:
+def validate_spec(spec) -> ValidationReport:
     """Check the structural laws: guard coverage, arity, label positivity.
 
     The arity law (eco mode: a node labeled k has exactly k successors) is
     checked symbolically per clause where the clause is affine, and by direct
-    expansion on every reachable label up to kprobe.  A symbolic mismatch on
+    expansion on every reachable label up to PROBE.  A symbolic mismatch on
     an open-ended clause is only an error when labels beyond the probed set
     can actually occur: finite-label systems are routinely written with a
     catch-all tail clause that the tree never enters, and for those the
     exhaustive numeric sweep is authoritative.
     """
     issues = []
-    cover_to = cover_to or kprobe
     if spec.mode not in ("eco", "walk"):
         issues.append(Issue("mode", f"unknown mode {spec.mode!r}"))
         return ValidationReport(ok=False, mode=spec.mode, issues=tuple(issues))
@@ -1211,7 +1210,7 @@ def validate_spec(spec, kprobe=PROBE, cover_to=None) -> ValidationReport:
 
     # Guard coverage from the smallest guarded label on.
     domain_min = None
-    for k in range(label_floor, cover_to + 1):
+    for k in range(label_floor, PROBE + 1):
         hits = sum(1 for c in spec.clauses if c.guard.matches(k))
         if domain_min is None:
             if hits:
@@ -1229,7 +1228,7 @@ def validate_spec(spec, kprobe=PROBE, cover_to=None) -> ValidationReport:
         issues.append(Issue("axiom", f"axiom {spec.axiom} has no matching clause"))
 
     describe_at = describer(spec)
-    reach, reach_stop = _reachable_closure(spec, kprobe, describe_at)
+    reach, reach_stop = _reachable_closure(spec, PROBE, describe_at)
     if reach_stop is not None and reach_stop.kind == "width":
         issues.append(reach_stop)
 
@@ -1262,8 +1261,8 @@ def validate_spec(spec, kprobe=PROBE, cover_to=None) -> ValidationReport:
                 symbolic.append(f"clause {idx}: FAILED")
             else:
                 thr = max(v.threshold for v in views)
-                if thr > kprobe:
-                    why = f"clause {idx}: tail threshold {thr} beyond probe {kprobe}"
+                if thr > PROBE:
+                    why = f"clause {idx}: tail threshold {thr} beyond probe {PROBE}"
                     issues.append(Issue("arity-symbolic", why))
                 symbolic.append(f"clause {idx}: count = k for k >= {thr}")
     else:
@@ -1289,5 +1288,5 @@ def validate_spec(spec, kprobe=PROBE, cover_to=None) -> ValidationReport:
         issues=tuple(issues),
         clause_symbolic=tuple(symbolic),
         domain_min=domain_min,
-        probed_to=kprobe,
+        probed_to=PROBE,
     )

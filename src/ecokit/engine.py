@@ -31,7 +31,9 @@ point, two per run, one per cut and one per label the rebuild writes.  The
 batched route counts the same: per class, the per-label ops times the
 nonzero counts of its slice, and per (step, residue) key, the nonzero
 entries of the rebuilt running sum.  Without a label cap, propagation still
-stops (marked truncated) before a run wider than ``dsl.MAX_SUCCESSORS``.
+stops (marked truncated) before a run wider than ``dsl.MAX_SUCCESSORS``, and
+``naive`` stops before its cached pairs pass ``NAIVE_PAIRS``;
+``stats["budget"]`` names the budget that stopped a table.
 
 ``closure_layers`` pushes a level of ones through the range step and keeps
 its support.  ``back_table`` lowers each reachable label once and sums every
@@ -72,9 +74,15 @@ class LabelCapError(SpecError):
         self.level = level
 
 
+# The naive route keeps every lowered label's (successor, multiplicity)
+# pairs; propagation stops before the label that would take it past this many.
+NAIVE_PAIRS = 1_000_000
+
+
 class _OverCap(Exception):
     """A run alone puts more distinct labels into the next level than the cap
-    allows, found before any of them is written."""
+    allows, found before any of them is written (or the budget named in the
+    argument would be exceeded)."""
 
 
 def _check_runs(runs, cap):
@@ -407,10 +415,12 @@ def count_levels(spec, n, method="auto", max_labels=None) -> CountTable:
     `max_labels` caps the number of distinct labels per level: systems whose
     label support widens exponentially stop early instead of exhausting
     memory, and the table then holds fewer than n+1 levels (recorded in
-    stats["truncated"]).  A level with one run wider than the cap is cut
-    from its descriptions, before any of its labels is written, and its
-    update ops are not counted.  Without a cap, a run wider than
-    MAX_SUCCESSORS labels stops the table the same way.
+    stats["truncated"], with stats["budget"] naming the budget that fired).
+    A level with one run wider than the cap is cut from its descriptions,
+    before any of its labels is written, and its update ops are not
+    counted.  Without a cap, a run wider than MAX_SUCCESSORS labels stops
+    the table the same way, and the naive method stops before a label whose
+    expansion would take its cached pairs past NAIVE_PAIRS.
     """
     if method == "auto":
         has_intervals = any(c.intervals for c in spec.clauses)
@@ -420,13 +430,22 @@ def count_levels(spec, n, method="auto", max_labels=None) -> CountTable:
     t0 = time.perf_counter()
     describe = describer(spec)
     width = MAX_SUCCESSORS if max_labels is None else max_labels
+    budget = f"width budget of {width} labels per successor run"
+    if max_labels is not None:
+        budget = f"label cap {width}"
     if method == "naive":
+        held = 0
 
         @cache
         def lower(k):
+            nonlocal held
             desc = describe(k)
             _check_runs(desc[1], width)
-            return tuple(expand(desc).items())
+            pairs = tuple(expand(desc).items())
+            held += len(pairs)
+            if held > NAIVE_PAIRS:
+                raise _OverCap(f"naive budget of {NAIVE_PAIRS} cached successor pairs")
+            return pairs
 
         step = _next_level_naive
     else:
@@ -438,17 +457,17 @@ def count_levels(spec, n, method="auto", max_labels=None) -> CountTable:
     ops = lone = 0
     levels = [{spec.axiom: 1}]
     peak = 1
-    truncated = False
+    stop = None
     for _ in range(n):
         try:
             nxt, done, lowered = step(levels[-1], lower)
-        except _OverCap:
-            truncated = True
+        except _OverCap as exc:
+            stop = str(exc) or budget
             break
         ops += done
         lone += lowered
         if max_labels is not None and len(nxt) > max_labels:
-            truncated = True
+            stop = budget
             break
         levels.append(nxt)
         peak = max(peak, len(nxt))
@@ -461,8 +480,9 @@ def count_levels(spec, n, method="auto", max_labels=None) -> CountTable:
     if method == "range":
         stats["fallback_labels"] = lone
     stats["seconds"] = round(time.perf_counter() - t0, 6)
-    if truncated:
+    if stop:
         stats["truncated"] = True
+        stats["budget"] = stop
     return CountTable(mode=spec.mode, levels=levels, stats=stats)
 
 

@@ -1,19 +1,22 @@
 """Fit closed forms to integer sequences: rational functions and
 polynomial equations P(z, F) = 0 satisfied by the generating function.
 
-Candidates are solved for by exact linear algebra over the rationals on a
-fitting window and then re-verified against every remaining term, so a
-returned form is never a low-order coincidence with the data it was fitted
-on.  Verification against finitely many terms is strong evidence, not a
-proof; callers that need certainty must prove the form independently.
+A rational fit is the shortest linear recurrence of all the terms
+(Berlekamp-Massey, `shortest_recurrence`), re-expanded against every term.
+Algebraic candidates are solved for by exact linear algebra over the
+rationals on a fitting window and then re-verified against held-out terms,
+so a returned form is never a low-order coincidence with the data it was
+fitted on.  Verification against finitely many terms is strong evidence,
+not a proof; callers that need certainty must prove the form
+independently.
 
-Most candidates have no solution: their coefficient matrix has full column
-rank.  `nullspace_basis` settles those with a certificate modulo the prime
-2^61 - 1 (an integer matrix has at least the rank over Q that it has mod
-p), and runs the exact `Fraction` elimination only when the certificate
-fails, so the returned bases are the ones exact elimination gives.  The
-algebraic fit builds its rows by list convolution of the terms, so integer
-terms give integer rows.
+Most algebraic candidates have no solution: their coefficient matrix has
+full column rank.  `nullspace_basis` settles those with a certificate
+modulo the prime 2^61 - 1 (an integer matrix has at least the rank over Q
+that it has mod p), and runs the exact `Fraction` elimination only when
+the certificate fails, so the returned bases are the ones exact
+elimination gives.  The algebraic fit builds its rows by list convolution
+of the terms, so integer terms give integer rows.
 """
 
 from __future__ import annotations
@@ -142,14 +145,46 @@ class RationalGuess:
         }
 
 
+def shortest_recurrence(terms, limit):
+    """Reduced P/C whose expansion starts with the terms, for their shortest
+    linear recurrence (length L >= deg C, > deg P), or None once L passes
+    `limit`.  At least 2L terms make the shortest recurrence unique.
+
+    Berlekamp-Massey (Massey 1969), fraction-free: on the terms scaled to
+    integers, each update C <- b*C - d*z^m*B multiplies by the previous
+    discrepancy b instead of dividing by it, and C is kept content-free.
+    """
+    scale = lcm(*(t.denominator for t in terms))
+    s = [t.numerator * (scale // t.denominator) for t in terms]
+    conn, prev = [1], [1]
+    length, shift, prev_disc = 0, 1, 1
+    for n in range(len(s)):
+        disc = sum(map(mul, conn, s[n::-1]))
+        if disc:
+            old = conn
+            conn = [prev_disc * c for c in conn] + [0] * (len(prev) + shift - len(conn))
+            for i, c in enumerate(prev, shift):
+                conn[i] -= disc * c
+            content = gcd(*conn)
+            conn = [c // content for c in conn]
+            if 2 * length <= n:
+                length = n + 1 - length
+                if length > limit:
+                    return None
+                prev, prev_disc, shift = old, disc, 0
+        shift += 1
+    num = [Fraction(sum(map(mul, conn[: k + 1], s[k::-1])), scale) for k in range(length)]
+    return RatFunc(QPoly(num), QPoly(conn))
+
+
 def guess_rational(terms, dmax=8, holdout=10):
     """Smallest rational function whose expansion matches every term.
 
-    Degrees are swept in increasing numerator+denominator total, ties broken
-    toward the smaller denominator degree; each candidate is fitted on a
-    window of dp+dq+2 terms and must then reproduce all the others, of which
-    at least `holdout` lie beyond any fitting window.  Returns None when
-    nothing with degrees <= dmax survives.
+    Two functions with degrees <= dmax that agree on more than 2*dmax terms
+    are equal, so the shortest recurrence of all the terms is the only
+    candidate; it is returned when its reduced degrees (dp, dq) are <= dmax
+    and its expansion reproduces every term, with the len - (dp+dq+2) >=
+    `holdout` terms beyond a fitting window as `verified_terms`.
     """
     terms = [Fraction(t) for t in terms]
     if len(terms) < 2 * dmax + holdout + 2:
@@ -157,34 +192,13 @@ def guess_rational(terms, dmax=8, holdout=10):
             f"need at least {2 * dmax + holdout + 2} terms "
             f"(dmax={dmax}, holdout={holdout}), got {len(terms)}"
         )
-    for total in range(0, 2 * dmax + 1):
-        for dq in range(0, min(total, dmax) + 1):
-            dp = total - dq
-            if dp > dmax:
-                continue
-            cand = _fit_rational(terms, dp, dq)
-            if cand is not None:
-                return RationalGuess(cand, len(terms) - (dp + dq + 2))
-    return None
-
-
-def _fit_rational(terms, dp, dq):
-    # Kernel rows: sum_j q_j f_{i-j} = 0 for dp < i <= dp+dq+1.
-    rows = []
-    for i in range(dp + 1, dp + dq + 2):
-        rows.append([terms[i - j] if i - j >= 0 else Fraction(0) for j in range(dq + 1)])
-    for q in nullspace_basis(rows, dq + 1):
-        if not q[0]:
-            continue
-        p = [
-            sum(q[j] * terms[i - j] for j in range(min(i, dq) + 1))
-            for i in range(dp + 1)
-        ]
-        cand = RatFunc(QPoly(p), QPoly(q))
-        got = cand.expand(len(terms))
-        if all(got[i] == terms[i] for i in range(len(terms))):
-            return cand
-    return None
+    func = shortest_recurrence(terms, dmax + 1)
+    if func is None:
+        return None
+    dp, dq = max(func.num.degree, 0), func.den.degree
+    if dp > dmax or dq > dmax or func.expand(len(terms)).coeffs != tuple(terms):
+        return None
+    return RationalGuess(func, len(terms) - (dp + dq + 2))
 
 
 @dataclass(frozen=True)

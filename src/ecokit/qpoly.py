@@ -34,10 +34,6 @@ class QPoly:
     def one(cls):
         return cls((1,))
 
-    @classmethod
-    def x(cls):
-        return cls((0, 1))
-
     @property
     def degree(self):
         """Degree, with the zero polynomial at -1."""
@@ -148,8 +144,10 @@ class QPoly:
 
 
 def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """Monic gcd by the Euclidean algorithm."""
+    """Monic gcd by the Euclidean algorithm.  Each divisor is made monic
+    first, which keeps the remainders' coefficients from blowing up."""
     while not b.is_zero():
+        b = b * (1 / b.coeffs[-1])
         a, b = b, divmod(a, b)[1]
     if a.is_zero():
         return a

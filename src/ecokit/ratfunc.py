@@ -6,8 +6,6 @@ the origin, which is the only case the generating functions here produce.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .qpoly import QPoly, poly_gcd
 from .series import SeriesError, TruncSeries
 
@@ -31,10 +29,6 @@ class RatFunc:
         self.num = num * inv
         self.den = den * inv
 
-    @classmethod
-    def constant(cls, c):
-        return cls(QPoly([Fraction(c)]), QPoly.one())
-
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
             return NotImplemented
@@ -42,20 +36,6 @@ class RatFunc:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def __add__(self, other):
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other):
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
 
     def expand(self, order) -> TruncSeries:
         num = TruncSeries.from_poly(self.num.coeffs[:order], order)

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecokit.catalog import ENTRIES, get_entry
 from ecokit.classify import (
@@ -21,6 +23,7 @@ from ecokit.classify import (
     transition_matrix,
 )
 from ecokit.dsl import parse_spec, successors
+from ecokit import engine
 from ecokit.engine import total_series
 from ecokit.qpoly import QPoly
 
@@ -278,3 +281,43 @@ class TestNoneReasons:
         report = build_report(spec_of("catalan"), order=12)
         note = next(r.note for r in report.results if r.criterion == "affine-label-sum")
         assert note == "label sum not affine on k = 0 mod 2: quadratic in k"
+
+
+def test_report_names_the_pair_budget_that_shortened_its_series(monkeypatch):
+    monkeypatch.setattr(engine, "NAIVE_PAIRS", 100)
+    spec = parse_spec(
+        "system tri { mode walk; axiom 1; rule always: (2*k) x 1, (2*k+1) x 1, (2*k+2) x 1; }"
+    )
+    report = build_report(spec, order=12)
+    assert report.partial == {"budget": "naive budget of 100 cached successor pairs", "level": 4}
+    assert report.series == (1, 3, 9, 27, 81)
+
+
+@st.composite
+def finite_walk_texts(draw):
+    """(spec text, d): labels 0..d-1, each with its own bounded clause of
+    point successors inside that set, plus a catch-all clause the walk
+    never enters."""
+    d = draw(st.integers(1, 30))
+    point = st.tuples(st.integers(0, d - 1), st.integers(1, 3))
+    lines = []
+    for j in range(d):
+        items = draw(st.lists(point, min_size=1, max_size=3))
+        body = ", ".join(f"({k}) x {m}" for k, m in items)
+        lines.append(f"  rule k >= {j} and k <= {j}: {body};")
+    lines.append(f"  rule k >= {d}: (0) x 1;")
+    axiom = draw(st.integers(0, d - 1))
+    return f"system finite {{ mode walk; axiom {axiom};\n" + "\n".join(lines) + " }\n", d
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_walk_texts())
+def test_finite_label_closed_form_matches_the_naive_engine(case):
+    text, d = case
+    spec = parse_spec(text)
+    report = build_report(spec)
+    finite = next(r for r in report.results if r.criterion == "finite-labels")
+    assert finite.verdict == "holds"
+    order = 2 * d + 10
+    want = total_series(spec, order, method="naive")
+    assert finite.closed_form.expand(order).as_ints() == want

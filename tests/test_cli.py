@@ -35,6 +35,13 @@ LATE_TEXT = (
 # The same with the wide label 231 beyond the closure's probe, so only the
 # propagation's label cap stands between it and expansion.
 LATE2_TEXT = LATE_TEXT.replace("late", "late2").replace("130", "230").replace("131", "231")
+# 41 labels 0..40 in one cycle with halving returns: finite, with a long
+# shortest recurrence.
+CYCLE_TEXT = (
+    "system cyc40 { mode walk; axiom 0;\n"
+    " rule k <= 39: (k+1) x 1, (0) x 1, (ceil_div(k, 2)) x 1;\n"
+    " rule k >= 40: (0) x 1; }\n"
+)
 # A Motzkin walk that happens to carry a catalog name.
 MISNAMED_TEXT = "system catalan { mode walk; axiom 0; rule always: interval(0, k-1), (k+1) x 1; }\n"
 # Labels 2^n - 1; 2^61 - 1 is a Mersenne prime.
@@ -333,3 +340,22 @@ class TestBench:
         methods = json.loads(out)["methods"]
         assert methods["range"]["fallback_labels"] == 0
         assert "fallback_labels" not in methods["naive"]
+
+
+@pytest.mark.parametrize("top", [40, 199])
+def test_classify_solves_a_long_finite_label_cycle(tmp_path, top):
+    path = tmp_path / "cycle.eco"
+    path.write_text(CYCLE_TEXT.replace("39", str(top - 1)).replace("40", str(top)))
+    done = run_limited("classify", "--file", str(path))
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert b"  finite-labels: holds\n" in done.stdout
+
+
+def test_naive_count_stops_at_the_pair_budget():
+    done = run_limited("count", "--system", "even_jumps", "-n", "40", "--method", "naive")
+    assert done.returncode == 1
+    assert done.stderr == (
+        b"error: naive budget of 1000000 cached successor pairs exceeded "
+        b"after level 11; output is partial\n"
+    )
+    assert done.stdout.splitlines()[-1] == b"11\t314039061414"

@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from ecokit import engine
 from ecokit.catalog import get_entry
 from ecokit.dsl import SpecError, parse_spec, successors
 from ecokit.engine import (
@@ -84,6 +85,14 @@ class TestCounting:
         )
         table = count_levels(spec, 10, method=method)
         assert table.stats["truncated"] and table.depth == 3
+
+    def test_naive_levels_stop_at_the_pair_budget(self, monkeypatch):
+        monkeypatch.setattr(engine, "NAIVE_PAIRS", 100)
+        spec = spec_of("catalan")
+        table = count_levels(spec, 20, method="naive")
+        assert table.stats["budget"] == "naive budget of 100 cached successor pairs"
+        assert table.stats["truncated"] and table.depth == 12
+        assert table.totals == count_levels(spec, 12, method="range").totals
 
     @pytest.mark.parametrize("method", ["naive", "range"])
     def test_overlapping_guards_raise_on_both_routes(self, method):

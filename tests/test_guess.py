@@ -187,3 +187,64 @@ def test_singular_mod_p_falls_back_to_exact_rref(case):
     rows, ncols = case
     assert not _full_rank_mod_p(rows, ncols)
     assert nullspace_basis(rows, ncols) == [] == reference_nullspace(rows, ncols)
+
+
+def reference_guess_rational(terms, dmax, holdout=10):
+    """The Padé sweep `guess_rational` replaced: degrees in increasing
+    dp+dq, ties toward the smaller dq, each fitted on dp+dq+2 terms and
+    kept when it reproduces every term."""
+    terms = [Fraction(t) for t in terms]
+    assert len(terms) >= 2 * dmax + holdout + 2
+    for total in range(0, 2 * dmax + 1):
+        for dq in range(0, min(total, dmax) + 1):
+            dp = total - dq
+            if dp > dmax:
+                continue
+            rows = [
+                [terms[i - j] if i - j >= 0 else Fraction(0) for j in range(dq + 1)]
+                for i in range(dp + 1, dp + dq + 2)
+            ]
+            for q in nullspace_basis(rows, dq + 1):
+                if not q[0]:
+                    continue
+                p = [
+                    sum(q[j] * terms[i - j] for j in range(min(i, dq) + 1))
+                    for i in range(dp + 1)
+                ]
+                cand = RatFunc(QPoly(p), QPoly(q))
+                if cand.expand(len(terms)).coeffs == tuple(terms):
+                    return cand, len(terms) - (dp + dq + 2)
+    return None
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def rational_sequences(draw):
+    """(terms, dmax): the expansion of a random P/Q with degrees up to
+    dmax + 1, sometimes with one term of the tail changed."""
+    dmax = draw(st.integers(1, 5))
+    num = draw(st.lists(small, max_size=dmax + 2))
+    den = [Fraction(1)] + draw(st.lists(small, max_size=dmax + 1))
+    n = 2 * dmax + 12 + draw(st.integers(0, 6))
+    terms = list(RatFunc(QPoly(num), QPoly(den)).expand(n).coeffs)
+    if draw(st.booleans()):
+        terms[draw(st.integers(n - 10, n - 1))] += draw(small.filter(bool))
+    return terms, dmax
+
+
+@st.composite
+def integer_sequences(draw):
+    dmax = draw(st.integers(1, 5))
+    n = 2 * dmax + 12 + draw(st.integers(0, 6))
+    return draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n)), dmax
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(rational_sequences(), integer_sequences()))
+def test_guess_rational_matches_the_pade_sweep(case):
+    terms, dmax = case
+    got = guess_rational(terms, dmax=dmax)
+    got = None if got is None else (got.func, got.verified_terms)
+    assert got == reference_guess_rational(terms, dmax)
