@@ -781,7 +781,7 @@ class ClassificationReport:
     closed_form_source: str | None
     overall: str
     series: tuple
-    partial: dict | None = None
+    budget: tuple | None = None  # engine stats["budget"] when it stopped short
 
     def to_json_obj(self):
         obj = {
@@ -795,8 +795,8 @@ class ClassificationReport:
             "closed_form_source": self.closed_form_source,
             "series": list(self.series),
         }
-        if self.partial:
-            obj["partial"] = self.partial
+        if self.budget:
+            obj["partial"] = dict([self.budget], level=len(self.series) - 1)
         obj["criteria"] = [r.to_json_obj() for r in self.results]
         return obj
 
@@ -821,9 +821,9 @@ def build_report(spec, order=30):
     form is re-expanded to `order` terms and compared with direct
     propagation before it enters the report.  Systems whose label support
     widens exponentially get a shorter series (propagation capped at
-    LABEL_CAP labels, or at the naive route's pair budget), with `partial`
-    naming the budget and the last level computed; their closed forms, when
-    any exist, are checked on what was computed.
+    LABEL_CAP labels, or at the naive route's pair budget), with `budget`
+    naming the budget that fired; their closed forms, when any exist, are
+    checked on what was computed.
     Raises ClosureError, before any propagation, when the reachable closure
     falls below the label floor or meets a label too wide to expand.
     """
@@ -833,14 +833,6 @@ def build_report(spec, order=30):
         raise ClosureError(stop)
     table = count_levels(spec, max(order, 1) - 1, max_labels=LABEL_CAP)
     series = tuple(table.totals[:order])
-    # Only a budget stops propagation short of `order` terms: the label cap,
-    # or the naive route's cached pairs.
-    budget = table.stats.get("budget")
-    partial = budget and (
-        {"cap": LABEL_CAP, "level": table.depth}
-        if budget == f"label cap {LABEL_CAP}"
-        else {"budget": budget, "level": table.depth}
-    )
     results = []
     closed = source = None
 
@@ -949,5 +941,5 @@ def build_report(spec, order=30):
         closed_form_source=source,
         overall=overall,
         series=series,
-        partial=partial,
+        budget=table.stats.get("budget"),
     )

@@ -23,7 +23,7 @@ from .catalog import ENTRIES, CatalogError, get_entry, verify_entry
 from .classify import ClassifyError, ClosureError, build_report, factorial_form
 from .contfrac import ContFracError
 from .dsl import ParseError, SpecError, parse_spec, validate_spec
-from .engine import LabelCapError, WalkSampler, count_levels, sample_walks
+from .engine import LabelCapError, WalkSampler, count_levels, sample_walks, stop_text
 from .guess import GuessError, guess_rational, minimal_algebraic
 from .kernel import KernelError, gf_report
 from .series import SeriesError
@@ -89,6 +89,10 @@ def _clean_stats(stats):
     return {k: v for k, v in stats.items() if k != "seconds"}
 
 
+def _stopped(table):
+    return stop_text(table.stats["budget"], table.stats["levels"])
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -118,11 +122,7 @@ def _cmd_count(args):
         for i, v in enumerate(totals):
             print(f"{i}\t{v}")
     if table.stats.get("truncated"):
-        print(
-            f"error: {table.stats['budget']} exceeded after level "
-            f"{table.stats['levels']}; output is partial",
-            file=sys.stderr,
-        )
+        print(f"error: {_stopped(table)}; output is partial", file=sys.stderr)
         return 1
     return 0
 
@@ -173,12 +173,10 @@ def _cmd_classify(args):
     else:
         print(f"system: {name}")
         print(report.summary())
-        if report.partial:
-            stop = report.partial.get("budget") or f"label cap {report.partial['cap']}"
+        if report.budget:
             print(
-                f"note: {stop} exceeded after level "
-                f"{report.partial['level']}; series has {len(report.series)} of "
-                f"{args.order} terms",
+                f"note: {stop_text(report.budget, len(report.series) - 1)}; "
+                f"series has {len(report.series)} of {args.order} terms",
                 file=sys.stderr,
             )
     return 0
@@ -229,8 +227,7 @@ def _cmd_guess(args):
     terms = table.totals
     if table.stats.get("truncated"):
         print(
-            f"error: {table.stats['budget']} exceeded after level "
-            f"{table.stats['levels']}; only {len(terms)} of {args.order} terms",
+            f"error: {_stopped(table)}; only {len(terms)} of {args.order} terms",
             file=sys.stderr,
         )
         return 1
@@ -339,10 +336,17 @@ def _cmd_bench(args):
 
 def _bench_count(name, spec, args):
     ranged = count_levels(spec, args.n, method="range")
+    if ranged.stats.get("truncated"):
+        print(f"error: {_stopped(ranged)}; range table is partial", file=sys.stderr)
+        return 1
     naive = None
+    skipped = f"n > naive cap {args.naive_cap}"
     if args.n <= args.naive_cap:
         naive = count_levels(spec, args.n, method="naive")
-        if naive.totals != ranged.totals:
+        if naive.stats.get("truncated"):
+            skipped = _stopped(naive)
+            naive = None
+        elif naive.totals != ranged.totals:
             print(
                 f"error: naive and range totals disagree on {name} at n={args.n}",
                 file=sys.stderr,
@@ -372,6 +376,7 @@ def _bench_count(name, spec, args):
                 "methods": {m: s for m, s in rows},
                 "totals_agree": naive is not None,
                 "speedup": speedup,
+                **({} if naive else {"naive_skipped": skipped}),
             }
         )
     else:
@@ -387,7 +392,7 @@ def _bench_count(name, spec, args):
             if speedup is not None:
                 print(f"  range speedup over naive: {speedup:.1f}x")
         else:
-            print(f"  naive skipped (n > naive cap {args.naive_cap})")
+            print(f"  naive skipped ({skipped})")
     return 0
 
 

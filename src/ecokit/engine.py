@@ -32,8 +32,7 @@ batched route counts the same: per class, the per-label ops times the
 nonzero counts of its slice, and per (step, residue) key, the nonzero
 entries of the rebuilt running sum.  Without a label cap, propagation still
 stops (marked truncated) before a run wider than ``dsl.MAX_SUCCESSORS``, and
-``naive`` stops before its cached pairs pass ``NAIVE_PAIRS``;
-``stats["budget"]`` names the budget that stopped a table.
+``naive`` before its cached pairs pass ``NAIVE_PAIRS``; see ``stop_text``.
 
 ``closure_layers`` pushes a level of ones through the range step and keeps
 its support.  ``back_table`` lowers each reachable label once and sums every
@@ -75,14 +74,28 @@ class LabelCapError(SpecError):
 
 
 # The naive route keeps every lowered label's (successor, multiplicity)
-# pairs; propagation stops before the label that would take it past this many.
-NAIVE_PAIRS = 1_000_000
+# pairs, about 100 bytes each, and stops before the label that would take it
+# past this many.  Through level 600 (bench's naive cap) only even_jumps
+# passes it, at level 12; quinary holds the most of the rest, 2,883,591.
+NAIVE_PAIRS = 4_000_000
+
+# The words for a stats["budget"] (kind, limit).
+_BUDGETS = {
+    "cap": "label cap {}",
+    "width": "width budget of {} labels per successor run",
+    "pairs": "naive budget of {} cached successor pairs",
+}
+
+
+def stop_text(budget, level):
+    """Why a table ends early: its stats["budget"] and last level."""
+    return f"{_BUDGETS[budget[0]].format(budget[1])} exceeded after level {level}"
 
 
 class _OverCap(Exception):
     """A run alone puts more distinct labels into the next level than the cap
-    allows, found before any of them is written (or the budget named in the
-    argument would be exceeded)."""
+    allows, found before any of them is written; or args[0], the (kind,
+    limit) of another budget that would be exceeded."""
 
 
 def _check_runs(runs, cap):
@@ -415,12 +428,11 @@ def count_levels(spec, n, method="auto", max_labels=None) -> CountTable:
     `max_labels` caps the number of distinct labels per level: systems whose
     label support widens exponentially stop early instead of exhausting
     memory, and the table then holds fewer than n+1 levels (recorded in
-    stats["truncated"], with stats["budget"] naming the budget that fired).
-    A level with one run wider than the cap is cut from its descriptions,
-    before any of its labels is written, and its update ops are not
-    counted.  Without a cap, a run wider than MAX_SUCCESSORS labels stops
-    the table the same way, and the naive method stops before a label whose
-    expansion would take its cached pairs past NAIVE_PAIRS.
+    stats["truncated"], and as (kind, limit) in stats["budget"]).  A level
+    with one run wider than the cap is cut from its descriptions, before any
+    of its labels is written, and its update ops are not counted.  Without
+    a cap, a run wider than MAX_SUCCESSORS labels stops the table the same
+    way; the naive method also stops before its cached pairs pass NAIVE_PAIRS.
     """
     if method == "auto":
         has_intervals = any(c.intervals for c in spec.clauses)
@@ -430,9 +442,7 @@ def count_levels(spec, n, method="auto", max_labels=None) -> CountTable:
     t0 = time.perf_counter()
     describe = describer(spec)
     width = MAX_SUCCESSORS if max_labels is None else max_labels
-    budget = f"width budget of {width} labels per successor run"
-    if max_labels is not None:
-        budget = f"label cap {width}"
+    budget = ("width" if max_labels is None else "cap", width)
     if method == "naive":
         held = 0
 
@@ -444,7 +454,7 @@ def count_levels(spec, n, method="auto", max_labels=None) -> CountTable:
             pairs = tuple(expand(desc).items())
             held += len(pairs)
             if held > NAIVE_PAIRS:
-                raise _OverCap(f"naive budget of {NAIVE_PAIRS} cached successor pairs")
+                raise _OverCap(("pairs", NAIVE_PAIRS))
             return pairs
 
         step = _next_level_naive
@@ -462,7 +472,7 @@ def count_levels(spec, n, method="auto", max_labels=None) -> CountTable:
         try:
             nxt, done, lowered = step(levels[-1], lower)
         except _OverCap as exc:
-            stop = str(exc) or budget
+            stop = exc.args[0] if exc.args else budget
             break
         ops += done
         lone += lowered

@@ -1,22 +1,17 @@
 """Fit closed forms to integer sequences: rational functions and
 polynomial equations P(z, F) = 0 satisfied by the generating function.
 
-A rational fit is the shortest linear recurrence of all the terms
+A rational fit is the shortest linear recurrence of the terms
 (Berlekamp-Massey, `shortest_recurrence`), re-expanded against every term.
-Algebraic candidates are solved for by exact linear algebra over the
-rationals on a fitting window and then re-verified against held-out terms,
-so a returned form is never a low-order coincidence with the data it was
-fitted on.  Verification against finitely many terms is strong evidence,
-not a proof; callers that need certainty must prove the form
-independently.
+An algebraic candidate is solved for by exact linear algebra on a fitting
+window and re-verified against held-out terms.  Agreement on finitely many
+terms is strong evidence, not a proof.
 
-Most algebraic candidates have no solution: their coefficient matrix has
-full column rank.  `nullspace_basis` settles those with a certificate
-modulo the prime 2^61 - 1 (an integer matrix has at least the rank over Q
-that it has mod p), and runs the exact `Fraction` elimination only when
-the certificate fails, so the returned bases are the ones exact
-elimination gives.  The algebraic fit builds its rows by list convolution
-of the terms, so integer terms give integer rows.
+Most algebraic candidates have full column rank.  `nullspace_basis`
+settles those with a certificate modulo the prime 2^61 - 1 (an integer
+matrix has at least the rank over Q that it has mod p) and runs the exact
+`Fraction` elimination only when that fails, so its bases are the ones
+exact elimination gives.  Integer terms give integer rows.
 """
 
 from __future__ import annotations

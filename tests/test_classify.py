@@ -289,7 +289,8 @@ def test_report_names_the_pair_budget_that_shortened_its_series(monkeypatch):
         "system tri { mode walk; axiom 1; rule always: (2*k) x 1, (2*k+1) x 1, (2*k+2) x 1; }"
     )
     report = build_report(spec, order=12)
-    assert report.partial == {"budget": "naive budget of 100 cached successor pairs", "level": 4}
+    assert report.budget == ("pairs", 100)
+    assert report.to_json_obj()["partial"] == {"pairs": 100, "level": 4}
     assert report.series == (1, 3, 9, 27, 81)
 
 

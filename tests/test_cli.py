@@ -10,6 +10,7 @@ import pytest
 
 import ecokit
 import ecokit.cli as cli
+from ecokit import engine
 from ecokit.catalog import get_entry
 from ecokit.series import SeriesError
 
@@ -341,6 +342,31 @@ class TestBench:
         assert methods["range"]["fallback_labels"] == 0
         assert "fallback_labels" not in methods["naive"]
 
+    def test_naive_pair_budget_skips_the_naive_row(self, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "NAIVE_PAIRS", 1000)
+        code, out, err = run(capsys, "bench", "--task", "count",
+                             "--system", "quaternary", "-n", "40")
+        assert (code, err) == (0, "")
+        assert out.endswith(
+            "  naive skipped (naive budget of 1000 cached successor pairs "
+            "exceeded after level 14)\n"
+        )
+        code, out, _ = run(capsys, "bench", "--task", "count", "--system", "quaternary",
+                           "-n", "40", "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and list(doc["methods"]) == ["range"]
+        assert doc["naive_skipped"].startswith("naive budget of 1000 ")
+
+    def test_partial_range_table_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "wide.eco"
+        path.write_text(WIDE_TEXT)
+        code, out, err = run(capsys, "bench", "--task", "count", "--file", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: width budget of 100000 labels per successor run exceeded "
+            "after level 0; range table is partial\n"
+        )
+
 
 @pytest.mark.parametrize("top", [40, 199])
 def test_classify_solves_a_long_finite_label_cycle(tmp_path, top):
@@ -355,7 +381,7 @@ def test_naive_count_stops_at_the_pair_budget():
     done = run_limited("count", "--system", "even_jumps", "-n", "40", "--method", "naive")
     assert done.returncode == 1
     assert done.stderr == (
-        b"error: naive budget of 1000000 cached successor pairs exceeded "
-        b"after level 11; output is partial\n"
+        b"error: naive budget of 4000000 cached successor pairs exceeded "
+        b"after level 12; output is partial\n"
     )
-    assert done.stdout.splitlines()[-1] == b"11\t314039061414"
+    assert done.stdout.splitlines()[-1] == b"12\t77160820913242"

@@ -90,7 +90,7 @@ class TestCounting:
         monkeypatch.setattr(engine, "NAIVE_PAIRS", 100)
         spec = spec_of("catalan")
         table = count_levels(spec, 20, method="naive")
-        assert table.stats["budget"] == "naive budget of 100 cached successor pairs"
+        assert table.stats["budget"] == ("pairs", 100)
         assert table.stats["truncated"] and table.depth == 12
         assert table.totals == count_levels(spec, 12, method="range").totals
 
