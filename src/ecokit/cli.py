@@ -4,7 +4,8 @@ Subcommands: count, sample, classify, gf, guess, catalog, bench.  Systems
 come either from the built-in catalog (--system NAME) or from a spec file
 (--file PATH).  Exit codes: 0 success, 1 a verification or analysis
 failure, 2 a usage error (unknown system, unreadable or invalid file, bad
-flags).  Output is deterministic for fixed argv and seed, except for bench,
+flags), 141 the reader closed stdout early (the rest of the output is
+dropped).  Output is deterministic for fixed argv and seed, except for bench,
 whose whole point is measured wall time.
 """
 
@@ -14,8 +15,10 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
+from functools import cache
 from pathlib import Path
 from random import Random
 
@@ -29,6 +32,7 @@ from .kernel import KernelError, gf_report
 from .series import SeriesError
 
 _WIDTH_CAP = 100_000  # label-width cap for analysis commands
+EXIT_PIPE = 141  # what a shell reports for a writer killed by SIGPIPE
 
 
 class UsageError(ValueError):
@@ -443,7 +447,11 @@ def _bench_sample(name, spec, args):
 # Argument parsing
 
 
+@cache
 def _build_parser():
+    """The parser, built once per process.  Each parser is a web of
+    reference cycles that only the cyclic collector frees, so building one
+    per `run` call grew the heap of a process that calls `run` many times."""
     top = argparse.ArgumentParser(
         prog="ecokit",
         description="Exact enumeration, sampling and generating functions "
@@ -555,10 +563,23 @@ _DISPATCH = {
 }
 
 
+def _drop_stdout():
+    """Point stdout's descriptor at os.devnull, so the output still buffered
+    (flushed again at exit) goes nowhere instead of raising again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _drop_stdout()
+        return EXIT_PIPE
     except (UsageError, CatalogError, GuessError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)

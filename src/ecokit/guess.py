@@ -21,12 +21,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .qpoly import QPoly
+from .qpoly import _PRIME, QPoly
 from .ratfunc import RatFunc
 from .series import TruncSeries
-
-
-_PRIME = (1 << 61) - 1  # modulus of the full-rank certificate
 
 
 class GuessError(ValueError):
@@ -64,7 +61,7 @@ def _full_rank_mod_p(rows, ncols):
     """
     pivots = []  # (column, row normalised to 1 there), in insertion order
     for row in rows:
-        den = lcm(*(x.denominator for x in row))
+        den = lcm(*[x.denominator for x in row])
         red = [x.numerator * (den // x.denominator) % _PRIME for x in row]
         for c, prow in pivots:
             f = red[c]
@@ -109,7 +106,7 @@ def nullspace_basis(rows, ncols):
 
 def _int_normalize(vec):
     """Scale a rational vector to coprime integers."""
-    denom = lcm(*(f.denominator for f in vec)) if vec else 1
+    denom = lcm(*[f.denominator for f in vec]) if vec else 1
     ints = [int(f * denom) for f in vec]
     g = 0
     for v in ints:
@@ -149,7 +146,7 @@ def shortest_recurrence(terms, limit):
     integers, each update C <- b*C - d*z^m*B multiplies by the previous
     discrepancy b instead of dividing by it, and C is kept content-free.
     """
-    scale = lcm(*(t.denominator for t in terms))
+    scale = lcm(*[t.denominator for t in terms])
     s = [t.numerator * (scale // t.denominator) for t in terms]
     conn, prev = [1], [1]
     length, shift, prev_disc = 0, 1, 1
@@ -226,7 +223,7 @@ class AlgebraicRelation:
         return out
 
     def holds_for(self, terms) -> bool:
-        series = TruncSeries(tuple(Fraction(t) for t in terms))
+        series = TruncSeries(terms)
         return self.residual(series).is_zero()
 
     def to_str(self, var="z", func="F"):
@@ -305,8 +302,7 @@ def guess_algebraic(terms, deg_z, deg_f, holdout=10):
             ints = [-v for v in ints]
         coeffs = []
         for j in range(deg_f + 1):
-            cs = [Fraction(ints[cols.index((j, i))]) for i in range(deg_z + 1)]
-            coeffs.append(QPoly(cs))
+            coeffs.append(QPoly([ints[cols.index((j, i))] for i in range(deg_z + 1)]))
         relation = AlgebraicRelation(coeffs=tuple(coeffs))
         if relation.holds_for(terms):
             return AlgebraicGuess(relation, holdout)

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .qpoly import QPoly
+from .qpoly import QPoly, _exact_all
 from .series import (
     TruncSeries,
     UPoly,
@@ -45,7 +44,7 @@ class KernelPoly:
     multiplicity p_a of the largest jump."""
 
     K: UPoly
-    p_a: Fraction
+    p_a: int
     jumps: tuple
     notches: tuple
     a: int
@@ -93,7 +92,7 @@ def build_kernel(form, order=32):
     kp = UPoly.from_z_slices([k0, k1], order)
     if kp.degree_u != a + b + 1:
         raise KernelError(f"kernel degree {kp.degree_u}, expected {a + b + 1}")
-    p_a = Fraction(jumps[a])
+    p_a = jumps[a]
     top = kp.coeffs[a + b + 1]
     if top != TruncSeries.from_poly([0, p_a], order):
         raise KernelError("kernel top coefficient is not p_a * z")
@@ -145,13 +144,13 @@ def _divide_rows(kp, small, order):
             raise KernelError(f"row {n} not divisible by u^{b}")
         coeffs = coeffs[b:]
         quotient = []
-        run = Fraction(0)
+        run = 0
         for c in coeffs:
             run += c
             quotient.append(run)
         if quotient[-1] != 0:
             raise KernelError(f"row {n} not divisible by (1-u)")
-        rows.append(QPoly(quotient[:-1]) if len(quotient) > 1 else QPoly.zero())
+        rows.append(QPoly._of(_exact_all(quotient[:-1])))
     return rows
 
 
@@ -208,7 +207,7 @@ def _reconcile_excursions(kp, small, f0):
         via_z = -s_low / TruncSeries.from_poly([0, 1], s_low.order)
         if via_z.agrees_with(f0):
             matches.append("-S(z,0)/z")
-    p0 = Fraction(Counter(kp.jumps).get(0, 0))
+    p0 = Counter(kp.jumps).get(0, 0)
     denom = TruncSeries.from_poly([1, 1 - p0], s_low.order)
     if (-s_low / denom).agrees_with(f0):
         matches.append("-S(z,0)/(1+(1-p0)z)")

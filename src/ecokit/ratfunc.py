@@ -2,6 +2,9 @@
 
 The denominator is kept with constant term 1 whenever it does not vanish at
 the origin, which is the only case the generating functions here produce.
+Coefficients follow `qpoly`: an `int` when integral, a `Fraction` only where
+dividing by den(0) or by the gcd left a remainder.  The gcd is skipped when
+the pair is coprime modulo a prime (`qpoly.poly_gcd`).
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ class RatFunc:
         c = den[0]
         if c == 0:
             raise SeriesError("denominator vanishes at the origin")
-        inv = 1 / c
-        self.num = num * inv
-        self.den = den * inv
+        self.num = num / c
+        self.den = den / c
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):

@@ -1,11 +1,13 @@
 """Truncated power series over exact rationals, and polynomials in u on top.
 
-Everything here is exact: coefficients are `fractions.Fraction`, truncation
-orders are tracked explicitly, and no floating point is ever involved.  A
-`TruncSeries` of order N carries coefficients of z^0 .. z^(N-1) and makes no
-claim beyond that, so binary operations return the shortest order that is
-actually justified by the inputs (division additionally loses the valuation
-of the divisor).
+Everything here is exact: an integral coefficient is an `int`, any other is
+a `fractions.Fraction` made by an exact division (`qpoly._div`) that left a
+remainder, truncation orders are tracked explicitly, and no floating point
+is ever involved.  The kernel route divides only by units, so its series
+stay in `int` throughout.  A `TruncSeries` of order N carries coefficients
+of z^0 .. z^(N-1) and makes no claim beyond that, so binary operations
+return the shortest order that is actually justified by the inputs
+(division additionally loses the valuation of the divisor).
 
 `UPoly` is a polynomial in a second variable u whose coefficients are
 truncated series in z.  It is what kernel-method computations work with:
@@ -17,17 +19,15 @@ z = 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import isqrt
+from operator import add, mul, sub
 
-from .qpoly import QPoly
+from .qpoly import QPoly, _div, _exact, _exact_all
 
 
 class SeriesError(ValueError):
     """Domain failure in series arithmetic (valuation, square root, lifting)."""
-
-
-def _frac_list(values):
-    return [Fraction(v) for v in values]
 
 
 class TruncSeries:
@@ -36,9 +36,19 @@ class TruncSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(_frac_list(coeffs))
+        self.coeffs = tuple(_exact_all(coeffs))
         if not self.coeffs:
             raise SeriesError("series needs order at least 1")
+
+    @classmethod
+    def _of(cls, coeffs):
+        """Wrap coefficients that are already normal (ints and non-integral
+        Fractions), skipping the per-coefficient conversion."""
+        if not coeffs:
+            raise SeriesError("series needs order at least 1")
+        s = cls.__new__(cls)
+        s.coeffs = tuple(coeffs)
+        return s
 
     @property
     def order(self):
@@ -46,24 +56,26 @@ class TruncSeries:
 
     @classmethod
     def zero(cls, order):
-        return cls([0] * order)
+        return cls._of((0,) * order)
 
     @classmethod
     def one(cls, order):
-        return cls([1] + [0] * (order - 1))
+        return cls._of((1,) + (0,) * (order - 1))
 
     @classmethod
     def from_poly(cls, coeffs, order):
         """Series of a polynomial: exact zeros pad up to the requested order."""
-        coeffs = _frac_list(coeffs)
+        coeffs = _exact_all(coeffs)
         if len(coeffs) > order:
             raise SeriesError("polynomial degree exceeds requested order")
-        return cls(coeffs + [Fraction(0)] * (order - len(coeffs)))
+        return cls._of(coeffs + [0] * (order - len(coeffs)))
 
     def truncate(self, order):
         if order > self.order:
             raise SeriesError("cannot extend a truncated series")
-        return TruncSeries(self.coeffs[:order])
+        if order == self.order:
+            return self
+        return TruncSeries._of(self.coeffs[:order])
 
     def __getitem__(self, n):
         if not 0 <= n < self.order:
@@ -94,33 +106,28 @@ class TruncSeries:
         return self.valuation() is None
 
     def __add__(self, other):
-        n = min(self.order, other.order)
-        return TruncSeries([self.coeffs[i] + other.coeffs[i] for i in range(n)])
+        return TruncSeries._of(_exact_all(list(map(add, self.coeffs, other.coeffs))))
 
     def __sub__(self, other):
-        n = min(self.order, other.order)
-        return TruncSeries([self.coeffs[i] - other.coeffs[i] for i in range(n)])
+        return TruncSeries._of(_exact_all(list(map(sub, self.coeffs, other.coeffs))))
 
     def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs])
+        return TruncSeries._of([-c for c in self.coeffs])
 
     def scale(self, c):
-        c = Fraction(c)
-        return TruncSeries([a * c for a in self.coeffs])
+        c = _exact(c)
+        return TruncSeries._of(_exact_all([a * c for a in self.coeffs]))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         n = min(self.order, other.order)
-        out = [Fraction(0)] * n
-        for i in range(n):
-            a = self.coeffs[i]
+        b = other.coeffs
+        out = [0] * n
+        for i, a in enumerate(self.coeffs[:n]):
             if a:
-                for j in range(n - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return TruncSeries(out)
+                out[i:] = map(add, out[i:], map(mul, repeat(a), b[: n - i]))
+        return TruncSeries._of(_exact_all(out))
 
     __rmul__ = __mul__
 
@@ -144,15 +151,13 @@ class TruncSeries:
             raise SeriesError("no coefficients survive the valuation shift")
         a = self.coeffs[v : v + n]
         b = other.coeffs[v : v + n]
-        inv0 = 1 / b[0]
+        b0 = b[0]
         out = []
         for i in range(n):
-            acc = a[i] if i < len(a) else Fraction(0)
-            for j in range(1, i + 1):
-                if b[j]:
-                    acc -= b[j] * out[i - j]
-            out.append(acc * inv0)
-        return TruncSeries(out)
+            # a[i] = sum_{j <= i} b[j] out[i-j], solved for out[i]
+            acc = a[i] - sum(map(mul, b[1 : i + 1], reversed(out)))
+            out.append(_div(acc, b0))
+        return TruncSeries._of(out)
 
     def inverse(self):
         return TruncSeries.one(self.order) / self
@@ -161,7 +166,7 @@ class TruncSeries:
         """Multiply by z^j (j >= 0 prepends exact zeros, order grows with it)."""
         if j < 0:
             raise SeriesError("use division for negative shifts")
-        return TruncSeries((Fraction(0),) * j + self.coeffs)
+        return TruncSeries._of((0,) * j + self.coeffs)
 
     def sqrt(self):
         """Square root on the branch with positive constant term."""
@@ -172,24 +177,20 @@ class TruncSeries:
         rp, rq = isqrt(p), isqrt(q)
         if rp * rp != p or rq * rq != q:
             raise SeriesError(f"constant term {c0} is not the square of a rational")
-        s0 = Fraction(rp, rq)
+        s0 = _div(rp, rq)
+        two_s0 = _exact(2 * s0)
         out = [s0]
-        inv = 1 / (2 * s0)
         for n in range(1, self.order):
-            acc = self.coeffs[n]
-            for i in range(1, n):
-                acc -= out[i] * out[n - i]
-            out.append(acc * inv)
-        return TruncSeries(out)
+            tail = out[1:n]
+            out.append(_div(self.coeffs[n] - sum(map(mul, tail, reversed(tail))), two_s0))
+        return TruncSeries._of(out)
 
     def as_ints(self):
         """Coefficient list as ints; fails loudly on a non-integer coefficient."""
-        out = []
         for c in self.coeffs:
-            if c.denominator != 1:
+            if c.__class__ is not int:
                 raise SeriesError(f"non-integer coefficient {c}")
-            out.append(c.numerator)
-        return out
+        return list(self.coeffs)
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:8])
@@ -218,7 +219,9 @@ class UPoly:
         deg = max((s.degree for s in slices), default=0)
         cols = []
         for j in range(deg + 1):
-            cols.append(TruncSeries([slices[m][j] if m < len(slices) else 0 for m in range(order)]))
+            cols.append(
+                TruncSeries._of([slices[m][j] if m < len(slices) else 0 for m in range(order)])
+            )
         return cls(cols)
 
     @property
@@ -246,7 +249,7 @@ class UPoly:
 
     def eval_scalar(self, x):
         """Substitute a rational constant for u."""
-        x = Fraction(x)
+        x = _exact(x)
         acc = TruncSeries.zero(self.order)
         for c in reversed(self.coeffs):
             acc = acc.scale(x) + c
@@ -289,17 +292,17 @@ def newton_series_root(kernel: UPoly, seed, order) -> TruncSeries:
     The seed must be a simple root of kernel(0, u).  Precision doubles per
     Newton step and a final full substitution verifies the result.
     """
-    seed = Fraction(seed)
+    seed = _exact(seed)
     k0 = kernel.z_slice(0)
     if k0.eval(seed) != 0:
         raise SeriesError(f"seed {seed} is not a root of the kernel at z = 0")
     if k0.derivative().eval(seed) == 0:
         raise SeriesError(f"seed {seed} is a multiple root, Newton cannot start")
     deriv = kernel.derivative_u()
-    u = TruncSeries([seed])
+    u = TruncSeries._of((seed,))
     while u.order < order:
         m = min(2 * u.order, order)
-        cur = TruncSeries(u.coeffs + (Fraction(0),) * (m - u.order))
+        cur = TruncSeries._of(u.coeffs + (0,) * (m - u.order))
         ku = kernel.truncate(m).eval_series(cur)
         kpu = deriv.truncate(m).eval_series(cur)
         u = cur - ku / kpu

@@ -59,18 +59,31 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_limited(*argv):
+def run_limited(*argv, lines=None):
     """The CLI in a child process with 800 MB of address space and a 60 s
-    timeout, so a runaway expansion fails the test instead of the host."""
+    timeout, so a runaway expansion fails the test instead of the host.
+    With `lines`, the reader takes that many lines of stdout and then
+    closes the pipe, as `| head` does."""
     env = dict(os.environ, PYTHONPATH=str(Path(ecokit.__file__).parents[1]))
+    cmd = [sys.executable, "-m", "ecokit.cli", *argv]
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (800 << 20, 800 << 20))
 
-    return subprocess.run(
-        [sys.executable, "-m", "ecokit.cli", *argv],
-        env=env, capture_output=True, timeout=60, preexec_fn=limit,
+    if lines is None:
+        return subprocess.run(
+            cmd, env=env, capture_output=True, timeout=60, preexec_fn=limit
+        )
+    proc = subprocess.Popen(
+        cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=limit
     )
+    try:
+        head = b"".join(proc.stdout.readline() for _ in range(lines))
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    return subprocess.CompletedProcess(cmd, proc.returncode, head, err)
 
 
 class TestCount:
@@ -214,6 +227,22 @@ def test_uncapped_count_stops_at_the_width_budget(tmp_path):
         b"after level 231; output is partial\n"
     )
     assert done.stdout.splitlines()[-1] == b"231\t1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--system", "fibonacci", "-n", "2000"),  # about 430 kB of text
+        ("classify", "--system", "permutations", "--order", "500", "--format", "json"),
+    ],
+)
+def test_closed_pipe_exits_quietly(argv):
+    # The output is larger than the pipe and the reader's buffer, so the
+    # writer meets the closed pipe whatever the timing.
+    done = run_limited(*argv, lines=1)
+    assert done.stdout.count(b"\n") == 1
+    assert done.stderr == b""
+    assert done.returncode == cli.EXIT_PIPE == 141
 
 
 def test_classify_names_the_cap_that_shortened_its_series(tmp_path):
