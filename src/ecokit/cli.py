@@ -26,7 +26,14 @@ from .catalog import ENTRIES, CatalogError, get_entry, verify_entry
 from .classify import ClassifyError, ClosureError, build_report, factorial_form
 from .contfrac import ContFracError
 from .dsl import ParseError, SpecError, parse_spec, validate_spec
-from .engine import LabelCapError, WalkSampler, count_levels, sample_walks, stop_text
+from .engine import (
+    LabelCapError,
+    TableBudgetError,
+    WalkSampler,
+    count_levels,
+    sample_walks,
+    stop_text,
+)
 from .guess import GuessError, guess_rational, minimal_algebraic
 from .kernel import KernelError, gf_report
 from .series import SeriesError
@@ -72,8 +79,36 @@ def _load_valid_source(args):
     return name, spec
 
 
+def _json_text(obj, pad=""):
+    """json.dumps(obj, indent=2), with each list of plain ints joined in one
+    call instead of through the pure-Python encoder that an indent selects."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        body = (",\n" + inner).join(
+            f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in obj.items()
+        )
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if set(map(type, obj)) == {int}:
+            body = (",\n" + inner).join(map(int.__repr__, obj))
+        else:
+            body = (",\n" + inner).join(_json_text(v, inner) for v in obj)
+        return f"[\n{inner}{body}\n{pad}]"
+    return json.dumps(obj)
+
+
+def _json_key(key):
+    # json's text for a dict key: a number, bool or None key becomes a string.
+    return json.dumps(key) if isinstance(key, str) else json.dumps({key: None})[1:-7]
+
+
 def _emit_json(obj):
-    print(json.dumps(obj, indent=2))
+    print(_json_text(obj))
 
 
 def _emit_csv(header, rows):
@@ -141,7 +176,7 @@ def _cmd_sample(args):
         walks = sample_walks(
             spec, args.n, args.count, args.seed, args.strategy, max_labels=_WIDTH_CAP
         )
-    except LabelCapError as exc:
+    except (LabelCapError, TableBudgetError) as exc:
         print(f"error: {exc}; no walks drawn", file=sys.stderr)
         return 1
     if args.format == "csv":
@@ -332,7 +367,11 @@ def _cmd_catalog(args):
 
 
 def _cmd_bench(args):
-    name, spec = _load_source(args)
+    name, spec = _load_valid_source(args)
+    if args.n < 0:
+        raise UsageError("-n must be nonnegative")
+    if args.count < 1:
+        raise UsageError("--count must be positive")
     if args.task == "count":
         return _bench_count(name, spec, args)
     return _bench_sample(name, spec, args)
@@ -402,7 +441,11 @@ def _bench_count(name, spec, args):
 
 def _bench_sample(name, spec, args):
     t0 = time.perf_counter()
-    sampler = WalkSampler(spec, args.n)
+    try:
+        sampler = WalkSampler(spec, args.n, max_labels=_WIDTH_CAP)
+    except (LabelCapError, TableBudgetError) as exc:
+        print(f"error: {exc}; no walks drawn", file=sys.stderr)
+        return 1
     build = time.perf_counter() - t0
     timings = {}
     for strategy in ("sequential", "binary"):
@@ -414,6 +457,7 @@ def _bench_sample(name, spec, args):
     factor = (
         timings["sequential"] / timings["binary"] if timings["binary"] > 0 else None
     )
+    table = sampler.stats
     if args.format == "csv":
         _emit_csv(
             ["phase", "seconds"],
@@ -429,15 +473,23 @@ def _bench_sample(name, spec, args):
                 "n": args.n,
                 "draws": args.count,
                 "table_build_seconds": build,
+                "closure_seconds": table["closure_seconds"],
+                "rows_seconds": table["rows_seconds"],
+                "back_table_cells": table["cells"],
+                "draw_entries": sampler.draw_entries,
                 "strategy_seconds": timings,
                 "sequential_over_binary": factor,
             }
         )
     else:
         print(f"bench sample {name}  n={args.n}  draws={args.count}")
-        print(f"  table build {build:.4f} s")
+        print(
+            f"  table build {build:.4f} s   closure {table['closure_seconds']:.4f} s   "
+            f"rows {table['rows_seconds']:.4f} s   cells={table['cells']}"
+        )
         for k, v in timings.items():
             print(f"  {k:<12} {v:.4f} s")
+        print(f"  draw entries={sampler.draw_entries}")
         if factor is not None:
             print(f"  sequential / binary: {factor:.1f}x")
     return 0

@@ -35,11 +35,21 @@ stops (marked truncated) before a run wider than ``dsl.MAX_SUCCESSORS``, and
 ``naive`` before its cached pairs pass ``NAIVE_PAIRS``; see ``stop_text``.
 
 ``closure_layers`` pushes a level of ones through the range step and keeps
-its support.  ``back_table`` lowers each reachable label once and sums every
-run of the previous row from per-(step, residue) prefix sums, so a row costs
-about its width (times a log) instead of width times run length.
-``WalkSampler`` weighs the expanded description of the current label by
-that table.
+its support.  ``back_table`` builds each row as the transpose of that step:
+on a dense layer of at least ``_ROW_MIN_LABELS`` labels the previous row
+becomes a zero-padded list, and each batched residue class reads a point as
+one strided slice times its affine multiplicity, a run as the difference of
+two strided slices of the row's per-(step, residue) prefix array, and a
+removed label as a strided slice taken away.  Labels below a class
+threshold and every label of a sparse or small layer are lowered one at a
+time, each run summed from the same kind of prefix sums.  The table stops,
+raising ``TableBudgetError``, before its cells (charged ``_CELL_BITS`` each
+in the closure) plus the bits of its counts pass ``BACK_BITS``.
+``WalkSampler`` reuses the closure's cached descriptions and memoizes a flat
+draw entry per (label, remaining depth): the total, its bit length, the
+successor labels and the prefix sums of their weights.  It draws with the
+``getrandbits`` rejection loop that ``Random.randrange`` runs, so a seed
+gives the same walks as one ``randrange`` per step.
 """
 
 from __future__ import annotations
@@ -79,11 +89,21 @@ class LabelCapError(SpecError):
 # passes it, at level 12; quinary holds the most of the rest, 2,883,591.
 NAIVE_PAIRS = 4_000_000
 
+# The back table charges each cell its count's bit length plus _CELL_BITS for
+# the label's entries in its closure layer and its row (about 130 bytes in
+# CPython), and stops before the charge passes BACK_BITS.  Catalan at n=1000
+# is charged about 0.94e9 bits (135 MB peak RSS); the budget stops catalan
+# near n=1500, and permutations or bell before their counts' digits run the
+# process out of memory.
+BACK_BITS = 2**31
+_CELL_BITS = 1024
+
 # The words for a stats["budget"] (kind, limit).
 _BUDGETS = {
     "cap": "label cap {}",
     "width": "width budget of {} labels per successor run",
     "pairs": "naive budget of {} cached successor pairs",
+    "bits": "back-table budget of {} stored bits",
 }
 
 
@@ -167,6 +187,9 @@ def _next_level_naive(level, succ):
 # level's span must keep the same ratio to a bound on its number of labels.
 _DENSE_RATIO = 4
 _DENSE_SLACK = 64
+# A batched back-table row costs about 10 us up front and a label lowered
+# alone about 1 us (more with runs), so rows of fewer labels go label by label.
+_ROW_MIN_LABELS = 8
 # Each residue class costs a class view up front and a slice per level, so
 # specs whose guards and steps need a larger modulus are not batched.
 _MAX_MODULUS = 1024
@@ -298,17 +321,24 @@ def _sparse_step(items, describe, cap):
     return nxt, ops
 
 
-def _dense_step(level, base, top, plan, describe, cap):
-    """(next level, update ops, labels lowered one at a time) with the level
-    held as a list indexed by label - base, or None when the next level
-    would be too sparse for one.
+def _read(arr, start, stride, n):
+    """arr[start + t*stride] for t < n; a zero stride repeats arr[start]."""
+    if not stride:
+        return repeat(arr[start], n)
+    stop = start + stride * n
+    return arr[start : stop if stop >= 0 else None : stride]
 
-    Each batched class adds its slice of counts to strided slices: a point
-    to the next level, a run's two ends to the difference array of its
-    (step, residue) key, a removed label to the next level with a minus
-    sign.  The other labels add their descriptions into the same arrays."""
+
+def _dense_layout(cur, base, plan, describe, cap):
+    """How a level held as the list `cur` (indexed by label - base) splits
+    for the batched step: (lone, batches, low, high), or None when the labels
+    it reaches would be too sparse for a list.
+
+    `lone` holds (label, count, description) of each label lowered one at a
+    time; `batches` holds (class, k0, counts) per batched residue class, the
+    counts of k0, k0 + modulus, ... up to the last nonzero one; low..high
+    spans every label a point, run or cut of the level can reach."""
     modulus, classes = plan
-    cur = list(map(level.get, range(base, top + 1), repeat(0)))
     size = len(cur)
     lone, batches = [], []
     for r, cls in enumerate(classes):
@@ -327,9 +357,9 @@ def _dense_step(level, base, top, plan, describe, cap):
                 batches.append((cls, base + j + a * modulus, counts[a:b]))
 
     # Widths and the next level's span, before anything is written.
-    described = [(c, describe(k)) for k, c in lone]
+    described = [(k, c, describe(k)) for k, c in lone]
     ends, bound = [], 0
-    for _, (points, runs) in described:
+    for _, _, (points, runs) in described:
         if cap is not None:
             _check_runs(runs, cap)
         ends += [j for j, _ in points]
@@ -345,12 +375,28 @@ def _dense_step(level, base, top, plan, describe, cap):
                 raise _OverCap
             ends += [la * k0 + lb, la * k1 + lb, ea * k0 + eb - s, end - s]
             bound += len(counts) * (end - lo) // s
-    if not ends:
-        return {}, 0, len(lone)
-    low, high = min(ends), max(ends)
+    # A level that reaches no label gets a one-label span.
+    low, high = (min(ends), max(ends)) if ends else (base, base)
     if high - low > _DENSE_RATIO * bound + _DENSE_SLACK:
         return None
+    return described, batches, low, high
 
+
+def _dense_step(level, base, top, plan, describe, cap):
+    """(next level, update ops, labels lowered one at a time) with the level
+    held as a list indexed by label - base, or None when the next level
+    would be too sparse for one.
+
+    Each batched class adds its slice of counts to strided slices: a point
+    to the next level, a run's two ends to the difference array of its
+    (step, residue) key, a removed label to the next level with a minus
+    sign.  The other labels add their descriptions into the same arrays."""
+    modulus = plan[0]
+    cur = list(map(level.get, range(base, top + 1), repeat(0)))
+    layout = _dense_layout(cur, base, plan, describe, cap)
+    if layout is None:
+        return None
+    described, batches, low, high = layout
     nxt = [0] * (high - low + 1)
     diffs = {}  # (step, residue) -> (lowest grid label, difference array)
 
@@ -362,7 +408,7 @@ def _dense_step(level, base, top, plan, describe, cap):
         return hit
 
     ops, cut = 0, False
-    for c, (points, runs) in described:
+    for _, c, (points, runs) in described:
         for j, m in points:
             nxt[j - low] += c * m
         ops += len(points)
@@ -402,7 +448,13 @@ def _dense_step(level, base, top, plan, describe, cap):
         touched = True
     if cut and min(nxt) < 0:
         raise SpecError(f"negative count at label {low + nxt.index(min(nxt))}")
-    return dict(compress(zip(count(low), nxt), nxt)), ops, len(lone)
+    return dict(compress(zip(count(low), nxt), nxt)), ops, len(described)
+
+
+def _is_dense(plan, base, top, size):
+    """Whether a level of `size` labels from base to top goes through the
+    batched step of `plan`."""
+    return plan is not None and plan[0] <= top - base + 1 <= _DENSE_RATIO * size + _DENSE_SLACK
 
 
 def _next_level_range(level, describe, plan, cap=None):
@@ -412,9 +464,9 @@ def _next_level_range(level, describe, plan, cap=None):
     `_dense_step` with the batched classes of `plan` (from `_class_plan`);
     any other level is lowered label by label.  _OverCap, before any label
     is written, when a single run is wider than `cap` labels."""
-    if plan is not None and level:
+    if level:
         base, top = min(level), max(level)
-        if plan[0] <= top - base + 1 <= _DENSE_RATIO * len(level) + _DENSE_SLACK:
+        if _is_dense(plan, base, top, len(level)):
             done = _dense_step(level, base, top, plan, describe, cap)
             if done is not None:
                 return done
@@ -508,24 +560,34 @@ def total_series(spec, order, method="auto", max_labels=None):
 # Backward counts: trees hanging below a label
 
 
-def _closure(spec, n, max_labels):
-    """(layers R_0..R_n, label -> description, cached for every label lowered).
+class TableBudgetError(SpecError):
+    """The back table (closure layers and rows) would pass BACK_BITS."""
 
-    Each layer is the support of the range step applied to a level of ones.
-    LabelCapError when a layer holds more than max_labels labels.
-    """
-    lowered = cache(describer(spec))
-    plan = _class_plan(spec)
+    def __init__(self, level):
+        super().__init__(stop_text(("bits", BACK_BITS), level))
+        self.level = level
+
+
+def _closure(spec, n, max_labels, describe, plan, charge=False):
+    """Layers R_0..R_n, each the support of the range step (batched by
+    `plan`) applied to a level of ones.
+
+    LabelCapError when a layer holds more than max_labels labels; with
+    `charge`, TableBudgetError when the layers' cells pass BACK_BITS."""
     layers = [{spec.axiom}]
+    cells = 1
     for depth in range(1, n + 1):
         try:
-            nxt, _, _ = _next_level_range(dict.fromkeys(layers[-1], 1), lowered, plan, max_labels)
+            nxt, _, _ = _next_level_range(dict.fromkeys(layers[-1], 1), describe, plan, max_labels)
         except _OverCap:
             raise LabelCapError(max_labels, depth) from None
         if max_labels is not None and len(nxt) > max_labels:
             raise LabelCapError(max_labels, depth)
+        cells += len(nxt)
+        if charge and cells * _CELL_BITS > BACK_BITS:
+            raise TableBudgetError(depth - 1)
         layers.append(set(nxt))
-    return layers, lowered
+    return layers
 
 
 def closure_layers(spec, n, max_labels=None):
@@ -533,7 +595,7 @@ def closure_layers(spec, n, max_labels=None):
 
     LabelCapError when a layer holds more than `max_labels` labels.
     """
-    return _closure(spec, n, max_labels)[0]
+    return _closure(spec, n, max_labels, cache(describer(spec)), _class_plan(spec))
 
 
 def _run_sum(row, prefix, lo, last, step):
@@ -551,27 +613,117 @@ def _run_sum(row, prefix, lo, last, step):
     return sums[bisect_right(labels, last)] - sums[bisect_left(labels, lo)]
 
 
-def back_table(spec, n, max_labels=None):
+def _sparse_row(layer, prev, describe):
+    """{k: sum of prev over the successors of k} for k in layer, one label
+    at a time."""
+    prefix, row = {}, {}
+    # Every successor of a label in the layer is a label of prev; a cut
+    # label may be missing from it.
+    for k in layer:
+        points, runs = describe(k)
+        total = sum(mult * prev[j] for j, mult in points)
+        for lo, last, step, cuts in runs:
+            total += _run_sum(prev, prefix, lo, last, step)
+            total -= sum(prev.get(j, 0) for j in cuts)
+        row[k] = total
+    return row
+
+
+def _dense_row(layer, prev, plan, describe):
+    """The row of `_sparse_row` on a dense layer, the transpose of
+    `_dense_step`, or None when the layer is small or not dense.
+
+    prev becomes a zero-padded list; each batched class reads a point as one
+    strided slice times its multiplicity, a run as the difference of two
+    strided slices of a per-(step, residue) prefix array and a removed label
+    as a strided slice taken away."""
+    if len(layer) < _ROW_MIN_LABELS:
+        return None
+    base, top = min(layer), max(layer)
+    if not _is_dense(plan, base, top, len(layer)):
+        return None
+    flags = [0] * (top - base + 1)
+    for k in layer:
+        flags[k - base] = 1
+    layout = _dense_layout(flags, base, plan, describe, None)
+    if layout is None:
+        return None
+    described, batches, low, high = layout
+    modulus = plan[0]
+    vals = list(map(prev.get, range(low, high + 1), repeat(0)))
+    prefix = {}  # (step, residue) -> (lowest grid label, running sums from 0)
+
+    def sums(step, residue):
+        hit = prefix.get((step, residue))
+        if hit is None:
+            g0 = low + (residue - low) % step
+            hit = prefix[(step, residue)] = (g0, [0, *accumulate(vals[g0 - low :: step])])
+        return hit
+
+    row = {}
+    for k, _, (points, runs) in described:
+        total = sum(m * vals[j - low] for j, m in points)
+        for lo, last, step, cuts in runs:
+            g0, q = sums(step, lo % step)
+            total += q[(last - g0) // step + 1] - q[(lo - g0) // step]
+            total -= sum(vals[j - low] for j in cuts)
+        row[k] = total
+    for cls, k0, flags in batches:
+        n = len(flags)
+        acc = repeat(0, n)
+        for (a, b), (c, d) in cls.points:
+            got = _read(vals, a * k0 + b - low, a * modulus, n)
+            if c:
+                got = map(mul, got, range(c * k0 + d, c * (k0 + modulus * n) + d, c * modulus))
+            elif d != 1:
+                got = map(mul, got, repeat(d))
+            acc = list(map(add, acc, got))
+        for (la, lb), (ea, eb), s, removed in cls.runs:
+            g0, q = sums(s, (la * k0 + lb) % s)
+            ends = _read(q, (ea * k0 + eb - g0) // s, ea * modulus // s, n)
+            los = _read(q, (la * k0 + lb - g0) // s, la * modulus // s, n)
+            acc = list(map(add, acc, map(sub, ends, los)))
+            for ra, rb in removed:
+                acc = list(map(sub, acc, _read(vals, ra * k0 + rb - low, ra * modulus, n)))
+        # The slots between the class's labels in the layer are discarded.
+        row.update(compress(zip(range(k0, k0 + modulus * n, modulus), acc), flags))
+    return row
+
+
+def back_table(spec, n, max_labels=None, describe=None, stats=None):
     """g[m][k] = walks of length m starting at label k, for k reachable at depth n-m.
 
     g[n][axiom] equals the level-n total of count_levels, which gives an
     independent route to the same number.  LabelCapError when a closure
-    layer holds more than `max_labels` labels.
+    layer holds more than `max_labels` labels; TableBudgetError, naming the
+    last closure layer or table row that fit, when the table would pass
+    BACK_BITS.  `describe`, a cached describer of spec, is shared with the
+    caller; `stats`, a dict, receives the table's cells and the seconds spent
+    on the closure and on the rows.
     """
-    layers, lowered = _closure(spec, n, max_labels)
+    if describe is None:
+        describe = cache(describer(spec))
+    t0 = time.perf_counter()
+    plan = _class_plan(spec)
+    layers = _closure(spec, n, max_labels, describe, plan, charge=True)
+    t1 = time.perf_counter()
+    cells = sum(map(len, layers))
+    # The bottom row's counts are all 1, one bit each.
+    charged = _CELL_BITS * cells + len(layers[n])
     g = [dict.fromkeys(layers[n], 1)]
     for m in range(1, n + 1):
-        prev, prefix, row = g[-1], {}, {}
-        # Every successor of a label in layers[n-m] lies in layers[n-m+1],
-        # the labels of prev; a cut label may be missing from it.
-        for k in layers[n - m]:
-            points, runs = lowered(k)
-            total = sum(mult * prev[j] for j, mult in points)
-            for lo, last, step, cuts in runs:
-                total += _run_sum(prev, prefix, lo, last, step)
-                total -= sum(prev.get(j, 0) for j in cuts)
-            row[k] = total
+        layer, prev = layers[n - m], g[-1]
+        row = _dense_row(layer, prev, plan, describe)
+        if row is None:
+            row = _sparse_row(layer, prev, describe)
+        charged += sum(map(int.bit_length, row.values()))
+        if charged > BACK_BITS:
+            raise TableBudgetError(m - 1)
         g.append(row)
+    if stats is not None:
+        stats["cells"] = cells
+        stats["closure_seconds"] = t1 - t0
+        stats["rows_seconds"] = time.perf_counter() - t1
     return g
 
 
@@ -586,57 +738,77 @@ class WalkSampler:
     enumerated class, so the draw is uniform over the class.  Two descent
     strategies are available and consume identical randomness:
 
-    * ``sequential``: walk the successor list subtracting weights;
-    * ``binary``: binary search in a per-(label, remaining-depth) prefix-sum
-      array, built lazily and memoized.
+    * ``sequential``: one ``randrange(g[rem][k])`` per step, then walk the
+      successor list subtracting weights (the oracle);
+    * ``binary``: a flat draw entry per (label, remaining depth), built
+      lazily and memoized: the total, its bit length, the successor labels
+      and the prefix sums of their weights.  The draw is the rejection loop
+      of ``Random.randrange`` on ``getrandbits``, so it takes the same bits
+      from the generator, then a binary search picks the successor.
+
+    `stats` holds the back table's cells and its closure and row seconds.
     """
 
     def __init__(self, spec, n, max_labels=None):
         self.spec = spec
         self.n = n
-        self.g = back_table(spec, n, max_labels)
+        describe = cache(describer(spec))
+        self.stats = {}
+        self.g = back_table(spec, n, max_labels, describe=describe, stats=self.stats)
         self.total = self.g[n][spec.axiom]
-        describe = describer(spec)
         # The labels are those of the back table, which the label cap bounds.
         self._children = cache(lambda k: sorted(expand(describe(k)).items()))
-        self._prefix = {}
+        self._draws = [{} for _ in range(n + 1)]
+
+    @property
+    def draw_entries(self):
+        """How many (label, remaining depth) draw entries are memoized."""
+        return sum(map(len, self._draws))
 
     def _weighted_children(self, k, rem):
         # Children sorted by label; weight = multiplicity * subtree count.
         below = self.g[rem - 1]
         return [(j, m * below[j]) for j, m in self._children(k)]
 
-    def _prefix_sums(self, k, rem):
-        key = (k, rem)
-        hit = self._prefix.get(key)
-        if hit is None:
-            children = self._weighted_children(k, rem)
-            hit = ([j for j, _ in children], list(accumulate(w for _, w in children)))
-            self._prefix[key] = hit
-        return hit
+    def _draw_entry(self, k, rem):
+        children = self._weighted_children(k, rem)
+        total = self.g[rem][k]
+        entry = self._draws[rem][k] = (
+            total,
+            total.bit_length(),
+            [j for j, _ in children],
+            list(accumulate(w for _, w in children)),
+        )
+        return entry
 
     def sample(self, rng, strategy="binary"):
+        if strategy not in ("sequential", "binary"):
+            raise ValueError(f"unknown strategy {strategy!r}")
         if isinstance(rng, int):
             rng = Random(rng)
         if self.total == 0:
             raise SpecError("no walks of the requested length")
-        walk = [self.spec.axiom]
         k = self.spec.axiom
+        walk = [k]
+        if strategy == "binary":
+            getrandbits, draws, entry = rng.getrandbits, self._draws, self._draw_entry
+            for rem in range(self.n, 0, -1):
+                total, bits, labels, sums = draws[rem].get(k) or entry(k, rem)
+                r = getrandbits(bits)
+                while r >= total:
+                    r = getrandbits(bits)
+                k = labels[bisect_right(sums, r)]
+                walk.append(k)
+            return walk
         for rem in range(self.n, 0, -1):
             r = rng.randrange(self.g[rem][k])
-            if strategy == "sequential":
-                for j, w in self._weighted_children(k, rem):
-                    if r < w:
-                        k = j
-                        break
-                    r -= w
-                else:
-                    raise SpecError("weights did not cover the draw")
-            elif strategy == "binary":
-                labels, sums = self._prefix_sums(k, rem)
-                k = labels[bisect_right(sums, r)]
+            for j, w in self._weighted_children(k, rem):
+                if r < w:
+                    k = j
+                    break
+                r -= w
             else:
-                raise ValueError(f"unknown strategy {strategy!r}")
+                raise SpecError("weights did not cover the draw")
             walk.append(k)
         return walk
 
@@ -645,7 +817,8 @@ def sample_walks(spec, n, count, seed, strategy="binary", max_labels=None):
     """Draw `count` independent uniform walks with one seeded generator.
 
     LabelCapError when a level reachable within n steps holds more than
-    `max_labels` labels.
+    `max_labels` labels; TableBudgetError when the back table would pass
+    BACK_BITS.
     """
     sampler = WalkSampler(spec, n, max_labels)
     rng = Random(seed)

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ecokit
 import ecokit.cli as cli
@@ -386,14 +388,52 @@ class TestBench:
         assert code == 0 and list(doc["methods"]) == ["range"]
         assert doc["naive_skipped"].startswith("naive budget of 1000 ")
 
+    def test_sample_benchmark_reports_the_table_and_draw_entries(self, capsys):
+        code, out, _ = run(capsys, "bench", "--task", "sample", "--system", "catalan",
+                           "-n", "30", "--count", "50", "--format", "json")
+        doc = json.loads(out)
+        assert code == 0
+        # Layer d of catalan holds the labels 2..d+2.
+        assert doc["back_table_cells"] == sum(range(1, 32))
+        assert 30 <= doc["draw_entries"] <= 30 * 50
+        assert doc["closure_seconds"] + doc["rows_seconds"] <= doc["table_build_seconds"]
+        code, out, _ = run(capsys, "bench", "--task", "sample", "--system", "catalan",
+                           "-n", "30", "--count", "50")
+        assert "cells=496" in out and "draw entries=" in out
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("-n", "-1"), "-n must be nonnegative"),
+            (("--task", "sample", "--count", "0"), "--count must be positive"),
+            (("--count", "-3"), "--count must be positive"),
+        ],
+    )
+    def test_bad_values_are_usage_errors(self, capsys, flags, message):
+        code, out, err = run(capsys, "bench", "--system", "catalan", *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, kind", [(BAD_ARITY_TEXT, "arity-symbolic"),
+                                            (WIDE_TEXT, "width")])
+    def test_invalid_file_is_a_usage_error(self, capsys, tmp_path, text, kind):
+        path = tmp_path / "bad.eco"
+        path.write_text(text)
+        for task in ("count", "sample"):
+            code, out, err = run(capsys, "bench", "--task", task, "--file", str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {path}: invalid spec: [{kind}]")
+
     def test_partial_range_table_is_an_error(self, capsys, tmp_path):
-        path = tmp_path / "wide.eco"
-        path.write_text(WIDE_TEXT)
-        code, out, err = run(capsys, "bench", "--task", "count", "--file", str(path))
+        # The wide label 231 lies beyond the validator's probe, so the file
+        # loads and the range table's width budget stops it.
+        path = tmp_path / "late2.eco"
+        path.write_text(LATE2_TEXT)
+        code, out, err = run(capsys, "bench", "--task", "count", "--file", str(path),
+                             "-n", "240")
         assert (code, out) == (1, "")
         assert err == (
             "error: width budget of 100000 labels per successor run exceeded "
-            "after level 0; range table is partial\n"
+            "after level 231; range table is partial\n"
         )
 
 
@@ -414,3 +454,64 @@ def test_naive_count_stops_at_the_pair_budget():
         b"after level 12; output is partial\n"
     )
     assert done.stdout.splitlines()[-1] == b"12\t77160820913242"
+
+
+def test_sample_bench_stops_at_the_label_cap():
+    done = run_limited("bench", "--task", "sample", "--system", "even_jumps", "-n", "30")
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr == b"error: label cap 100000 exceeded at level 18; no walks drawn\n"
+
+
+def test_sample_stops_at_the_back_table_budget():
+    # Catalan's closure layers pass the budget's charge for their cells
+    # after level 2046, before any row of the table is built.
+    done = run_limited("sample", "--system", "catalan", "-n", "4000", "--count", "1")
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr == (
+        b"error: back-table budget of 2147483648 stored bits exceeded after "
+        b"level 2046; no walks drawn\n"
+    )
+    done = run_limited("sample", "--system", "catalan", "-n", "1000")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert len(done.stdout.split()) == 1001
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()
+    | st.text()
+    | st.lists(st.integers(-(2**70), 2**70)),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(json_values)
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("system", ["catalan", "motzkin"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "-n", "20"),
+        ("sample", "-n", "12", "--count", "3"),
+        ("classify",),
+        ("gf", "--order", "12"),
+        ("guess",),
+        ("bench", "--task", "count", "-n", "20"),
+        ("bench", "--task", "sample", "-n", "12"),
+        ("catalog",),
+        ("catalog", "--verify"),
+    ],
+)
+def test_json_output_is_what_json_dumps_writes(capsys, system, argv):
+    source = (system,) if argv[0] == "catalog" else ("--system", system)
+    code, out, _ = run(capsys, *argv, *source, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -7,10 +7,13 @@ multiplicities start at 0, so the range method's batched residue classes,
 its per-label route below their thresholds and its sparse levels all run."""
 
 from functools import cache
+from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecokit.catalog import get_entry
 from ecokit.dsl import (
     Affine,
     EcoSpec,
@@ -20,6 +23,7 @@ from ecokit.dsl import (
     Item,
     RuleClause,
     describer,
+    expand,
     successors,
 )
 from ecokit.engine import back_table, closure_layers, count_levels, sample_walks
@@ -93,6 +97,37 @@ def recount_ops(spec, levels):
     return ops
 
 
+def reference_back_table(spec, levels):
+    """The back table over the naive levels, one label at a time: each cell
+    sums the row below over the label's expanded successors."""
+    describe = describer(spec)
+    n = len(levels) - 1
+    g = [dict.fromkeys(levels[n], 1)]
+    for m in range(1, n + 1):
+        below = g[-1]
+        g.append({
+            k: sum(mult * below.get(j, 0) for j, mult in expand(describe(k)).items())
+            for k in levels[n - m]
+        })
+    return g
+
+
+def reference_walk(spec, g, rng):
+    """One walk drawn with Random.randrange(g[rem][k]) per step, the
+    successors taken in label order."""
+    k = spec.axiom
+    walk = [k]
+    for rem in range(len(g) - 1, 0, -1):
+        r = rng.randrange(g[rem][k])
+        for j, mult in sorted(successors(spec, k).items()):
+            r -= mult * g[rem - 1][j]
+            if r < 0:
+                k = j
+                break
+        walk.append(k)
+    return walk
+
+
 @settings(max_examples=200, deadline=None)
 @given(specs(), st.integers(0, 6), st.integers(0, 2**16))
 def test_engine_routes_agree(spec, n, seed):
@@ -103,7 +138,9 @@ def test_engine_routes_agree(spec, n, seed):
     assert ranged.stats["fallback_labels"] <= sum(map(len, naive.levels[:-1]))
     assert closure_layers(spec, n) == [set(level) for level in naive.levels]
     total = naive.totals[n]
-    assert back_table(spec, n)[n][spec.axiom] == total
+    g = back_table(spec, n)
+    assert g == reference_back_table(spec, naive.levels)
+    assert g[n][spec.axiom] == total
     if total:
         seq = sample_walks(spec, n, 3, seed, strategy="sequential")
         assert sample_walks(spec, n, 3, seed, strategy="binary") == seq
@@ -141,11 +178,25 @@ def test_batched_and_sparse_routes():
     table = count_levels(MIXED, 30, method="range")
     assert table.levels == count_levels(MIXED, 30, method="naive").levels
     assert table.stats["update_ops"] == recount_ops(MIXED, table.levels)
+    assert back_table(MIXED, 30) == reference_back_table(MIXED, table.levels)
     labels = sum(map(len, table.levels[:-1]))
     # About three labels per level sit below the threshold.
     assert table.stats["fallback_labels"] < 4 * 30 < labels
     spread = count_levels(SPREAD, 30, method="range")
     assert spread.levels == count_levels(SPREAD, 30, method="naive").levels
+    assert back_table(SPREAD, 30) == reference_back_table(SPREAD, spread.levels)
     assert spread.stats["update_ops"] == recount_ops(SPREAD, spread.levels)
     # Only the first levels are dense enough for a list.
     assert spread.stats["fallback_labels"] > sum(map(len, spread.levels[:-1])) - 30
+
+
+@pytest.mark.parametrize("name", ["catalan", "motzkin", "walk_notch1", "bell", "fibonacci"])
+def test_binary_walks_follow_the_randrange_stream(name):
+    # The binary descent draws with getrandbits; it must take the same bits
+    # as one randrange per step, so a seed keeps giving the same walks.
+    spec = get_entry(name).spec()
+    g = back_table(spec, 25)
+    for seed in (0, 7, 2026):
+        rng = Random(seed)
+        expected = [reference_walk(spec, g, rng) for _ in range(6)]
+        assert sample_walks(spec, 25, 6, seed) == expected
