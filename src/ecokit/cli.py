@@ -457,7 +457,7 @@ def _bench_sample(name, spec, args):
     factor = (
         timings["sequential"] / timings["binary"] if timings["binary"] > 0 else None
     )
-    table = sampler.stats
+    table = sampler.g
     if args.format == "csv":
         _emit_csv(
             ["phase", "seconds"],
@@ -473,9 +473,9 @@ def _bench_sample(name, spec, args):
                 "n": args.n,
                 "draws": args.count,
                 "table_build_seconds": build,
-                "closure_seconds": table["closure_seconds"],
-                "rows_seconds": table["rows_seconds"],
-                "back_table_cells": table["cells"],
+                "closure_seconds": table.closure_seconds,
+                "rows_seconds": table.rows_seconds,
+                "back_table_cells": table.cells,
                 "draw_entries": sampler.draw_entries,
                 "strategy_seconds": timings,
                 "sequential_over_binary": factor,
@@ -484,8 +484,8 @@ def _bench_sample(name, spec, args):
     else:
         print(f"bench sample {name}  n={args.n}  draws={args.count}")
         print(
-            f"  table build {build:.4f} s   closure {table['closure_seconds']:.4f} s   "
-            f"rows {table['rows_seconds']:.4f} s   cells={table['cells']}"
+            f"  table build {build:.4f} s   closure {table.closure_seconds:.4f} s   "
+            f"rows {table.rows_seconds:.4f} s   cells={table.cells}"
         )
         for k, v in timings.items():
             print(f"  {k:<12} {v:.4f} s")

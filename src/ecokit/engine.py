@@ -91,10 +91,15 @@ NAIVE_PAIRS = 4_000_000
 
 # The back table charges each cell its count's bit length plus _CELL_BITS for
 # the label's entries in its closure layer and its row (about 130 bytes in
-# CPython), and stops before the charge passes BACK_BITS.  Catalan at n=1000
-# is charged about 0.94e9 bits (135 MB peak RSS); the budget stops catalan
-# near n=1500, and permutations or bell before their counts' digits run the
-# process out of memory.
+# CPython), and stops before the charge passes BACK_BITS.  Under an 800 MiB
+# address-space limit, `sample --count 1` on the catalog systems ran out of
+# memory at 3.0e9 bits for permutations and 3.3e9 for fibonacci, whose walk's
+# draw entries copy nearly every count of their narrow layers once more, and
+# at 5.1e9 to 6.4e9 for the other systems (even_jumps meets its label cap
+# first).  BACK_BITS is three quarters of the largest charge permutations
+# still fit (2.9e9 at n=20500, 771 MiB peak RSS).  Walks then stop from
+# catalan n=1394, motzkin 1442, bell 1066, permutations 17827 and fibonacci
+# 54162.
 BACK_BITS = 2**31
 _CELL_BITS = 1024
 
@@ -568,12 +573,13 @@ class TableBudgetError(SpecError):
         self.level = level
 
 
-def _closure(spec, n, max_labels, describe, plan, charge=False):
+def _closure(spec, n, max_labels, describe, plan):
     """Layers R_0..R_n, each the support of the range step (batched by
     `plan`) applied to a level of ones.
 
-    LabelCapError when a layer holds more than max_labels labels; with
-    `charge`, TableBudgetError when the layers' cells pass BACK_BITS."""
+    LabelCapError when a layer holds more than max_labels labels;
+    TableBudgetError when the layers' cells, charged _CELL_BITS each, pass
+    BACK_BITS."""
     layers = [{spec.axiom}]
     cells = 1
     for depth in range(1, n + 1):
@@ -584,7 +590,7 @@ def _closure(spec, n, max_labels, describe, plan, charge=False):
         if max_labels is not None and len(nxt) > max_labels:
             raise LabelCapError(max_labels, depth)
         cells += len(nxt)
-        if charge and cells * _CELL_BITS > BACK_BITS:
+        if cells * _CELL_BITS > BACK_BITS:
             raise TableBudgetError(depth - 1)
         layers.append(set(nxt))
     return layers
@@ -593,7 +599,8 @@ def _closure(spec, n, max_labels, describe, plan, charge=False):
 def closure_layers(spec, n, max_labels=None):
     """Distinct-label sets R_0..R_n reachable from the axiom, level by level.
 
-    LabelCapError when a layer holds more than `max_labels` labels.
+    LabelCapError when a layer holds more than `max_labels` labels;
+    TableBudgetError when the layers' cells pass the back table's budget.
     """
     return _closure(spec, n, max_labels, cache(describer(spec)), _class_plan(spec))
 
@@ -690,22 +697,32 @@ def _dense_row(layer, prev, plan, describe):
     return row
 
 
-def back_table(spec, n, max_labels=None, describe=None, stats=None):
+class BackTable(list):
+    """The rows g[0..n] of a back table, with how they were built: the
+    cached describer the closure filled (`describe`), the table's `cells`,
+    and the seconds spent on the closure and on the rows."""
+
+    def __init__(self, rows, describe, cells, closure_seconds, rows_seconds):
+        super().__init__(rows)
+        self.describe = describe
+        self.cells = cells
+        self.closure_seconds = closure_seconds
+        self.rows_seconds = rows_seconds
+
+
+def back_table(spec, n, max_labels=None):
     """g[m][k] = walks of length m starting at label k, for k reachable at depth n-m.
 
     g[n][axiom] equals the level-n total of count_levels, which gives an
     independent route to the same number.  LabelCapError when a closure
     layer holds more than `max_labels` labels; TableBudgetError, naming the
     last closure layer or table row that fit, when the table would pass
-    BACK_BITS.  `describe`, a cached describer of spec, is shared with the
-    caller; `stats`, a dict, receives the table's cells and the seconds spent
-    on the closure and on the rows.
+    BACK_BITS.  The rows come back as a BackTable.
     """
-    if describe is None:
-        describe = cache(describer(spec))
+    describe = cache(describer(spec))
     t0 = time.perf_counter()
     plan = _class_plan(spec)
-    layers = _closure(spec, n, max_labels, describe, plan, charge=True)
+    layers = _closure(spec, n, max_labels, describe, plan)
     t1 = time.perf_counter()
     cells = sum(map(len, layers))
     # The bottom row's counts are all 1, one bit each.
@@ -720,11 +737,7 @@ def back_table(spec, n, max_labels=None, describe=None, stats=None):
         if charged > BACK_BITS:
             raise TableBudgetError(m - 1)
         g.append(row)
-    if stats is not None:
-        stats["cells"] = cells
-        stats["closure_seconds"] = t1 - t0
-        stats["rows_seconds"] = time.perf_counter() - t1
-    return g
+    return BackTable(g, describe, cells, t1 - t0, time.perf_counter() - t1)
 
 
 # ---------------------------------------------------------------------------
@@ -746,16 +759,15 @@ class WalkSampler:
       of ``Random.randrange`` on ``getrandbits``, so it takes the same bits
       from the generator, then a binary search picks the successor.
 
-    `stats` holds the back table's cells and its closure and row seconds.
+    `g`, the BackTable, also holds its cells and its closure and row seconds.
     """
 
     def __init__(self, spec, n, max_labels=None):
         self.spec = spec
         self.n = n
-        describe = cache(describer(spec))
-        self.stats = {}
-        self.g = back_table(spec, n, max_labels, describe=describe, stats=self.stats)
+        self.g = back_table(spec, n, max_labels)
         self.total = self.g[n][spec.axiom]
+        describe = self.g.describe
         # The labels are those of the back table, which the label cap bounds.
         self._children = cache(lambda k: sorted(expand(describe(k)).items()))
         self._draws = [{} for _ in range(n + 1)]

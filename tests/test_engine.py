@@ -7,6 +7,7 @@ from ecokit.catalog import get_entry
 from ecokit.dsl import SpecError, parse_spec, successors
 from ecokit.engine import (
     LabelCapError,
+    TableBudgetError,
     WalkSampler,
     antidiagonal_values,
     back_table,
@@ -130,6 +131,29 @@ class TestClosureAndBackTable:
                 build(spec, 30, max_labels=500)
             assert (exc.value.cap, exc.value.level) == (500, 10)
         assert len(closure_layers(spec, 9, max_labels=500)[9]) == 256
+
+    def test_budget_stops_closure_and_back_table(self, monkeypatch):
+        # Catalan's layer d holds d+1 labels: 45 cells through layer 8, 55
+        # through layer 9.
+        spec = spec_of("catalan")
+        monkeypatch.setattr(engine, "BACK_BITS", 50 * engine._CELL_BITS)
+        for build in (closure_layers, back_table):
+            with pytest.raises(TableBudgetError) as exc:
+                build(spec, 12)
+            assert exc.value.level == 8
+        assert len(closure_layers(spec, 8)) == 9
+        # A row's counts are charged their bit lengths on top of the cells.
+        g = back_table(spec, 8)
+        assert g.cells == 45
+        charged = 45 * engine._CELL_BITS + sum(
+            c.bit_length() for row in g for c in row.values()
+        )
+        monkeypatch.setattr(engine, "BACK_BITS", charged)
+        assert back_table(spec, 8) == g
+        monkeypatch.setattr(engine, "BACK_BITS", charged - 1)
+        with pytest.raises(TableBudgetError) as exc:
+            back_table(spec, 8)
+        assert exc.value.level == 7
 
 
 class TestSampler:
