@@ -18,6 +18,7 @@ from .engine import (
     CountTable,
     WalkSampler,
     count_levels,
+    iter_levels,
     sample_walks,
     total_series,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "CountTable",
     "WalkSampler",
     "count_levels",
+    "iter_levels",
     "total_series",
     "sample_walks",
     "QPoly",

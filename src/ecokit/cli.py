@@ -140,7 +140,9 @@ def _cmd_count(args):
     name, spec = _load_valid_source(args)
     if args.n < 0:
         raise UsageError("-n must be nonnegative")
-    table = count_levels(spec, args.n, method=args.method, max_labels=args.cap)
+    table = count_levels(
+        spec, args.n, method=args.method, max_labels=args.cap, label_sums=args.format == "json"
+    )
     totals = table.totals
     if args.format == "csv":
         _emit_csv(["n", "total"], list(enumerate(totals)))
@@ -261,6 +263,8 @@ def _cmd_gf(args):
 
 def _cmd_guess(args):
     _no_csv(args)
+    if args.order < 1:
+        raise UsageError("--order must be at least 1")
     name, spec = _load_source(args)
     table = count_levels(spec, args.order - 1, max_labels=_WIDTH_CAP)
     terms = table.totals
@@ -625,6 +629,11 @@ def _drop_stdout():
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # Exact totals pass CPython's default 4300-digit int-to-str limit
+    # (permutations from n = 1559 on), so it is lifted while a command runs.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code = _DISPATCH[args.command](args)
         sys.stdout.flush()
@@ -639,6 +648,9 @@ def run(argv=None) -> int:
     except (ClassifyError, KernelError, ContFracError, SeriesError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 def main():

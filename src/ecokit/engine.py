@@ -3,8 +3,10 @@
 Everything here runs on Python integers, so the counts are exact at any
 depth.  Every routine reads successors through `dsl.describer`: for each
 label, points (label, mult) and runs (lo, last, step, cuts) of labels spaced
-`step` apart, less the cut labels.  Two forward propagation methods are
-provided:
+`step` apart, less the cut labels.  Forward propagation is one generator,
+``iter_levels``, which holds only the current level; ``count_levels`` folds
+it into per-level totals (and label sums on request).  Two forward
+propagation methods are provided:
 
 * ``naive`` expands each label's description once into (successor label,
   multiplicity) pairs and applies them to every level the label populates.
@@ -132,40 +134,17 @@ def _check_runs(runs, cap):
 
 @dataclass
 class CountTable:
-    """Counts by depth and label: levels[n][k] nodes at depth n carry label k."""
+    """Per-level results of a propagation: totals[n] nodes at depth n and,
+    when asked for, label_sums[n], the sum of their labels."""
 
     mode: str
-    levels: list
+    totals: list
+    label_sums: list | None = None
     stats: dict = field(default_factory=dict)
 
     @property
     def depth(self):
-        return len(self.levels) - 1
-
-    @property
-    def totals(self):
-        """Nodes per level; in eco mode this is the enumerated sequence."""
-        return [sum(lv.values()) for lv in self.levels]
-
-    @property
-    def label_sums(self):
-        return [sum(map(mul, lv.keys(), lv.values())) for lv in self.levels]
-
-    def count(self, n, k):
-        if not 0 <= n < len(self.levels):
-            raise IndexError(f"level {n} not computed")
-        return self.levels[n].get(k, 0)
-
-    def to_json_obj(self):
-        return {
-            "mode": self.mode,
-            "totals": self.totals,
-            "label_sums": self.label_sums,
-            "levels": [
-                {str(k): lv[k] for k in sorted(lv)} for lv in self.levels
-            ],
-            "stats": self.stats,
-        }
+        return len(self.totals) - 1
 
 
 def _next_level_naive(level, succ):
@@ -479,18 +458,28 @@ def _next_level_range(level, describe, plan, cap=None):
     return nxt, ops, len(level)
 
 
-def count_levels(spec, n, method="auto", max_labels=None) -> CountTable:
-    """Tabulate labels over the first n+1 levels of the generating tree.
+def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
+    """Yield the label counts {label: nodes} of levels 0..n of the generating
+    tree, one dict at a time; only the current level is held.
 
-    `max_labels` caps the number of distinct labels per level: systems whose
-    label support widens exponentially stop early instead of exhausting
-    memory, and the table then holds fewer than n+1 levels (recorded in
+    `stats`, when given, is filled as the levels go: method, levels,
+    update_ops, peak_labels and (range) fallback_labels are current after
+    each yield, and seconds (wall time to exhaustion, the consumer's time
+    between levels included), with truncated and budget when a budget
+    stopped the tree, are added once the generator is exhausted.
+    `max_labels` caps the number of distinct labels per level: systems
+    whose label support widens exponentially stop early instead of
+    exhausting memory, with fewer than n+1 levels (recorded in
     stats["truncated"], and as (kind, limit) in stats["budget"]).  A level
-    with one run wider than the cap is cut from its descriptions, before any
-    of its labels is written, and its update ops are not counted.  Without
-    a cap, a run wider than MAX_SUCCESSORS labels stops the table the same
-    way; the naive method also stops before its cached pairs pass NAIVE_PAIRS.
+    with one run wider than the cap is cut from its descriptions, before
+    any of its labels is written, and its update ops are not counted.
+    Without a cap, a run wider than MAX_SUCCESSORS labels stops the tree the
+    same way; the naive method also stops before its cached pairs pass
+    NAIVE_PAIRS.  ValueError, when iteration starts, for n < 0 or an
+    unknown method.
     """
+    if n < 0:
+        raise ValueError(f"level count needs n >= 0, got {n}")
     if method == "auto":
         has_intervals = any(c.intervals for c in spec.clauses)
         method = "range" if has_intervals else "naive"
@@ -521,36 +510,48 @@ def count_levels(spec, n, method="auto", max_labels=None) -> CountTable:
         # every label seen.
         step = partial(_next_level_range, plan=_class_plan(spec), cap=width)
         lower = describe
-    ops = lone = 0
-    levels = [{spec.axiom: 1}]
-    peak = 1
+    if stats is None:
+        stats = {}
+    stats.update(method=method, levels=0, update_ops=0, peak_labels=1)
+    if method == "range":
+        stats["fallback_labels"] = 0
+    level = {spec.axiom: 1}
+    yield level
     stop = None
     for _ in range(n):
         try:
-            nxt, done, lowered = step(levels[-1], lower)
+            level, done, lowered = step(level, lower)
         except _OverCap as exc:
             stop = exc.args[0] if exc.args else budget
             break
-        ops += done
-        lone += lowered
-        if max_labels is not None and len(nxt) > max_labels:
+        # A level over the cap is dropped, but the work it took is counted.
+        stats["update_ops"] += done
+        if method == "range":
+            stats["fallback_labels"] += lowered
+        if max_labels is not None and len(level) > max_labels:
             stop = budget
             break
-        levels.append(nxt)
-        peak = max(peak, len(nxt))
-    stats = {
-        "method": method,
-        "levels": len(levels) - 1,
-        "update_ops": ops,
-        "peak_labels": peak,
-    }
-    if method == "range":
-        stats["fallback_labels"] = lone
+        stats["levels"] += 1
+        stats["peak_labels"] = max(stats["peak_labels"], len(level))
+        yield level
     stats["seconds"] = round(time.perf_counter() - t0, 6)
     if stop:
         stats["truncated"] = True
         stats["budget"] = stop
-    return CountTable(mode=spec.mode, levels=levels, stats=stats)
+
+
+def count_levels(spec, n, method="auto", max_labels=None, label_sums=False) -> CountTable:
+    """Totals (and, with `label_sums`, label sums) of levels 0..n, folded
+    from `iter_levels` with one level in memory at a time; the stats are
+    those `iter_levels` fills."""
+    stats = {}
+    totals = []
+    sums = [] if label_sums else None
+    for level in iter_levels(spec, n, method, max_labels, stats):
+        totals.append(sum(level.values()))
+        if label_sums:
+            sums.append(sum(map(mul, level.keys(), level.values())))
+    return CountTable(mode=spec.mode, totals=totals, label_sums=sums, stats=stats)
 
 
 def total_series(spec, order, method="auto", max_labels=None):
@@ -846,18 +847,22 @@ def antidiagonal_values(spec, nmax, kmax):
 
     Requires the top label to advance by exactly one per level.  Returns a
     list over k <= kmax of (stable value, first level it stabilized at),
-    where stable means constant from that level through nmax.
+    where stable means constant from that level through nmax.  Only each
+    level's top label and its kmax+1 values below the top are kept.
     """
-    table = count_levels(spec, nmax)
-    tops = [max(lv) for lv in table.levels]
-    for n in range(1, nmax + 1):
-        if tops[n] != tops[n - 1] + 1:
-            raise SpecError(f"top label moves by {tops[n] - tops[n - 1]} at level {n}")
+    stats = {}
+    diagonals, prev = [], None
+    for n, level in enumerate(iter_levels(spec, nmax, stats=stats)):
+        top = max(level)
+        if n and top != prev + 1:
+            raise SpecError(f"top label moves by {top - prev} at level {n}")
+        prev = top
+        diagonals.append([level.get(top - k, 0) for k in range(min(kmax, top) + 1)])
+    if stats.get("truncated"):
+        raise SpecError(stop_text(stats["budget"], stats["levels"]))
     out = []
     for k in range(kmax + 1):
-        vals = [
-            table.levels[n].get(tops[n] - k, 0) for n in range(nmax + 1) if tops[n] - k >= 0
-        ]
+        vals = [row[k] for row in diagonals if len(row) > k]
         if not vals:
             raise SpecError(f"antidiagonal {k} never appears up to level {nmax}")
         stable = vals[-1]

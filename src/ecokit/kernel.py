@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .qpoly import QPoly, _exact_all
 from .series import (
@@ -123,7 +124,8 @@ class GFResult:
 
 
 def _divide_rows(kp, small, order):
-    """Rows f_n(u) of F = -S/K from K0 f_n = -S_n - K1 f_{n-1}.
+    """Yield the rows f_n(u) of F = -S/K from K0 f_n = -S_n - K1 f_{n-1},
+    keeping only the previous row.
 
     K0 = u^b (1-u), so each row divides exactly: strip u^b (the low
     coefficients must vanish) and then peel (1-u) with a running sum whose
@@ -131,27 +133,22 @@ def _divide_rows(kp, small, order):
     """
     k1 = kp.K.z_slice(1)
     b = kp.b
-    rows = []
+    row = None
     for n in range(order):
         rhs = -small.z_slice(n)
         if n > 0:
-            rhs = rhs - k1 * rows[n - 1]
+            rhs = rhs - k1 * row
         if rhs.is_zero():
-            rows.append(QPoly.zero())
-            continue
-        coeffs = list(rhs.coeffs)
-        if any(coeffs[:b]):
-            raise KernelError(f"row {n} not divisible by u^{b}")
-        coeffs = coeffs[b:]
-        quotient = []
-        run = 0
-        for c in coeffs:
-            run += c
-            quotient.append(run)
-        if quotient[-1] != 0:
-            raise KernelError(f"row {n} not divisible by (1-u)")
-        rows.append(QPoly._of(_exact_all(quotient[:-1])))
-    return rows
+            row = QPoly.zero()
+        else:
+            coeffs = list(rhs.coeffs)
+            if any(coeffs[:b]):
+                raise KernelError(f"row {n} not divisible by u^{b}")
+            quotient = list(accumulate(coeffs[b:]))
+            if quotient[-1] != 0:
+                raise KernelError(f"row {n} not divisible by (1-u)")
+            row = QPoly._of(_exact_all(quotient[:-1]))
+        yield row
 
 
 def kernel_gfs(kp, order=32, window=16):
@@ -161,7 +158,8 @@ def kernel_gfs(kp, order=32, window=16):
     when b = 0 and from a Hensel lift otherwise.  Every walk count must be a
     nonnegative integer, each row must sum to the matching F(z,1)
     coefficient, and the excursion column is reconciled against both printed
-    single-formula variants.
+    single-formula variants.  The rows are checked and their low
+    coefficients collected as they are divided, one row in memory at a time.
     """
     K = kp.K.truncate(order)
     if kp.b == 0:
@@ -174,8 +172,8 @@ def kernel_gfs(kp, order=32, window=16):
         raise KernelError("small factor does not vanish at u = 1, z = 0")
     z_series = TruncSeries.from_poly([0, 1], order)
     f1 = -at_one / z_series
-    rows = _divide_rows(kp, small, order)
-    for n, row in enumerate(rows):
+    f0, columns = [], [[] for _ in range(window + 1)]
+    for n, row in enumerate(_divide_rows(kp, small, order)):
         for c in row.coeffs:
             if c.denominator != 1 or c < 0:
                 raise KernelError(
@@ -183,15 +181,15 @@ def kernel_gfs(kp, order=32, window=16):
                 )
         if n < f1.order and row.eval(1) != f1[n]:
             raise KernelError(f"row {n} sum disagrees with F(z,1)")
-    f0 = TruncSeries([row[0] for row in rows])
-    columns = [
-        TruncSeries([row[k] for row in rows]) for k in range(window + 1)
-    ]
+        f0.append(row[0])
+        for k, column in enumerate(columns):
+            column.append(row[k])
+    f0 = TruncSeries(f0)
     variant = _reconcile_excursions(kp, small, f0)
     return GFResult(
         F1=f1,
         F0=f0,
-        Fu=columns,
+        Fu=[TruncSeries(column) for column in columns],
         small_factor=small,
         kernel=kp,
         excursion_variant=variant,

@@ -20,7 +20,7 @@ from ecokit.classify import (
     rational_gf_parity,
 )
 from ecokit.contfrac import BirthDeathRule, cf_excursions
-from ecokit.engine import count_levels, sample_walks, total_series
+from ecokit.engine import count_levels, iter_levels, sample_walks, total_series
 from ecokit.guess import guess_algebraic, guess_rational
 from ecokit.kernel import build_kernel, kernel_gfs
 from ecokit.qpoly import QPoly
@@ -93,19 +93,19 @@ def test_04_bivariate_solution_matches_label_counts():
         spec = spec_of(name)
         form = factorial_form(spec)
         gf = kernel_gfs(build_kernel(form, 14), 14, window=12)
-        table = count_levels(spec, 12)
+        levels = list(iter_levels(spec, 12))
         for k in range(13):
             column = gf.Fu[k].as_ints()
             for n in range(13):
-                assert column[n] == table.count(n, form.base + k), (name, n, k)
+                assert column[n] == levels[n].get(form.base + k, 0), (name, n, k)
 
 
 def test_05_excursion_continued_fraction():
     spec = spec_of("bessel")
     excursions = cf_excursions(BirthDeathRule.from_spec(spec), 25).as_ints()
     assert excursions[:9] == [1, 1, 2, 4, 9, 22, 58, 164, 496]
-    table = count_levels(spec, 24)
-    assert excursions == [table.count(n, 0) for n in range(25)]
+    levels = list(iter_levels(spec, 24))
+    assert excursions == [levels[n].get(0, 0) for n in range(25)]
 
     # peeling off the first fraction level leaves the rule with one more
     # stay loop per height; excursions must reassemble as 1/(1 - z - z^2 B)
@@ -148,12 +148,12 @@ def test_06_guessing_recovers_known_relations():
 
 
 def test_07_diagonal_columns_stabilize():
-    table = count_levels(spec_of("ceil_half"), 45)
+    levels = list(iter_levels(spec_of("ceil_half"), 45))
 
     def g(n, k):
-        return table.count(n, n - k + 1)
+        return levels[n].get(n - k + 1, 0)
 
-    f_rows = [[table.count(n, k) for k in range(1, n + 2)] for n in range(6)]
+    f_rows = [[levels[n].get(k, 0) for k in range(1, n + 2)] for n in range(6)]
     assert f_rows == [
         [1],
         [0, 1],

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import resource
 import subprocess
@@ -59,6 +60,17 @@ def run(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def no_digit_limit():
+    """Lift CPython's int-to-str digit limit in this process for one test."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
+    yield
+    if digits is not None:
+        sys.set_int_max_str_digits(digits)
 
 
 def run_limited(*argv, lines=None):
@@ -301,6 +313,12 @@ class TestGF:
 
 
 class TestGuess:
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_order_below_one_is_usage_error(self, capsys, order):
+        code, out, err = run(capsys, "guess", "--system", "catalan", "--order", order)
+        assert (code, out) == (2, "")
+        assert err == "error: --order must be at least 1\n"
+
     def test_rational_system(self, capsys):
         code, out, _ = run(capsys, "guess", "--system", "fibonacci")
         assert code == 0
@@ -454,6 +472,26 @@ def test_naive_count_stops_at_the_pair_budget():
         b"after level 12; output is partial\n"
     )
     assert done.stdout.splitlines()[-1] == b"12\t77160820913242"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_count_prints_totals_past_the_digit_limit(fmt, no_digit_limit):
+    # 1700! has 4,756 digits, past CPython's default int-to-str limit.
+    done = run_limited("count", "--system", "permutations", "-n", "1700", "--format", fmt)
+    assert (done.returncode, done.stderr) == (0, b"")
+    if fmt == "json":
+        last = json.loads(done.stdout)["totals"][-1]
+    else:
+        last = int(done.stdout.split()[-1].split(b",")[-1])
+    assert last == math.factorial(1700)
+
+
+def test_count_keeps_one_level_in_memory():
+    # Keeping every level of catalan to n = 2500 takes more than the
+    # 800 MB of address space; one level at a time takes under 30 MB.
+    done = run_limited("count", "--system", "catalan", "-n", "2500", "--format", "csv")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.splitlines()[-1] == b"2500,%d" % (math.comb(5002, 2501) // 2502)
 
 
 def test_sample_bench_stops_at_the_label_cap():

@@ -13,6 +13,7 @@ from ecokit.engine import (
     back_table,
     closure_layers,
     count_levels,
+    iter_levels,
     sample_walks,
     total_series,
 )
@@ -25,10 +26,10 @@ def spec_of(name):
 class TestCounting:
     def test_catalan_levels_by_hand(self):
         # axiom 2; node k yields 2..k+1.  Levels expanded manually:
-        table = count_levels(spec_of("catalan"), 2)
-        assert table.levels[0] == {2: 1}
-        assert table.levels[1] == {2: 1, 3: 1}
-        assert table.levels[2] == {2: 2, 3: 2, 4: 1}
+        levels = list(iter_levels(spec_of("catalan"), 2))
+        assert levels[0] == {2: 1}
+        assert levels[1] == {2: 1, 3: 1}
+        assert levels[2] == {2: 2, 3: 2, 4: 1}
 
     @pytest.mark.parametrize(
         "name", ["catalan", "motzkin", "goldbach", "ceil_half", "bessel", "bell"]
@@ -50,7 +51,7 @@ class TestCounting:
     def test_eco_label_sums_give_next_level(self, name):
         # In eco mode each node has as many children as its label, so the
         # label sum of one level is the node count of the next.
-        table = count_levels(spec_of(name), 14)
+        table = count_levels(spec_of(name), 14, label_sums=True)
         assert table.label_sums[:-1] == table.totals[1:]
 
     def test_auto_method_selection(self):
@@ -63,19 +64,24 @@ class TestCounting:
         with pytest.raises(ValueError):
             count_levels(spec_of("catalan"), 3, method="magic")
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="n >= 0"):
+            count_levels(spec_of("catalan"), -1)
+
     def test_count_accessor_bounds(self):
-        table = count_levels(spec_of("catalan"), 3)
-        assert table.count(2, 4) == 1
-        assert table.count(2, 99) == 0
+        levels = list(iter_levels(spec_of("catalan"), 3))
+        assert levels[2].get(4, 0) == 1
+        assert levels[2].get(99, 0) == 0
         with pytest.raises(IndexError):
-            table.count(7, 2)
+            levels[7]
 
     def test_max_labels_truncates_wide_systems(self):
         # Label support doubles per level here; the cap must kick in.
-        table = count_levels(spec_of("even_jumps"), 40, max_labels=500)
+        spec = spec_of("even_jumps")
+        table = count_levels(spec, 40, max_labels=500)
         assert table.stats["truncated"]
         assert table.depth < 40
-        assert all(len(lv) <= 500 for lv in table.levels)
+        assert all(len(lv) <= 500 for lv in iter_levels(spec, 40, max_labels=500))
 
     @pytest.mark.parametrize("method", ["naive", "range"])
     def test_uncapped_levels_stop_at_the_width_budget(self, method):
@@ -194,12 +200,12 @@ class TestSampler:
 class TestAntidiagonals:
     def test_values_match_direct_reading(self):
         spec = spec_of("ceil_half")
-        table = count_levels(spec, 20)
+        levels = list(iter_levels(spec, 20))
         out = antidiagonal_values(spec, 20, 6)
         for k, (value, first) in enumerate(out):
-            tops = [max(lv) for lv in table.levels]
-            assert value == table.levels[20].get(tops[20] - k, 0)
-            assert table.levels[first].get(tops[first] - k, 0) == value
+            tops = [max(lv) for lv in levels]
+            assert value == levels[20].get(tops[20] - k, 0)
+            assert levels[first].get(tops[first] - k, 0) == value
 
     def test_requires_top_label_advancing_by_one(self):
         with pytest.raises(Exception):

@@ -26,7 +26,7 @@ from ecokit.dsl import (
     expand,
     successors,
 )
-from ecokit.engine import back_table, closure_layers, count_levels, sample_walks
+from ecokit.engine import back_table, closure_layers, count_levels, iter_levels, sample_walks
 
 
 def affine(slopes, lo, hi):
@@ -129,17 +129,28 @@ def reference_walk(spec, g, rng):
 
 
 @settings(max_examples=200, deadline=None)
-@given(specs(), st.integers(0, 6), st.integers(0, 2**16))
-def test_engine_routes_agree(spec, n, seed):
-    naive = count_levels(spec, n, method="naive")
-    ranged = count_levels(spec, n, method="range")
-    assert naive.levels == ranged.levels
-    assert ranged.stats["update_ops"] == recount_ops(spec, naive.levels)
-    assert ranged.stats["fallback_labels"] <= sum(map(len, naive.levels[:-1]))
-    assert closure_layers(spec, n) == [set(level) for level in naive.levels]
-    total = naive.totals[n]
+@given(specs(), st.integers(0, 6), st.integers(0, 2**16), st.none() | st.integers(1, 8))
+def test_engine_routes_agree(spec, n, seed, cap):
+    ranged_stats = {}
+    naive = list(iter_levels(spec, n, "naive"))
+    ranged = list(iter_levels(spec, n, "range", stats=ranged_stats))
+    assert naive == ranged
+    assert ranged_stats["update_ops"] == recount_ops(spec, naive)
+    assert ranged_stats["fallback_labels"] <= sum(map(len, naive[:-1]))
+    assert closure_layers(spec, n) == [set(level) for level in naive]
+    # count_levels is a fold over the same stream, capped or not.
+    for method in ("naive", "range"):
+        stats = {}
+        levels = list(iter_levels(spec, n, method, cap, stats))
+        table = count_levels(spec, n, method, cap, label_sums=True)
+        assert table.totals == [sum(level.values()) for level in levels]
+        assert table.label_sums == [sum(k * c for k, c in level.items()) for level in levels]
+        assert table.depth == stats["levels"] == len(levels) - 1
+        assert list(table.stats) == list(stats)
+        assert {**table.stats, "seconds": 0} == {**stats, "seconds": 0}
+    total = sum(naive[n].values())
     g = back_table(spec, n)
-    assert g == reference_back_table(spec, naive.levels)
+    assert g == reference_back_table(spec, naive)
     assert g[n][spec.axiom] == total
     if total:
         seq = sample_walks(spec, n, 3, seed, strategy="sequential")
@@ -175,19 +186,21 @@ SPREAD = EcoSpec("spread", "eco", 3, (
 
 
 def test_batched_and_sparse_routes():
-    table = count_levels(MIXED, 30, method="range")
-    assert table.levels == count_levels(MIXED, 30, method="naive").levels
-    assert table.stats["update_ops"] == recount_ops(MIXED, table.levels)
-    assert back_table(MIXED, 30) == reference_back_table(MIXED, table.levels)
-    labels = sum(map(len, table.levels[:-1]))
+    stats = {}
+    levels = list(iter_levels(MIXED, 30, "range", stats=stats))
+    assert levels == list(iter_levels(MIXED, 30, "naive"))
+    assert stats["update_ops"] == recount_ops(MIXED, levels)
+    assert back_table(MIXED, 30) == reference_back_table(MIXED, levels)
+    labels = sum(map(len, levels[:-1]))
     # About three labels per level sit below the threshold.
-    assert table.stats["fallback_labels"] < 4 * 30 < labels
-    spread = count_levels(SPREAD, 30, method="range")
-    assert spread.levels == count_levels(SPREAD, 30, method="naive").levels
-    assert back_table(SPREAD, 30) == reference_back_table(SPREAD, spread.levels)
-    assert spread.stats["update_ops"] == recount_ops(SPREAD, spread.levels)
+    assert stats["fallback_labels"] < 4 * 30 < labels
+    spread_stats = {}
+    spread = list(iter_levels(SPREAD, 30, "range", stats=spread_stats))
+    assert spread == list(iter_levels(SPREAD, 30, "naive"))
+    assert back_table(SPREAD, 30) == reference_back_table(SPREAD, spread)
+    assert spread_stats["update_ops"] == recount_ops(SPREAD, spread)
     # Only the first levels are dense enough for a list.
-    assert spread.stats["fallback_labels"] > sum(map(len, spread.levels[:-1])) - 30
+    assert spread_stats["fallback_labels"] > sum(map(len, spread[:-1])) - 30
 
 
 @pytest.mark.parametrize("name", ["catalan", "motzkin", "walk_notch1", "bell", "fibonacci"])

@@ -4,7 +4,7 @@ import pytest
 
 from ecokit.catalog import get_entry
 from ecokit.classify import factorial_form
-from ecokit.engine import count_levels, total_series
+from ecokit.engine import iter_levels, total_series
 from ecokit.kernel import (
     KernelError,
     build_kernel,
@@ -84,17 +84,17 @@ class TestKernelGFs:
         spec = get_entry(name).spec()
         form = form_of(name)
         gf = kernel_gfs(build_kernel(form, 13), 13, window=13)
-        table = count_levels(spec, 12)
+        levels = list(iter_levels(spec, 12))
         for k, col in enumerate(gf.Fu):
             ints = col.as_ints()
             for n in range(min(12, len(ints) - 1) + 1):
-                assert ints[n] == table.count(n, form.base + k)
+                assert ints[n] == levels[n].get(form.base + k, 0)
 
     def test_excursions_are_base_column(self):
         spec = get_entry("motzkin").spec()
         gf = kernel_gfs(build_kernel(form_of("motzkin"), 16), 16)
-        table = count_levels(spec, 15)
-        assert gf.F0.as_ints()[:16] == [table.count(n, 1) for n in range(16)]
+        levels = list(iter_levels(spec, 15))
+        assert gf.F0.as_ints()[:16] == [levels[n].get(1, 0) for n in range(16)]
 
     def test_excursion_variant_depends_on_boundary(self):
         flat = kernel_gfs(build_kernel(form_of("catalan"), 12), 12)
