@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -112,11 +111,9 @@ def _emit_json(obj):
 
 
 def _emit_csv(header, rows):
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    sys.stdout.write(out.getvalue())
 
 
 def _no_csv(args):
@@ -145,7 +142,7 @@ def _cmd_count(args):
     )
     totals = table.totals
     if args.format == "csv":
-        _emit_csv(["n", "total"], list(enumerate(totals)))
+        _emit_csv(["n", "total"], enumerate(totals))
     elif args.format == "json":
         _emit_json(
             {

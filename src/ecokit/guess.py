@@ -3,15 +3,23 @@ polynomial equations P(z, F) = 0 satisfied by the generating function.
 
 A rational fit is the shortest linear recurrence of the terms
 (Berlekamp-Massey, `shortest_recurrence`), re-expanded against every term.
-An algebraic candidate is solved for by exact linear algebra on a fitting
-window and re-verified against held-out terms.  Agreement on finitely many
-terms is strong evidence, not a proof.
+An algebraic candidate of bidegree (dz, df) is a kernel vector of the
+coefficient rows of z^i F^j (i <= dz, j <= df) on a fitting window, kept
+only when its residual also vanishes on the held-out terms.  Agreement on
+finitely many terms is strong evidence, not a proof.
 
-Most algebraic candidates have full column rank.  `nullspace_basis`
-settles those with a certificate modulo the prime 2^61 - 1 (an integer
-matrix has at least the rank over Q that it has mod p) and runs the exact
-`Fraction` elimination only when that fails, so its bases are the ones
-exact elimination gives.  Integer terms give integer rows.
+Most bidegrees have full column rank, and those cost no exact arithmetic.
+As in GFUN's `listtoalgeq` (Salvy & Zimmermann 1994), a sweep (`_Sweep`)
+reduces integer terms modulo the prime 2^61 - 1 once and extends the powers
+F^j mod p row by row, only as far as a rank certificate reads: a nonzero
+maximal minor mod p is nonzero over Z, so full rank mod p proves full rank
+over Q.  A certificate for (dz', df') covers every (dz, df) <= (dz', df'),
+whose columns are a subset, so a sweep ends once its maximal bidegrees are
+certified.  Only a bidegree whose rank drops mod p gets exact integer
+powers, built once per sweep, and `nullspace_basis` takes its kernel by
+fraction-free Gauss-Jordan elimination (Bareiss 1968) on integer rows,
+which gives the same reduced row echelon basis as `Fraction` elimination.
+Non-integer terms take the exact route for every bidegree.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .qpoly import _PRIME, QPoly
+from .qpoly import _PRIME, QPoly, _exact_all
 from .ratfunc import RatFunc
 from .series import TruncSeries
 
@@ -30,39 +38,23 @@ class GuessError(ValueError):
     """Raised when a fit is requested with too few terms."""
 
 
-def _rref(rows):
-    """Reduced row echelon form in place; returns pivot column list."""
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
-def _full_rank_mod_p(rows, ncols):
-    """True when the rows have rank ncols modulo _PRIME.
-
-    Each row is scaled to integers first; a nonzero ncols x ncols minor mod
-    p is nonzero over Z, so True proves full column rank over Q.
-    """
-    pivots = []  # (column, row normalised to 1 there), in insertion order
+def _int_rows(rows):
+    """The rows, each scaled by the lcm of its denominators: same kernel,
+    integer entries."""
+    out = []
     for row in rows:
-        den = lcm(*[x.denominator for x in row])
-        red = [x.numerator * (den // x.denominator) % _PRIME for x in row]
+        if any(x.__class__ is not int for x in row):
+            den = lcm(*[x.denominator for x in row])
+            row = [x.numerator * (den // x.denominator) for x in row]
+        out.append(row)
+    return out
+
+
+def _full_rank_reduced(rows, ncols):
+    """True when rows of residues mod _PRIME, taken in order, reach rank
+    ncols; stops reading rows once they do."""
+    pivots = []  # (column, row normalised to 1 there), in insertion order
+    for red in rows:
         for c, prow in pivots:
             f = red[c]
             if f:
@@ -77,20 +69,53 @@ def _full_rank_mod_p(rows, ncols):
     return False
 
 
-def nullspace_basis(rows, ncols):
-    """Basis of the kernel of the given row list (entries int or Fraction).
+def _full_rank_mod_p(rows, ncols):
+    """True when the rows have rank ncols modulo _PRIME.
 
-    A full-rank certificate mod p answers [] without exact arithmetic;
-    every other case runs the exact RREF, whose result is unique.
+    Each row is scaled to integers first; a nonzero ncols x ncols minor mod
+    p is nonzero over Z, so True proves full column rank over Q.
     """
-    if not rows:
-        return [
-            [Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)
-        ]
-    if len(rows) >= ncols and _full_rank_mod_p(rows, ncols):
+    return _full_rank_reduced(([x % _PRIME for x in row] for row in _int_rows(rows)), ncols)
+
+
+def _bareiss(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows, in
+    place.  Returns the pivot columns and the last pivot d: row r ends as d
+    times row r of the reduced row echelon form.  Each entry stays a minor
+    of the input, so every division is exact."""
+    pivots = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+        prev = p
+        pivots.append(c)
+        if r + 1 == len(rows):
+            break
+    return pivots, prev
+
+
+def nullspace_basis(rows, ncols):
+    """Basis of the kernel of the given row list (entries int or Fraction):
+    for each free column of the reduced row echelon form, in order, the
+    vector with 1 there and minus that column's RREF entries at the pivots.
+
+    The rows are scaled to integers.  A full-rank certificate mod p answers
+    [] without exact arithmetic; every other case runs `_bareiss`.
+    """
+    work = _int_rows(rows)
+    if len(work) >= ncols and _full_rank_mod_p(work, ncols):
         return []
-    work = [[Fraction(x) for x in row] for row in rows]
-    pivots = _rref(work)
+    pivots, d = _bareiss(work, ncols)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -99,7 +124,7 @@ def nullspace_basis(rows, ncols):
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
         for r, c in enumerate(pivots):
-            vec[c] = -work[r][free]
+            vec[c] = Fraction(-work[r][free], d)
         basis.append(vec)
     return basis
 
@@ -262,6 +287,92 @@ class AlgebraicGuess:
         }
 
 
+def _extend_powers(powers, rhead, df, length, mod=None):
+    """Extend powers[j], the coefficients of F^j (F given by its reversed
+    head rhead), to `length` coefficients for every j <= df, reduced mod
+    `mod` when it is given."""
+    if not powers:
+        powers.append([1] + [0] * (len(rhead) - 1))
+    while len(powers) <= df:
+        powers.append([])
+    last = len(rhead) - 1
+    for j in range(1, df + 1):
+        prev, cur = powers[j - 1], powers[j]
+        for k in range(len(cur), length):
+            c = sum(map(mul, prev, rhead[last - k:]))
+            cur.append(c % mod if mod else c)
+
+
+def _row(powers, m, dz, df):
+    """Coefficient of z^m in z^i F^j, for columns (j, i) in j-major order."""
+    return [powers[j][m - i] if m >= i else 0 for j in range(df + 1) for i in range(dz + 1)]
+
+
+class _Sweep:
+    """Coefficient rows of z^i F^j over one fitting window, shared by every
+    bidegree fitted to the same terms.
+
+    Integer terms get rank certificates mod p (`full_rank`), read from
+    powers of F mod p that grow a row at a time; `certified` keeps the
+    bidegrees proved to have full rank.  Exact powers (`exact_powers`) are
+    built only for a bidegree that the certificate cannot settle.
+    """
+
+    def __init__(self, terms, holdout):
+        self.terms = terms
+        self.holdout = holdout
+        self.fit = len(terms) - holdout
+        head = _exact_all(terms[: self.fit])
+        self.rhead = head[::-1]
+        self.modular = all(t.__class__ is int for t in head)
+        self.mod_rhead = [t % _PRIME for t in self.rhead] if self.modular else None
+        self.mod_powers = []
+        self.exact_powers = []
+        self.certified = []
+
+    def full_rank(self, dz, df):
+        """True when rank mod p proves that (dz, df) has no relation."""
+        if any(dz <= a and df <= b for a, b in self.certified):
+            return True
+        pw = self.mod_powers
+
+        def rows():
+            for m in range(self.fit):
+                _extend_powers(pw, self.mod_rhead, df, m + 1, _PRIME)
+                yield _row(pw, m, dz, df)
+
+        if _full_rank_reduced(rows(), (dz + 1) * (df + 1)):
+            self.certified.append((dz, df))
+            return True
+        return False
+
+    def relation(self, dz, df):
+        """A relation of bidegree <= (dz, df) from the kernel of the fitting
+        rows that holds on every term, or None."""
+        if self.modular and self.full_rank(dz, df):
+            return None
+        pw = self.exact_powers
+        _extend_powers(pw, self.rhead, df, self.fit)
+        rows = [_row(pw, m, dz, df) for m in range(self.fit)]
+        width = dz + 1
+        for vec in nullspace_basis(rows, width * (df + 1)):
+            if not any(vec[width:]):
+                continue
+            ints = _int_normalize(vec)
+            # Positive leading coefficient: graded lex with F > z.
+            lead = max(
+                (idx for idx, v in enumerate(ints) if v),
+                key=lambda idx: (idx % width + idx // width, idx // width),
+            )
+            if ints[lead] < 0:
+                ints = [-v for v in ints]
+            coeffs = tuple(QPoly(ints[j * width : (j + 1) * width]) for j in range(df + 1))
+            relation = AlgebraicRelation(coeffs=coeffs)
+            if relation.holds_for(self.terms):
+                return AlgebraicGuess(relation, self.holdout)
+        return None
+
+
 def guess_algebraic(terms, deg_z, deg_f, holdout=10):
     """Polynomial relation P(z, F) = 0 of bidegree <= (deg_z, deg_f).
 
@@ -277,48 +388,28 @@ def guess_algebraic(terms, deg_z, deg_f, holdout=10):
             f"need at least {(deg_z + 1) * (deg_f + 1) + holdout} terms "
             f"(bidegree ({deg_z},{deg_f}), holdout={holdout}), got {order}"
         )
-    fit_order = order - holdout
-    head = terms[:fit_order]
-    powers = [[1] + [0] * (fit_order - 1)]
-    for _ in range(deg_f):
-        prev = powers[-1]
-        powers.append(
-            [sum(map(mul, prev[: m + 1], reversed(head[: m + 1]))) for m in range(fit_order)]
-        )
-    cols = [(j, i) for j in range(deg_f + 1) for i in range(deg_z + 1)]
-    rows = [
-        [powers[j][m - i] if m >= i else 0 for j, i in cols] for m in range(fit_order)
-    ]
-    for vec in nullspace_basis(rows, len(cols)):
-        if not any(vec[idx] for idx, (j, _) in enumerate(cols) if j >= 1):
-            continue
-        ints = _int_normalize(vec)
-        # Positive leading coefficient: graded lex with F > z.
-        lead = max(
-            (idx for idx in range(len(cols)) if ints[idx]),
-            key=lambda idx: (cols[idx][1] + cols[idx][0], cols[idx][0]),
-        )
-        if ints[lead] < 0:
-            ints = [-v for v in ints]
-        coeffs = []
-        for j in range(deg_f + 1):
-            coeffs.append(QPoly([ints[cols.index((j, i))] for i in range(deg_z + 1)]))
-        relation = AlgebraicRelation(coeffs=tuple(coeffs))
-        if relation.holds_for(terms):
-            return AlgebraicGuess(relation, holdout)
-    return None
+    return _Sweep(terms, holdout).relation(deg_z, deg_f)
 
 
 def minimal_algebraic(terms, max_total=8, holdout=10):
-    """First relation found sweeping bidegrees by total, then by F-degree."""
-    for total in range(1, 2 * max_total + 1):
-        for df in range(1, min(total, max_total) + 1):
-            dz = total - df
-            if dz > max_total:
-                continue
-            if len(terms) < (dz + 1) * (df + 1) + holdout:
-                continue
-            rel = guess_algebraic(terms, dz, df, holdout)
-            if rel is not None:
-                return rel
+    """First relation found sweeping bidegrees by total, then by F-degree,
+    over those that the terms can fit.
+
+    One `_Sweep` serves the whole grid.  When rank certificates mod p cover
+    its maximal bidegrees, no bidegree has a relation and the sweep ends.
+    """
+    grid = [
+        (total - df, df)
+        for total in range(1, 2 * max_total + 1)
+        for df in range(1, min(total, max_total) + 1)
+        if total - df <= max_total and len(terms) >= (total - df + 1) * (df + 1) + holdout
+    ]
+    sweep = _Sweep(terms, holdout)
+    top = [b for b in grid if not any(o != b and o[0] >= b[0] and o[1] >= b[1] for o in grid)]
+    if sweep.modular and all(sweep.full_rank(dz, df) for dz, df in top):
+        return None
+    for dz, df in grid:
+        rel = sweep.relation(dz, df)
+        if rel is not None:
+            return rel
     return None

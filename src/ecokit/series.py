@@ -323,20 +323,26 @@ def hensel_small_factor(kernel: UPoly, b: int, order: int):
     s0 = QPoly([0] * b + [-1, 1])  # u^b (u - 1)
     if k0 != -s0:
         raise SeriesError("kernel at z = 0 is not u^b (1 - u); lifting precondition fails")
-    t0 = QPoly([-1])
-    s_slices = [s0]
-    t_slices = [t0]
-    k_slices = [kernel.z_slice(m) for m in range(order)]
+    # Column a of S (c of T) lists the u^a (u^c) coefficients of its
+    # z-slices.  Slices S_m (m >= 1) have u-degree <= b and T has u-degree
+    # du - b - 1, so each slice's correction sum_(0<i<m) S_i T_(m-i) is one
+    # dot product per pair of columns, accumulated in one coefficient list.
+    du = kernel.degree_u
+    s_cols = [[c] for c in s0.coeffs]
+    t_cols = [[-1]] + [[0] for _ in range(du - b - 1)]
     for m in range(1, order):
-        e = k_slices[m]
-        for i in range(1, m):
-            e = e - s_slices[i] * t_slices[m - i]
-        quot, rem = divmod(e, s0)
+        e = list(kernel.z_slice(m).coeffs) + [0] * du
+        for a, s in enumerate(s_cols[: b + 1]):
+            for c, t in enumerate(t_cols, a):
+                e[c] -= sum(map(mul, s[1:m], t[m - 1 : 0 : -1]))
+        quot, rem = divmod(QPoly(e), s0)
         # S0 * T_m + T0 * S_m = E  with T0 = -1 gives S_m = -rem, T_m = quot.
-        s_slices.append(-rem)
-        t_slices.append(quot)
-    small = UPoly.from_z_slices(s_slices, order)
-    cofactor = UPoly.from_z_slices(t_slices, order)
+        for a, s in enumerate(s_cols):
+            s.append(-rem[a])
+        for c, t in enumerate(t_cols):
+            t.append(quot[c])
+    small = UPoly([TruncSeries(s) for s in s_cols])
+    cofactor = UPoly([TruncSeries(t) for t in t_cols])
     if not (kernel.truncate(order) - small * cofactor).is_zero():
         raise SeriesError("Hensel lift failed verification")
     return small, cofactor
