@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from functools import cache
+from itertools import chain
 from pathlib import Path
 from random import Random
 
@@ -78,27 +79,56 @@ def _load_valid_source(args):
     return name, spec
 
 
-def _json_text(obj, pad=""):
-    """json.dumps(obj, indent=2), with each list of plain ints joined in one
-    call instead of through the pure-Python encoder that an indent selects."""
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+# Ints per piece of a list of plain ints: 256 factorials near 3000! make a
+# piece of about 2 MB of text.
+_INT_CHUNK = 256
+
+
+def _write_json(write, obj, pad):
+    """Write json.dumps(obj, indent=2) piece by piece.
+
+    A list of plain ints, or of nonempty lists of plain ints (walks), is
+    written about _INT_CHUNK ints at a time, each piece formatted by the list
+    repr in C, not through the pure-Python encoder that an indent selects."""
+    if isinstance(obj, dict) and obj:
         inner = pad + "  "
-        body = (",\n" + inner).join(
-            f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in obj.items()
-        )
-        return f"{{\n{inner}{body}\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = pad + "  "
-        if set(map(type, obj)) == {int}:
-            body = (",\n" + inner).join(map(int.__repr__, obj))
-        else:
-            body = (",\n" + inner).join(_json_text(v, inner) for v in obj)
-        return f"[\n{inner}{body}\n{pad}]"
-    return json.dumps(obj)
+        sep = "{\n" + inner
+        for k, v in obj.items():
+            write(f"{sep}{_json_key(k)}: ")
+            _write_json(write, v, inner)
+            sep = ",\n" + inner
+        write(f"\n{pad}}}")
+        return
+    if not isinstance(obj, (list, tuple)) or not obj:
+        write(json.dumps(obj))
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    kinds = set(map(type, obj))
+    if kinds == {int}:
+        write("[\n" + inner)
+        for i in range(0, len(obj), _INT_CHUNK):
+            if i:
+                write(sep)
+            write(repr(list(obj[i : i + _INT_CHUNK]))[1:-1].replace(", ", sep))
+    elif kinds == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
+        # "[[1, 2], [3]]" becomes the rows' text by two replaces.
+        down = f"\n{inner}  "
+        rows = f"\n{inner}]{sep}[{down}"
+        step = max(1, _INT_CHUNK // max(map(len, obj)))
+        write(f"[\n{inner}[{down}")
+        for i in range(0, len(obj), step):
+            if i:
+                write(rows)
+            write(repr(obj[i : i + step])[2:-2].replace("], [", rows).replace(", ", "," + down))
+        write(f"\n{inner}]")
+    else:
+        lead = "[\n" + inner
+        for v in obj:
+            write(lead)
+            _write_json(write, v, inner)
+            lead = sep
+    write(f"\n{pad}]")
 
 
 def _json_key(key):
@@ -107,7 +137,10 @@ def _json_key(key):
 
 
 def _emit_json(obj):
-    print(_json_text(obj))
+    """Write json.dumps(obj, indent=2) and a newline to stdout, streamed."""
+    write = sys.stdout.write
+    _write_json(write, obj, "")
+    write("\n")
 
 
 def _emit_csv(header, rows):

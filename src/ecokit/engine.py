@@ -36,20 +36,28 @@ entries of the rebuilt running sum.  Without a label cap, propagation still
 stops (marked truncated) before a run wider than ``dsl.MAX_SUCCESSORS``, and
 ``naive`` before its cached pairs pass ``NAIVE_PAIRS``; see ``stop_text``.
 
-``closure_layers`` pushes a level of ones through the range step and keeps
-its support.  ``back_table`` builds each row as the transpose of that step:
-on a dense layer of at least ``_ROW_MIN_LABELS`` labels the previous row
-becomes a zero-padded list, and each batched residue class reads a point as
-one strided slice times its affine multiplicity, a run as the difference of
-two strided slices of the row's per-(step, residue) prefix array, and a
-removed label as a strided slice taken away.  Labels below a class
-threshold and every label of a sparse or small layer are lowered one at a
-time, each run summed from the same kind of prefix sums.  The table stops,
-raising ``TableBudgetError``, before its cells (charged ``_CELL_BITS`` each
-in the closure) plus the bits of its counts pass ``BACK_BITS``.
-``WalkSampler`` reuses the closure's cached descriptions and memoizes a flat
-draw entry per (label, remaining depth): the total, its bit length, the
-successor labels and the prefix sums of their weights.  It draws with the
+The back table's closure (``_closure``) pushes a level of ones through the
+range step and keeps its support.  A dense layer stays a list from end to
+end: its base label and a bytes object of 0/1 flags over its span, which is
+the level the batched step reads, and whose counts become the next layer's
+flags with no dict between.  Only sparse layers are sets.  ``back_table``
+builds each row as the transpose of that step: on a dense layer of at least
+``_ROW_MIN_LABELS`` labels the previous row is padded by slicing, each
+batched residue class reads a point as one strided slice times its affine
+multiplicity, a run as the difference of two strided slices of the row's
+per-(step, residue) prefix array, and a removed label as a strided slice
+taken away, and writes its counts as one strided slice of a list over the
+layer's span.  The row is a ``Row``: a read-only mapping over that list
+whose ``row[k]`` looks up label k, whose ``len`` is the layer's number of
+labels and which equals the {label: count} dict it stands for.  Labels below
+a class threshold and every label of a sparse or small layer are lowered one
+at a time, each run summed from the same kind of prefix sums, into a dict
+row.  The table stops, raising ``TableBudgetError``, before its cells
+(charged ``_CELL_BITS`` each in the closure) plus the bits of its counts
+pass ``BACK_BITS``.  ``WalkSampler`` reuses the closure's cached
+descriptions and memoizes a flat draw entry per (label, remaining depth):
+the total, its bit length, the successor labels and the prefix sums of
+their weights, read from a ``Row``'s list by index.  It draws with the
 ``getrandbits`` rejection loop that ``Random.randrange`` runs, so a seed
 gives the same walks as one ``randrange`` per step.
 """
@@ -58,6 +66,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import accumulate, compress, count, repeat
@@ -366,17 +375,17 @@ def _dense_layout(cur, base, plan, describe, cap):
     return described, batches, low, high
 
 
-def _dense_step(level, base, top, plan, describe, cap):
-    """(next level, update ops, labels lowered one at a time) with the level
-    held as a list indexed by label - base, or None when the next level
-    would be too sparse for one.
+def _dense_core(cur, base, plan, describe, cap):
+    """(next level as a list indexed by label - low, low, update ops, labels
+    lowered one at a time) from the level held as the list `cur` indexed by
+    label - base, or None when the next level would be too sparse for a
+    list.  Its first and last entries may be 0.
 
     Each batched class adds its slice of counts to strided slices: a point
     to the next level, a run's two ends to the difference array of its
     (step, residue) key, a removed label to the next level with a minus
     sign.  The other labels add their descriptions into the same arrays."""
     modulus = plan[0]
-    cur = list(map(level.get, range(base, top + 1), repeat(0)))
     layout = _dense_layout(cur, base, plan, describe, cap)
     if layout is None:
         return None
@@ -432,7 +441,18 @@ def _dense_step(level, base, top, plan, describe, cap):
         touched = True
     if cut and min(nxt) < 0:
         raise SpecError(f"negative count at label {low + nxt.index(min(nxt))}")
-    return dict(compress(zip(count(low), nxt), nxt)), ops, len(described)
+    return nxt, low, ops, len(described)
+
+
+def _dense_step(level, base, top, plan, describe, cap):
+    """(next level, update ops, labels lowered one at a time) through
+    `_dense_core` with the level dict spread over base..top, or None."""
+    cur = list(map(level.get, range(base, top + 1), repeat(0)))
+    done = _dense_core(cur, base, plan, describe, cap)
+    if done is None:
+        return None
+    nxt, low, ops, lowered = done
+    return dict(compress(zip(count(low), nxt), nxt)), ops, lowered
 
 
 def _is_dense(plan, base, top, size):
@@ -574,36 +594,108 @@ class TableBudgetError(SpecError):
         self.level = level
 
 
+def _layer_of(labels, plan):
+    """A closure layer from a set of labels: (base, flags, size) when the
+    labels are dense for `plan` (`_is_dense`), else the set itself."""
+    if labels:
+        base, top, size = min(labels), max(labels), len(labels)
+        if _is_dense(plan, base, top, size):
+            flags = bytearray(top - base + 1)
+            for k in labels:
+                flags[k - base] = 1
+            return base, bytes(flags), size
+    return labels
+
+
+def _layer_size(layer):
+    return len(layer) if isinstance(layer, set) else layer[2]
+
+
+def _layer_labels(layer):
+    """The labels of a closure layer (in increasing order when dense)."""
+    if isinstance(layer, set):
+        return layer
+    base, flags, _ = layer
+    return compress(count(base), flags)
+
+
+def _closure_step(layer, describe, plan, cap):
+    """The closure layer after `layer`: the support of the range step on a
+    level of ones.  A dense layer's flags are the level `_dense_core` steps,
+    and the counts it returns become the next flags, with no dict between."""
+    if not isinstance(layer, set):
+        base, flags, _ = layer
+        done = _dense_core(flags, base, plan, describe, cap)
+        if done is not None:
+            nxt, low = done[0], done[1]
+            a, b = 0, len(nxt)
+            while a < b and not nxt[a]:
+                a += 1
+            while b > a and not nxt[b - 1]:
+                b -= 1
+            flags = bytes(map(bool, nxt[a:b]))
+            size = b - a - flags.count(0)
+            if size and _is_dense(plan, low + a, low + b - 1, size):
+                return low + a, flags, size
+            return set(compress(count(low + a), flags))
+    nxt, _ = _sparse_step(zip(_layer_labels(layer), repeat(1)), describe, cap)
+    return _layer_of(set(nxt), plan)
+
+
 def _closure(spec, n, max_labels, describe, plan):
     """Layers R_0..R_n, each the support of the range step (batched by
-    `plan`) applied to a level of ones.
+    `plan`) applied to a level of ones.  A dense layer is (base, flags,
+    size): flags is a bytes object whose byte i is 1 when label base + i is
+    in the layer, else 0, the first and last are 1, and size counts the 1s;
+    a sparse layer is a set.
 
     LabelCapError when a layer holds more than max_labels labels;
     TableBudgetError when the layers' cells, charged _CELL_BITS each, pass
     BACK_BITS."""
-    layers = [{spec.axiom}]
+    layers = [_layer_of({spec.axiom}, plan)]
     cells = 1
     for depth in range(1, n + 1):
         try:
-            nxt, _, _ = _next_level_range(dict.fromkeys(layers[-1], 1), describe, plan, max_labels)
+            layer = _closure_step(layers[-1], describe, plan, max_labels)
         except _OverCap:
             raise LabelCapError(max_labels, depth) from None
-        if max_labels is not None and len(nxt) > max_labels:
+        size = _layer_size(layer)
+        if max_labels is not None and size > max_labels:
             raise LabelCapError(max_labels, depth)
-        cells += len(nxt)
+        cells += size
         if cells * _CELL_BITS > BACK_BITS:
             raise TableBudgetError(depth - 1)
-        layers.append(set(nxt))
+        layers.append(layer)
     return layers
 
 
-def closure_layers(spec, n, max_labels=None):
-    """Distinct-label sets R_0..R_n reachable from the axiom, level by level.
+class Row(Mapping):
+    """A back-table row on a dense closure layer, read-only: row[k] is the
+    count at label k, len(row) the number of labels in the layer, and the
+    row equals the {label: count} dict it stands for.  vals[i] is the count
+    at label base + i, 0 where the layer's flags[i] is unset."""
 
-    LabelCapError when a layer holds more than `max_labels` labels;
-    TableBudgetError when the layers' cells pass the back table's budget.
-    """
-    return _closure(spec, n, max_labels, cache(describer(spec)), _class_plan(spec))
+    __slots__ = ("base", "flags", "vals", "size")
+
+    def __init__(self, base, flags, vals, size):
+        self.base, self.flags, self.vals, self.size = base, flags, vals, size
+
+    def __getitem__(self, k):
+        i = k - self.base
+        if 0 <= i < len(self.flags) and self.flags[i]:
+            return self.vals[i]
+        raise KeyError(k)
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        return compress(count(self.base), self.flags)
+
+
+def _split(pairs):
+    """([first items], [second items]) of a list of pairs."""
+    return [a for a, _ in pairs], [b for _, b in pairs]
 
 
 def _run_sum(row, prefix, lo, last, step):
@@ -621,13 +713,15 @@ def _run_sum(row, prefix, lo, last, step):
     return sums[bisect_right(labels, last)] - sums[bisect_left(labels, lo)]
 
 
-def _sparse_row(layer, prev, describe):
-    """{k: sum of prev over the successors of k} for k in layer, one label
+def _sparse_row(labels, prev, describe):
+    """{k: sum of prev over the successors of k} for k in labels, one label
     at a time."""
+    if isinstance(prev, Row):
+        prev = dict(zip(prev, compress(prev.vals, prev.flags)))
     prefix, row = {}, {}
     # Every successor of a label in the layer is a label of prev; a cut
     # label may be missing from it.
-    for k in layer:
+    for k in labels:
         points, runs = describe(k)
         total = sum(mult * prev[j] for j, mult in points)
         for lo, last, step, cuts in runs:
@@ -637,28 +731,37 @@ def _sparse_row(layer, prev, describe):
     return row
 
 
+def _padded(prev, low, high):
+    """The counts of the row `prev` on labels low..high, 0 off its labels.
+    prev's labels are successors of the layer, all within low..high, so a
+    Row's list fits inside."""
+    if not isinstance(prev, Row):
+        return list(map(prev.get, range(low, high + 1), repeat(0)))
+    vals = [0] * (high - low + 1)
+    i = prev.base - low
+    vals[i : i + len(prev.vals)] = prev.vals
+    return vals
+
+
 def _dense_row(layer, prev, plan, describe):
-    """The row of `_sparse_row` on a dense layer, the transpose of
-    `_dense_step`, or None when the layer is small or not dense.
+    """The row of `_sparse_row` on a dense closure layer as a Row, the
+    transpose of `_dense_core`, or None when the layer is small or its
+    successors too sparse for a list.
 
     prev becomes a zero-padded list; each batched class reads a point as one
     strided slice times its multiplicity, a run as the difference of two
     strided slices of a per-(step, residue) prefix array and a removed label
-    as a strided slice taken away."""
-    if len(layer) < _ROW_MIN_LABELS:
+    as a strided slice taken away, and writes its counts as one strided
+    slice of the row."""
+    base, flags, size = layer
+    if size < _ROW_MIN_LABELS:
         return None
-    base, top = min(layer), max(layer)
-    if not _is_dense(plan, base, top, len(layer)):
-        return None
-    flags = [0] * (top - base + 1)
-    for k in layer:
-        flags[k - base] = 1
     layout = _dense_layout(flags, base, plan, describe, None)
     if layout is None:
         return None
     described, batches, low, high = layout
     modulus = plan[0]
-    vals = list(map(prev.get, range(low, high + 1), repeat(0)))
+    vals = _padded(prev, low, high)
     prefix = {}  # (step, residue) -> (lowest grid label, running sums from 0)
 
     def sums(step, residue):
@@ -668,40 +771,47 @@ def _dense_row(layer, prev, plan, describe):
             hit = prefix[(step, residue)] = (g0, [0, *accumulate(vals[g0 - low :: step])])
         return hit
 
-    row = {}
+    row = [0] * len(flags)
     for k, _, (points, runs) in described:
         total = sum(m * vals[j - low] for j, m in points)
         for lo, last, step, cuts in runs:
             g0, q = sums(step, lo % step)
             total += q[(last - g0) // step + 1] - q[(lo - g0) // step]
             total -= sum(vals[j - low] for j in cuts)
-        row[k] = total
-    for cls, k0, flags in batches:
-        n = len(flags)
-        acc = repeat(0, n)
+        row[k - base] = total
+    for cls, k0, present in batches:
+        n = len(present)
+        acc = None  # the first term is taken as it is, not added to zeros
         for (a, b), (c, d) in cls.points:
             got = _read(vals, a * k0 + b - low, a * modulus, n)
             if c:
                 got = map(mul, got, range(c * k0 + d, c * (k0 + modulus * n) + d, c * modulus))
             elif d != 1:
                 got = map(mul, got, repeat(d))
-            acc = list(map(add, acc, got))
+            acc = list(got) if acc is None else list(map(add, acc, got))
         for (la, lb), (ea, eb), s, removed in cls.runs:
             g0, q = sums(s, (la * k0 + lb) % s)
             ends = _read(q, (ea * k0 + eb - g0) // s, ea * modulus // s, n)
             los = _read(q, (la * k0 + lb - g0) // s, la * modulus // s, n)
-            acc = list(map(add, acc, map(sub, ends, los)))
+            got = map(sub, ends, los)
+            acc = list(got) if acc is None else list(map(add, acc, got))
             for ra, rb in removed:
                 acc = list(map(sub, acc, _read(vals, ra * k0 + rb - low, ra * modulus, n)))
-        # The slots between the class's labels in the layer are discarded.
-        row.update(compress(zip(range(k0, k0 + modulus * n, modulus), acc), flags))
-    return row
+        if acc is None:
+            continue
+        # The class's slots that are not labels of the layer hold 0.
+        if 0 in present:
+            acc = map(mul, acc, present)
+        i = k0 - base
+        row[i : i + modulus * n : modulus] = acc
+    return Row(base, flags, row, size)
 
 
 class BackTable(list):
     """The rows g[0..n] of a back table, with how they were built: the
     cached describer the closure filled (`describe`), the table's `cells`,
-    and the seconds spent on the closure and on the rows."""
+    and the seconds spent on the closure and on the rows.  A row on a dense
+    closure layer is a Row, on a sparse one a dict."""
 
     def __init__(self, rows, describe, cells, closure_seconds, rows_seconds):
         super().__init__(rows)
@@ -725,16 +835,22 @@ def back_table(spec, n, max_labels=None):
     plan = _class_plan(spec)
     layers = _closure(spec, n, max_labels, describe, plan)
     t1 = time.perf_counter()
-    cells = sum(map(len, layers))
+    cells = sum(map(_layer_size, layers))
     # The bottom row's counts are all 1, one bit each.
-    charged = _CELL_BITS * cells + len(layers[n])
-    g = [dict.fromkeys(layers[n], 1)]
+    bottom = layers[n]
+    charged = _CELL_BITS * cells + _layer_size(bottom)
+    if isinstance(bottom, set):
+        g = [dict.fromkeys(bottom, 1)]
+    else:
+        g = [Row(bottom[0], bottom[1], list(bottom[1]), bottom[2])]
     for m in range(1, n + 1):
         layer, prev = layers[n - m], g[-1]
-        row = _dense_row(layer, prev, plan, describe)
+        row = None if isinstance(layer, set) else _dense_row(layer, prev, plan, describe)
         if row is None:
-            row = _sparse_row(layer, prev, describe)
-        charged += sum(map(int.bit_length, row.values()))
+            row = _sparse_row(_layer_labels(layer), prev, describe)
+            charged += sum(map(int.bit_length, row.values()))
+        else:
+            charged += sum(map(int.bit_length, row.vals))
         if charged > BACK_BITS:
             raise TableBudgetError(m - 1)
         g.append(row)
@@ -770,7 +886,7 @@ class WalkSampler:
         self.total = self.g[n][spec.axiom]
         describe = self.g.describe
         # The labels are those of the back table, which the label cap bounds.
-        self._children = cache(lambda k: sorted(expand(describe(k)).items()))
+        self._children = cache(lambda k: _split(sorted(expand(describe(k)).items())))
         self._draws = [{} for _ in range(n + 1)]
 
     @property
@@ -779,19 +895,21 @@ class WalkSampler:
         return sum(map(len, self._draws))
 
     def _weighted_children(self, k, rem):
-        # Children sorted by label; weight = multiplicity * subtree count.
+        """The successor labels of k in increasing order and an iterator over
+        their weights: multiplicity times the count below at rem - 1."""
+        labels, mults = self._children(k)
         below = self.g[rem - 1]
-        return [(j, m * below[j]) for j, m in self._children(k)]
+        if isinstance(below, Row):
+            counts = map(below.vals.__getitem__, map(sub, labels, repeat(below.base)))
+        else:
+            counts = map(below.__getitem__, labels)
+        return labels, map(mul, mults, counts)
 
     def _draw_entry(self, k, rem):
-        children = self._weighted_children(k, rem)
-        total = self.g[rem][k]
-        entry = self._draws[rem][k] = (
-            total,
-            total.bit_length(),
-            [j for j, _ in children],
-            list(accumulate(w for _, w in children)),
-        )
+        labels, weights = self._weighted_children(k, rem)
+        sums = list(accumulate(weights))
+        # The last prefix sum is the count g[rem][k].
+        entry = self._draws[rem][k] = (sums[-1], sums[-1].bit_length(), labels, sums)
         return entry
 
     def sample(self, rng, strategy="binary"):
@@ -815,7 +933,7 @@ class WalkSampler:
             return walk
         for rem in range(self.n, 0, -1):
             r = rng.randrange(self.g[rem][k])
-            for j, w in self._weighted_children(k, rem):
+            for j, w in zip(*self._weighted_children(k, rem)):
                 if r < w:
                     k = j
                     break

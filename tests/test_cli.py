@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -520,17 +523,44 @@ json_values = st.recursive(
     | st.integers(-(2**200), 2**200)
     | st.floats()
     | st.text()
-    | st.lists(st.integers(-(2**70), 2**70)),
+    | st.lists(st.integers(-(2**70), 2**70))
+    | st.lists(st.integers(-(2**300), 2**300) | st.booleans()),
     lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=20,
 )
 
 
+def emitted_json(obj):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_json(obj)
+    return out.getvalue()
+
+
 @settings(max_examples=120, deadline=None)
 @given(json_values)
 def test_json_writer_matches_json_dumps(obj):
-    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+    assert emitted_json(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_json_writer_splits_long_int_lists():
+    # Lists longer than one piece, in a dict and in a list, with negative
+    # ints, ints past 2**200, a lone piece of one int, a tuple, and lists of
+    # int lists split by rows.
+    n = cli._INT_CHUNK
+    rng = Random(5)
+    ints = [rng.randrange(-(2**250), 2**250) for _ in range(2 * n + 1)]
+    obj = {
+        "long": ints,
+        "nested": [list(range(-n, n + 1)), ints[: n + 1], (7, *ints[:n])],
+        "rows": [ints[:3], list(range(n + 5)), [-1]],
+        "walks": [[k, k + 1, 2**300] for k in range(n)],
+        "bools": [1, True, -2, False],
+        "empty": [[1], []],
+    }
+    assert emitted_json(obj) == json.dumps(obj, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("system", ["catalan", "motzkin"])

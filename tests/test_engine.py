@@ -1,17 +1,17 @@
+from functools import cache
 from random import Random
 
 import pytest
 
 from ecokit import engine
 from ecokit.catalog import get_entry
-from ecokit.dsl import SpecError, parse_spec, successors
+from ecokit.dsl import SpecError, describer, parse_spec, successors
 from ecokit.engine import (
     LabelCapError,
     TableBudgetError,
     WalkSampler,
     antidiagonal_values,
     back_table,
-    closure_layers,
     count_levels,
     iter_levels,
     sample_walks,
@@ -21,6 +21,12 @@ from ecokit.engine import (
 
 def spec_of(name):
     return get_entry(name).spec()
+
+
+def closure_layers(spec, n, max_labels=None):
+    """The back table's closure layers R_0..R_n as sets of labels."""
+    layers = engine._closure(spec, n, max_labels, cache(describer(spec)), engine._class_plan(spec))
+    return [set(engine._layer_labels(layer)) for layer in layers]
 
 
 class TestCounting:

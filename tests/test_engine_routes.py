@@ -26,7 +26,8 @@ from ecokit.dsl import (
     expand,
     successors,
 )
-from ecokit.engine import back_table, closure_layers, count_levels, iter_levels, sample_walks
+from ecokit import engine
+from ecokit.engine import back_table, count_levels, iter_levels, sample_walks
 
 
 def affine(slopes, lo, hi):
@@ -95,6 +96,12 @@ def recount_ops(spec, levels):
                 covered.setdefault((step, lo % step), set()).update(range(lo, last + 1, step))
         ops += sum(map(len, covered.values()))
     return ops
+
+
+def closure_layers(spec, n):
+    """The back table's closure layers R_0..R_n as sets of labels."""
+    layers = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
+    return [set(engine._layer_labels(layer)) for layer in layers]
 
 
 def reference_back_table(spec, levels):
@@ -203,7 +210,38 @@ def test_batched_and_sparse_routes():
     assert spread_stats["fallback_labels"] > sum(map(len, spread[:-1])) - 30
 
 
-@pytest.mark.parametrize("name", ["catalan", "motzkin", "walk_notch1", "bell", "fibonacci"])
+@pytest.mark.parametrize(
+    "spec",
+    [MIXED, SPREAD, get_entry("involutions").spec(), get_entry("catalan").spec()],
+    ids=["mixed", "spread", "involutions", "catalan"],
+)
+def test_rows_follow_the_closure_layers(spec):
+    # Involutions' layers hold labels of one parity, so their flags have
+    # gaps; catalan's first layers hold fewer than _ROW_MIN_LABELS labels.
+    n = 30
+    g = back_table(spec, n)
+    assert g == reference_back_table(spec, list(iter_levels(spec, n, "naive")))
+    layers = closure_layers(spec, n)
+    assert [len(row) for row in g] == [len(layer) for layer in reversed(layers)]
+    assert sum(len(row) for row in g) == g.cells
+    for m, row in enumerate(g):
+        assert dict(row) == row and set(row) == layers[n - m]
+        if isinstance(row, engine.Row):
+            assert len(row) >= engine._ROW_MIN_LABELS or m == 0
+            gaps = [k for k in range(row.base, row.base + len(row.vals)) if k not in row]
+            assert [row.vals[k - row.base] for k in gaps] == [0] * len(gaps)
+            with pytest.raises(KeyError):
+                row[row.base - 1]
+        else:
+            assert len(row) < engine._ROW_MIN_LABELS or spec is MIXED or spec is SPREAD
+    # SPREAD's dense layers are all small.
+    rows = [row for row in g if isinstance(row, engine.Row)]
+    assert bool(rows) == (spec is not SPREAD)
+    if spec.name == "involutions":
+        assert all(0 in row.flags for row in rows if len(row) > 1)
+
+
+@pytest.mark.parametrize("name", ["catalan", "motzkin", "walk_notch1", "bell", "fibonacci", "involutions"])
 def test_binary_walks_follow_the_randrange_stream(name):
     # The binary descent draws with getrandbits; it must take the same bits
     # as one randrange per step, so a seed keeps giving the same walks.
