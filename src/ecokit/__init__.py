@@ -10,7 +10,6 @@ from .dsl import (
     from_canonical_json,
     parse_spec,
     spec_to_text,
-    successors,
     to_canonical_json,
     validate_spec,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "spec_to_text",
     "to_canonical_json",
     "from_canonical_json",
-    "successors",
     "validate_spec",
     "CountTable",
     "WalkSampler",

@@ -39,13 +39,7 @@ from functools import cache
 from .dsl import (
     F0,
     PROBE,
-    Affine,
     ClassView,
-    EcoSpec,
-    Guard,
-    Interval,
-    Item,
-    RuleClause,
     SpecError,
     _arity,
     _at_or_above,
@@ -93,13 +87,6 @@ def _closure(spec):
     and one walk of `dsl._reachable_closure`, shared by a whole report."""
     describe_at = cache(describer(spec))
     return describe_at, *_reachable_closure(spec, PROBE, describe_at)
-
-
-def reachable_labels(spec):
-    """Every label reachable from the axiom, or None unless the closure
-    completes within PROBE."""
-    _, labels, stop = _closure(spec)
-    return None if stop else frozenset(labels)
 
 
 def transition_matrix(spec, labels, describe_at=None):
@@ -209,17 +196,13 @@ def _class_values(modulus, views, fold, weight):
     return values, ""
 
 
-def affine_sigma(spec):
-    """AffineSigma for the spec, or None.
+def _affine_sigma(spec, closure):
+    """(AffineSigma, "") for the spec, or (None, reason).
 
     Proved symbolically on each tail residue class and then checked exactly
-    on every reachable label up to PROBE (which also covers the labels that
+    on every reachable label of `closure` (which also covers the labels that
     only bounded clauses reach).
     """
-    return _affine_sigma(spec, _closure(spec))[0]
-
-
-def _affine_sigma(spec, closure):
     describe_at, reach, stop = closure
     modulus, views = _tail_views(spec)
     if modulus is None:
@@ -274,12 +257,9 @@ class ParityWitness:
     s1: int
 
 
-def parity_affine(spec):
-    """ParityWitness for the spec, or None (child-count mode only)."""
-    return _parity_affine(spec, _closure(spec))[0]
-
-
 def _parity_affine(spec, closure):
+    """(ParityWitness, "") for the spec, or (None, reason) (child-count mode
+    only)."""
     describe_at, reach, _ = closure
     if spec.mode != "eco":
         return None, "child-count mode only"
@@ -480,19 +460,6 @@ def _walk_shape(spec):
     return form, ""
 
 
-def to_walk_spec(form, name="walk"):
-    """The walk form as a spec over heights (labels shifted down by base)."""
-    minus = tuple(Affine(1, -d) for d in sorted(form.removed_offsets))
-    minus += tuple(Affine(0, c) for c in sorted(form.removed_low))
-    interval = Interval(Affine(0, 0), Affine(1, -1), 1, minus)
-    items = tuple(
-        Item(Affine(1, j), Affine(0, c))
-        for j, c in sorted(Counter(form.jumps).items())
-    )
-    clause = RuleClause(Guard(), items, (interval,))
-    return EcoSpec(name, "walk", form.start_height, (clause,))
-
-
 # ---------------------------------------------------------------------------
 # Bounded-plus-jumps shape (flag only; rational form comes from fitting)
 
@@ -506,12 +473,9 @@ class BoundedPlusJumps:
     bound: int
 
 
-def bounded_plus_jumps(spec):
-    """BoundedPlusJumps witness, or None (child-count mode only)."""
-    return _bounded_plus_jumps(spec)[0]
-
-
 def _bounded_plus_jumps(spec):
+    """(BoundedPlusJumps, "") for the spec, or (None, reason) (child-count
+    mode only)."""
     if spec.mode != "eco":
         return None, "child-count mode only"
     shared = None
@@ -632,14 +596,10 @@ class RadiusVerdict:
         }
 
 
-def radius_zero_check(spec):
-    """Run the shrinking-return test, sweeping back_width over BACK_WIDTHS.
-    "Does not hold" is an inconclusive verdict, never a claim of a positive
-    radius."""
-    return _radius_zero(spec, _closure(spec))
-
-
 def _radius_zero(spec, closure):
+    """The RadiusVerdict of the shrinking-return test, sweeping back_width
+    over BACK_WIDTHS.  "Does not hold" is an inconclusive verdict, never a
+    claim of a positive radius."""
     describe_at, labels, _ = closure
     no_fwd = [k for k in labels if not _at_or_above(describe_at(k), k + 1)]
     if no_fwd:

@@ -851,7 +851,9 @@ def _at_or_above(desc, t):
 
 
 def successors(spec, k) -> Counter:
-    """Successor label multiset of a node labeled k."""
+    """Successor label multiset of a node labeled k.  The library reads
+    `describer` and `expand` instead; this stays because
+    `perfbench/tracing.py` wraps it by name for `dsl.successors_calls`."""
     return Counter(expand(describe(match_clause(spec, k), k)))
 
 

@@ -25,7 +25,13 @@ propagation methods are provided:
   yet of its affine shape), labels of classes ``class_view`` rejects or a
   pow2/prime guard tests, and every label of a sparse level (span much
   wider than its number of labels) are lowered one at a time as before;
-  ``stats["fallback_labels"]`` counts them.
+  ``stats["fallback_labels"]`` counts them.  A dense level stays a list from
+  step to step: the batched step's result, its zero ends stripped
+  (``_trim``, which the back table's closure shares), is the next level
+  while it is still dense, wrapped in a read-only ``Row`` whose flags are
+  its counts, and ``count_levels`` sums that list directly.  Only a sparse
+  level is a dict; a dict level that turns dense is spread into a list
+  once.
 
 ``stats["update_ops"]`` counts the updates a method made: for ``naive`` one
 per (populated label, distinct successor label) pair; for ``range`` one per
@@ -444,43 +450,95 @@ def _dense_core(cur, base, plan, describe, cap):
     return nxt, low, ops, len(described)
 
 
-def _dense_step(level, base, top, plan, describe, cap):
-    """(next level, update ops, labels lowered one at a time) through
-    `_dense_core` with the level dict spread over base..top, or None."""
-    cur = list(map(level.get, range(base, top + 1), repeat(0)))
-    done = _dense_core(cur, base, plan, describe, cap)
-    if done is None:
-        return None
-    nxt, low, ops, lowered = done
-    return dict(compress(zip(count(low), nxt), nxt)), ops, lowered
-
-
 def _is_dense(plan, base, top, size):
     """Whether a level of `size` labels from base to top goes through the
     batched step of `plan`."""
     return plan is not None and plan[0] <= top - base + 1 <= _DENSE_RATIO * size + _DENSE_SLACK
 
 
+class Row(Mapping):
+    """A read-only mapping over a list of counts: vals[i] is the count at
+    label base + i, and the labels are those whose flags[i] is set.  row[k]
+    looks up label k, len(row) is `size`, the number of labels, and the row
+    equals the {label: count} dict it stands for.
+
+    A dense forward level is a Row with flags = vals, so its labels are the
+    nonzero counts.  A back-table row on a dense closure layer takes the
+    layer's 0/1 flags, and its vals are 0 off them."""
+
+    __slots__ = ("base", "flags", "vals", "size")
+
+    def __init__(self, base, flags, vals, size):
+        self.base, self.flags, self.vals, self.size = base, flags, vals, size
+
+    def __getitem__(self, k):
+        i = k - self.base
+        if 0 <= i < len(self.flags) and self.flags[i]:
+            return self.vals[i]
+        raise KeyError(k)
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        return compress(count(self.base), self.flags)
+
+    def values(self):
+        """The counts of the labels, in increasing label order."""
+        return compress(self.vals, self.flags)
+
+    def items(self):
+        return zip(self, self.values())
+
+
+def _trim(nxt, low, plan):
+    """(base, vals, size, dense) of a `_dense_core` result `nxt`, the counts
+    of labels low, low + 1, ...: vals is nxt with its zero ends stripped (in
+    place), base the label of vals[0], size the number of nonzero counts, and
+    dense whether `_is_dense` keeps such a level a list."""
+    a, b = 0, len(nxt)
+    while a < b and not nxt[a]:
+        a += 1
+    while b > a and not nxt[b - 1]:
+        b -= 1
+    del nxt[b:], nxt[:a]
+    size = b - a - nxt.count(0)
+    return low + a, nxt, size, bool(size) and _is_dense(plan, low + a, low + b - 1, size)
+
+
 def _next_level_range(level, describe, plan, cap=None):
     """(next level, update ops, labels lowered one at a time).
 
-    A level whose label span is near its number of labels goes through
-    `_dense_step` with the batched classes of `plan` (from `_class_plan`);
-    any other level is lowered label by label.  _OverCap, before any label
-    is written, when a single run is wider than `cap` labels."""
-    if level:
-        base, top = min(level), max(level)
-        if _is_dense(plan, base, top, len(level)):
-            done = _dense_step(level, base, top, plan, describe, cap)
-            if done is not None:
-                return done
+    A level held as a Row over its list of counts goes through `_dense_core`
+    with the batched classes of `plan` (from `_class_plan`), and so does a
+    dict level whose label span is near its number of labels, spread into a
+    list once.  The next level stays a Row (flags = vals) while `_is_dense`
+    holds, else it becomes a dict.  Any other level is lowered label by
+    label into a dict.  _OverCap, before any label is written, when a single
+    run is wider than `cap` labels."""
+    if isinstance(level, Row):
+        cur, base = level.vals, level.base
+    elif level and _is_dense(plan, base := min(level), top := max(level), len(level)):
+        cur = list(map(level.get, range(base, top + 1), repeat(0)))
+    else:
+        cur = None
+    if cur is not None:
+        done = _dense_core(cur, base, plan, describe, cap)
+        if done is not None:
+            nxt, low, ops, lowered = done
+            base, vals, size, dense = _trim(nxt, low, plan)
+            if dense:
+                return Row(base, vals, vals, size), ops, lowered
+            return dict(compress(zip(count(base), vals), vals)), ops, lowered
     nxt, ops = _sparse_step(level.items(), describe, cap)
     return nxt, ops, len(level)
 
 
 def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
     """Yield the label counts {label: nodes} of levels 0..n of the generating
-    tree, one dict at a time; only the current level is held.
+    tree, one read-only mapping at a time, with no zero-count label: a dict,
+    or for a dense range level a Row over its list of counts, whose labels
+    iterate in increasing order.  Only the current level is held.
 
     `stats`, when given, is filled as the levels go: method, levels,
     update_ops, peak_labels and (range) fallback_labels are current after
@@ -568,9 +626,15 @@ def count_levels(spec, n, method="auto", max_labels=None, label_sums=False) -> C
     totals = []
     sums = [] if label_sums else None
     for level in iter_levels(spec, n, method, max_labels, stats):
-        totals.append(sum(level.values()))
-        if label_sums:
-            sums.append(sum(map(mul, level.keys(), level.values())))
+        if isinstance(level, Row):
+            vals = level.vals
+            totals.append(sum(vals))
+            if label_sums:
+                sums.append(sum(map(mul, count(level.base), vals)))
+        else:
+            totals.append(sum(level.values()))
+            if label_sums:
+                sums.append(sum(map(mul, level.keys(), level.values())))
     return CountTable(mode=spec.mode, totals=totals, label_sums=sums, stats=stats)
 
 
@@ -627,17 +691,10 @@ def _closure_step(layer, describe, plan, cap):
         base, flags, _ = layer
         done = _dense_core(flags, base, plan, describe, cap)
         if done is not None:
-            nxt, low = done[0], done[1]
-            a, b = 0, len(nxt)
-            while a < b and not nxt[a]:
-                a += 1
-            while b > a and not nxt[b - 1]:
-                b -= 1
-            flags = bytes(map(bool, nxt[a:b]))
-            size = b - a - flags.count(0)
-            if size and _is_dense(plan, low + a, low + b - 1, size):
-                return low + a, flags, size
-            return set(compress(count(low + a), flags))
+            base, vals, size, dense = _trim(done[0], done[1], plan)
+            if dense:
+                return base, bytes(map(bool, vals)), size
+            return set(compress(count(base), vals))
     nxt, _ = _sparse_step(zip(_layer_labels(layer), repeat(1)), describe, cap)
     return _layer_of(set(nxt), plan)
 
@@ -669,30 +726,6 @@ def _closure(spec, n, max_labels, describe, plan):
     return layers
 
 
-class Row(Mapping):
-    """A back-table row on a dense closure layer, read-only: row[k] is the
-    count at label k, len(row) the number of labels in the layer, and the
-    row equals the {label: count} dict it stands for.  vals[i] is the count
-    at label base + i, 0 where the layer's flags[i] is unset."""
-
-    __slots__ = ("base", "flags", "vals", "size")
-
-    def __init__(self, base, flags, vals, size):
-        self.base, self.flags, self.vals, self.size = base, flags, vals, size
-
-    def __getitem__(self, k):
-        i = k - self.base
-        if 0 <= i < len(self.flags) and self.flags[i]:
-            return self.vals[i]
-        raise KeyError(k)
-
-    def __len__(self):
-        return self.size
-
-    def __iter__(self):
-        return compress(count(self.base), self.flags)
-
-
 def _split(pairs):
     """([first items], [second items]) of a list of pairs."""
     return [a for a, _ in pairs], [b for _, b in pairs]
@@ -717,7 +750,7 @@ def _sparse_row(labels, prev, describe):
     """{k: sum of prev over the successors of k} for k in labels, one label
     at a time."""
     if isinstance(prev, Row):
-        prev = dict(zip(prev, compress(prev.vals, prev.flags)))
+        prev = dict(prev.items())
     prefix, row = {}, {}
     # Every successor of a label in the layer is a label of prev; a cut
     # label may be missing from it.

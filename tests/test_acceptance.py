@@ -13,9 +13,10 @@ from fractions import Fraction
 
 from ecokit.catalog import ENTRIES, get_entry
 from ecokit.classify import (
-    affine_sigma,
+    _affine_sigma,
+    _closure,
+    _parity_affine,
     factorial_form,
-    parity_affine,
     rational_gf_affine,
     rational_gf_parity,
 )
@@ -72,7 +73,7 @@ def test_03_rational_closed_forms_to_order_25():
         "goldbach",
     ):
         spec = spec_of(name)
-        witness = affine_sigma(spec)
+        witness = _affine_sigma(spec, _closure(spec))[0]
         assert witness is not None, name
         rf = rational_gf_affine(witness, spec.axiom)
         assert rf.expand(25).as_ints() == total_series(spec, 25), name
@@ -83,7 +84,7 @@ def test_03_rational_closed_forms_to_order_25():
     assert goldbach_totals == [(1 + 3**n) // 2 for n in range(13)]
 
     spec = spec_of("parity_three_odd")
-    rf = rational_gf_parity(parity_affine(spec))
+    rf = rational_gf_parity(_parity_affine(spec, _closure(spec))[0])
     assert (rf.num, rf.den) == (QPoly([1, -1]), QPoly([1, -3, 1, -1]))
     assert rf.expand(25).as_ints() == total_series(spec, 25)
 

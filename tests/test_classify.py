@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,22 +8,32 @@ from hypothesis import strategies as st
 from ecokit.catalog import ENTRIES, get_entry
 from ecokit.classify import (
     ClassifyError,
-    affine_sigma,
-    bounded_plus_jumps,
+    _affine_sigma,
+    _bounded_plus_jumps,
+    _closure,
+    _parity_affine,
+    _radius_zero,
     build_report,
     factorial_form,
     form_expansion,
     linear_bound_check,
-    parity_affine,
-    radius_zero_check,
     rational_from_finite,
     rational_gf_affine,
     rational_gf_parity,
-    reachable_labels,
-    to_walk_spec,
     transition_matrix,
 )
-from ecokit.dsl import parse_spec, successors
+from ecokit.dsl import (
+    Affine,
+    EcoSpec,
+    Guard,
+    Interval,
+    Item,
+    RuleClause,
+    describe,
+    expand,
+    match_clause,
+    parse_spec,
+)
 from ecokit import engine
 from ecokit.engine import total_series
 from ecokit.qpoly import QPoly
@@ -34,6 +45,42 @@ def spec_of(name):
 
 def engine_match(rf, spec, order=25):
     return rf.expand(order).as_ints() == total_series(spec, order)
+
+
+def reachable_labels(spec):
+    """Every label reachable from the axiom, or None unless the closure
+    completes within the probe."""
+    _, labels, stop = _closure(spec)
+    return None if stop else frozenset(labels)
+
+
+def affine_sigma(spec):
+    return _affine_sigma(spec, _closure(spec))[0]
+
+
+def parity_affine(spec):
+    return _parity_affine(spec, _closure(spec))[0]
+
+
+def bounded_plus_jumps(spec):
+    return _bounded_plus_jumps(spec)[0]
+
+
+def radius_zero_check(spec):
+    return _radius_zero(spec, _closure(spec))
+
+
+def to_walk_spec(form, name="walk"):
+    """The walk form as a spec over heights (labels shifted down by base)."""
+    minus = tuple(Affine(1, -d) for d in sorted(form.removed_offsets))
+    minus += tuple(Affine(0, c) for c in sorted(form.removed_low))
+    interval = Interval(Affine(0, 0), Affine(1, -1), 1, minus)
+    items = tuple(
+        Item(Affine(1, j), Affine(0, c))
+        for j, c in sorted(Counter(form.jumps).items())
+    )
+    clause = RuleClause(Guard(), items, (interval,))
+    return EcoSpec(name, "walk", form.start_height, (clause,))
 
 
 class TestFiniteLabels:
@@ -143,7 +190,7 @@ class TestWalkForm:
             form = factorial_form(spec)
             floor = spec.axiom
             for k in range(floor, 40):
-                assert form_expansion(form, k) == dict(successors(spec, k))
+                assert form_expansion(form, k) == expand(describe(match_clause(spec, k), k))
 
     def test_to_walk_spec_roundtrip(self):
         spec = spec_of("motzkin")

@@ -14,11 +14,10 @@ from ecokit.dsl import (
     next_prime,
     parse_spec,
     spec_to_text,
-    successors,
     to_canonical_json,
     validate_spec,
 )
-from ecokit.dsl import Issue, _reachable_closure, describer
+from ecokit.dsl import Issue, _reachable_closure, describe, describer, expand
 
 CATALAN = """
 system catalan {
@@ -27,6 +26,11 @@ system catalan {
   rule k >= 2: interval(2, k+1);
 }
 """
+
+def successors_of(spec, k):
+    """The {label: multiplicity} expansion of label k's description."""
+    return expand(describe(match_clause(spec, k), k))
+
 
 FIB = """
 system fib {
@@ -47,21 +51,21 @@ class TestParsing:
 
     def test_successors_expand_interval(self):
         spec = parse_spec(CATALAN)
-        assert dict(successors(spec, 2)) == {2: 1, 3: 1}
-        assert dict(successors(spec, 5)) == {2: 1, 3: 1, 4: 1, 5: 1, 6: 1}
+        assert dict(successors_of(spec, 2)) == {2: 1, 3: 1}
+        assert dict(successors_of(spec, 5)) == {2: 1, 3: 1, 4: 1, 5: 1, 6: 1}
 
     def test_item_multiplicities(self):
         spec = parse_spec(
             "system t { mode eco; axiom 3; rule always: (2) x k-1, (k+1) x 1; }"
         )
-        assert dict(successors(spec, 4)) == {2: 3, 5: 1}
+        assert dict(successors_of(spec, 4)) == {2: 3, 5: 1}
 
     def test_interval_step_and_minus(self):
         spec = parse_spec(
             "system t { mode walk; axiom 0;"
             " rule always: interval(0, 2*k, step 2, minus {2}); }"
         )
-        assert dict(successors(spec, 3)) == {0: 1, 4: 1, 6: 1}
+        assert dict(successors_of(spec, 3)) == {0: 1, 4: 1, 6: 1}
 
     def test_guard_dispatch(self):
         spec = parse_spec(FIB)
@@ -74,8 +78,8 @@ class TestParsing:
             " rule k mod 2 == 0: (2) x k-1, (k+1) x 1;"
             " rule k mod 2 == 1: (2) x k-2, (3) x 1, (k+1) x 1; }"
         )
-        assert dict(successors(spec, 4)) == {2: 3, 5: 1}
-        assert dict(successors(spec, 5)) == {2: 3, 3: 1, 6: 1}
+        assert dict(successors_of(spec, 4)) == {2: 3, 5: 1}
+        assert dict(successors_of(spec, 5)) == {2: 3, 3: 1, 6: 1}
 
     def test_pow2_guard_and_negation(self):
         spec = parse_spec(
@@ -83,8 +87,8 @@ class TestParsing:
             " rule pow2(k): (2) x k-1, (k+1) x 1;"
             " rule !pow2(k): (2) x k-2, (3) x 1, (k+1) x 1; }"
         )
-        assert dict(successors(spec, 8)) == {2: 7, 9: 1}
-        assert dict(successors(spec, 6)) == {2: 4, 3: 1, 7: 1}
+        assert dict(successors_of(spec, 8)) == {2: 7, 9: 1}
+        assert dict(successors_of(spec, 6)) == {2: 4, 3: 1, 7: 1}
 
     def test_negation_limited_to_pow2_prime(self):
         with pytest.raises(ParseError):
@@ -161,8 +165,8 @@ class TestBuiltins:
             "system t { mode eco; axiom 1;"
             " rule always: (ceil_div(k, 2)) x k-1, (k+1) x 1; }"
         )
-        assert dict(successors(spec, 5)) == {3: 4, 6: 1}
-        assert dict(successors(spec, 4)) == {2: 3, 5: 1}
+        assert dict(successors_of(spec, 5)) == {3: 4, 6: 1}
+        assert dict(successors_of(spec, 4)) == {2: 3, 5: 1}
 
     def test_eval_expr_affine(self):
         spec = parse_spec(
@@ -179,10 +183,10 @@ class TestRoundTrips:
         again = parse_spec(spec_to_text(spec))
         for k in range(1 if spec.mode == "eco" else 0, 40):
             try:
-                a = successors(spec, k)
+                a = successors_of(spec, k)
             except SpecError:
                 continue
-            assert a == successors(again, k)
+            assert a == successors_of(again, k)
 
     def test_json_roundtrip_is_byte_stable(self):
         spec = parse_spec(CATALAN)

@@ -6,6 +6,7 @@ intervals have steps up to 3, moving low ends and exclusions, and some
 multiplicities start at 0, so the range method's batched residue classes,
 its per-label route below their thresholds and its sparse levels all run."""
 
+import re
 from functools import cache
 from random import Random
 
@@ -24,7 +25,6 @@ from ecokit.dsl import (
     RuleClause,
     describer,
     expand,
-    successors,
 )
 from ecokit import engine
 from ecokit.engine import back_table, count_levels, iter_levels, sample_walks
@@ -126,7 +126,7 @@ def reference_walk(spec, g, rng):
     walk = [k]
     for rem in range(len(g) - 1, 0, -1):
         r = rng.randrange(g[rem][k])
-        for j, mult in sorted(successors(spec, k).items()):
+        for j, mult in sorted(expand(describer(spec)(k)).items()):
             r -= mult * g[rem - 1][j]
             if r < 0:
                 k = j
@@ -162,8 +162,9 @@ def test_engine_routes_agree(spec, n, seed, cap):
     if total:
         seq = sample_walks(spec, n, 3, seed, strategy="sequential")
         assert sample_walks(spec, n, 3, seed, strategy="binary") == seq
+        describe = describer(spec)
         for walk in seq:
-            assert all(b in successors(spec, a) for a, b in zip(walk, walk[1:]))
+            assert all(b in expand(describe(a)) for a, b in zip(walk, walk[1:]))
 
 
 def clause(atoms, items=(), intervals=()):
@@ -208,6 +209,59 @@ def test_batched_and_sparse_routes():
     assert spread_stats["update_ops"] == recount_ops(SPREAD, spread)
     # Only the first levels are dense enough for a list.
     assert spread_stats["fallback_labels"] > sum(map(len, spread[:-1])) - 30
+
+
+# Labels 0..12 climb and fill in below.  Label 12 also jumps to 500, too far
+# for the batched step's list, so the levels are dicts until the labels from
+# 13 on, stepping by one each way, fill the span enough for a list again.
+SWITCH = EcoSpec("switch", "walk", 0, (
+    clause([GuardAtom("le", c=11)], [Item(Affine(1, 1), Affine(0, 1))], [Interval(Affine(0, 0), Affine(1, 0))]),
+    clause(
+        [GuardAtom("ge", c=12), GuardAtom("le", c=12)],
+        [Item(Affine(1, 1), Affine(0, 1)), Item(Affine(0, 500), Affine(0, 1))],
+    ),
+    clause([GuardAtom("ge", c=13)], [Item(Affine(1, -1), Affine(0, 1)), Item(Affine(1, 1), Affine(0, 1))]),
+))
+
+
+def dict_route_stats(spec, n):
+    """(levels, fallback_labels, peak_labels) with every level a dict: the
+    levels come from `_sparse_step`, and a level `_is_dense` admits counts
+    the labels `_dense_core` lowers alone when it takes the level spread
+    into a list, every label otherwise."""
+    describe, plan = describer(spec), engine._class_plan(spec)
+    levels, fallback = [{spec.axiom: 1}], 0
+    for _ in range(n):
+        level = levels[-1]
+        done = None
+        base, top = min(level), max(level)
+        if engine._is_dense(plan, base, top, len(level)):
+            cur = [level.get(k, 0) for k in range(base, top + 1)]
+            done = engine._dense_core(cur, base, plan, describe, None)
+        fallback += len(level) if done is None else done[3]
+        levels.append(engine._sparse_step(level.items(), describe, None)[0])
+    return levels, fallback, max(map(len, levels))
+
+
+def test_levels_switch_between_lists_and_dicts():
+    n = 60
+    stats = {}
+    levels = list(iter_levels(SWITCH, n, "range", stats=stats))
+    kinds = "".join("L" if isinstance(level, engine.Row) else "d" for level in levels)
+    # The axiom's dict, then lists, dicts while 500 stands apart, lists again.
+    assert re.fullmatch("dL+d+L+", kinds), kinds
+    naive = list(iter_levels(SWITCH, n, "naive"))
+    assert levels == naive
+    assert stats["update_ops"] == recount_ops(SWITCH, naive)
+    for level in levels:
+        assert 0 not in level.values()
+        assert len(level) == len(list(level)) == len(dict(level.items()))
+        if isinstance(level, engine.Row):
+            assert list(level) == sorted(level)
+            assert level.vals[0] and level.vals[-1]
+    reference, fallback, peak = dict_route_stats(SWITCH, n)
+    assert reference == naive
+    assert (stats["fallback_labels"], stats["peak_labels"]) == (fallback, peak)
 
 
 @pytest.mark.parametrize(
