@@ -170,6 +170,8 @@ def _cmd_count(args):
     name, spec = _load_valid_source(args)
     if args.n < 0:
         raise UsageError("-n must be nonnegative")
+    if args.cap is not None and args.cap < 1:
+        raise UsageError("--cap must be positive")
     table = count_levels(
         spec, args.n, method=args.method, max_labels=args.cap, label_sums=args.format == "json"
     )
@@ -232,6 +234,8 @@ def _cmd_sample(args):
 
 def _cmd_classify(args):
     _no_csv(args)
+    if args.order < 1:
+        raise UsageError("--order must be at least 1")
     name, spec = _load_source(args)
     try:
         report = build_report(spec, order=args.order)
@@ -257,6 +261,8 @@ def _cmd_gf(args):
     _no_csv(args)
     if args.order < 2:
         raise UsageError("--order must be at least 2")
+    if args.window < 0:
+        raise UsageError("--window must be nonnegative")
     name, spec = _load_source(args)
     form = factorial_form(spec)
     if form is None:
@@ -295,6 +301,10 @@ def _cmd_guess(args):
     _no_csv(args)
     if args.order < 1:
         raise UsageError("--order must be at least 1")
+    if args.dmax < 0:
+        raise UsageError("--dmax must be nonnegative")
+    if args.max_degree < 0:
+        raise UsageError("--max-degree must be nonnegative")
     name, spec = _load_source(args)
     table = count_levels(spec, args.order - 1, max_labels=_WIDTH_CAP)
     terms = table.totals
@@ -406,6 +416,8 @@ def _cmd_bench(args):
         raise UsageError("-n must be nonnegative")
     if args.count < 1:
         raise UsageError("--count must be positive")
+    if args.naive_cap < 0:
+        raise UsageError("--naive-cap must be nonnegative")
     if args.task == "count":
         return _bench_count(name, spec, args)
     return _bench_sample(name, spec, args)

@@ -20,18 +20,22 @@ propagation methods are provided:
   one affine clause guards every label from a threshold on
   (``dsl.residue_split``, ``dsl.class_view``) the class is batched: each
   point, each run end and each cut is one strided slice operation over the
-  class's counts, with no per-label description.  Labels below a class
-  threshold (a ``k <= c`` guard, a multiplicity still below 1, a run not
-  yet of its affine shape), labels of classes ``class_view`` rejects or a
-  pow2/prime guard tests, and every label of a sparse level (span much
-  wider than its number of labels) are lowered one at a time as before;
-  ``stats["fallback_labels"]`` counts them.  A dense level stays a list from
-  step to step: the batched step's result, its zero ends stripped
-  (``_trim``, which the back table's closure shares), is the next level
-  while it is still dense, wrapped in a read-only ``Row`` whose flags are
-  its counts, and ``count_levels`` sums that list directly.  Only a sparse
-  level is a dict; a dict level that turns dense is spread into a list
-  once.
+  class's counts, with no per-label description.  A point label
+  ``ceil_div(a*k + b, q)`` with a constant q is batched too: M is widened
+  until q divides a*M, so on each class the label is the exact integer
+  quotient (a*k + b + c) // q for a fixed c, and steps by a*M // q.  Labels
+  below a class threshold (a ``k <= c`` guard, a multiplicity still below
+  1, a run not yet of its affine shape), labels of classes ``class_view``
+  rejects (a builtin interval bound, exclusion or multiplicity) or a
+  pow2/prime guard tests, labels of any other builtin, and every label of a
+  sparse level (span much wider than its number of labels) are lowered one
+  at a time as before; ``stats["fallback_labels"]`` counts them.  A dense
+  level stays a list from step to step: the batched step's result, its
+  zero ends stripped (``_trim``, which the back table's closure shares), is
+  the next level while it is still dense, wrapped in a read-only ``Row``
+  whose flags are its counts, and ``count_levels`` sums that list directly.
+  Only a sparse level is a dict; a dict level that turns dense is spread
+  into a list once.
 
 ``stats["update_ops"]`` counts the updates a method made: for ``naive`` one
 per (populated label, distinct successor label) pair; for ``range`` one per
@@ -46,26 +50,28 @@ The back table's closure (``_closure``) pushes a level of ones through the
 range step and keeps its support.  A dense layer stays a list from end to
 end: its base label and a bytes object of 0/1 flags over its span, which is
 the level the batched step reads, and whose counts become the next layer's
-flags with no dict between.  Only sparse layers are sets.  ``back_table``
-builds each row as the transpose of that step: on a dense layer of at least
-``_ROW_MIN_LABELS`` labels the previous row is padded by slicing, each
-batched residue class reads a point as one strided slice times its affine
-multiplicity, a run as the difference of two strided slices of the row's
-per-(step, residue) prefix array, and a removed label as a strided slice
-taken away, and writes its counts as one strided slice of a list over the
-layer's span.  The row is a ``Row``: a read-only mapping over that list
-whose ``row[k]`` looks up label k, whose ``len`` is the layer's number of
-labels and which equals the {label: count} dict it stands for.  Labels below
-a class threshold and every label of a sparse or small layer are lowered one
-at a time, each run summed from the same kind of prefix sums, into a dict
-row.  The table stops, raising ``TableBudgetError``, before its cells
-(charged ``_CELL_BITS`` each in the closure) plus the bits of its counts
-pass ``BACK_BITS``.  ``WalkSampler`` reuses the closure's cached
-descriptions and memoizes a flat draw entry per (label, remaining depth):
-the total, its bit length, the successor labels and the prefix sums of
-their weights, read from a ``Row``'s list by index.  It draws with the
-``getrandbits`` rejection loop that ``Random.randrange`` runs, so a seed
-gives the same walks as one ``randrange`` per step.
+flags with no dict between.  Only sparse layers are sets.  The step is a
+function of the layer alone, so once a layer equals the one before it the
+closure stops stepping and repeats that layer to depth n, still charging
+each depth's cells.  ``back_table`` builds each row as the transpose of that
+step: on a dense layer of at least ``_ROW_MIN_LABELS`` labels the previous
+row is padded by slicing, each batched residue class reads a point as one
+strided slice times its affine multiplicity, a run as the difference of two
+strided slices of the row's per-(step, residue) prefix array, and a removed
+label as a strided slice taken away, and writes its counts as one strided
+slice of a list over the layer's span.  The row is a ``Row``: a read-only
+mapping over that list whose ``row[k]`` looks up label k, whose ``len`` is
+the layer's number of labels and which equals the {label: count} dict it
+stands for.  Labels below a class threshold and every label of a sparse or
+small layer are lowered one at a time, each run summed from the same kind of
+prefix sums, into a dict row.  The table stops, raising
+``TableBudgetError``, before its cells (charged ``_CELL_BITS`` each in the
+closure) plus the bits of its counts pass ``BACK_BITS``.  ``WalkSampler``
+reuses the closure's cached descriptions and memoizes a flat draw entry per
+(label, remaining depth): the total, its bit length, the successor labels
+and the prefix sums of their weights, read from a ``Row``'s list by index.
+It draws with the ``getrandbits`` rejection loop that ``Random.randrange``
+runs, so a seed gives the same walks as one ``randrange`` per step.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import accumulate, compress, count, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 from random import Random
 
@@ -87,6 +93,7 @@ from .dsl import (
     class_view,
     describer,
     expand,
+    expr_affine,
     residue_split,
 )
 
@@ -199,11 +206,14 @@ class _Class:
     """An affine clause on the labels k = residue mod modulus, k >= threshold.
 
     Forms are integer (slope, intercept) pairs in k.  `points` holds
-    (label form, multiplicity form), every multiplicity at least 1 from the
-    threshold on; `runs` holds (lo form, end form, step, removed forms),
-    `end` being one step past the last grid label.  `ops` is the update ops
-    one label of the class costs: one per point, two per run and one per
-    removed label.
+    (label, multiplicity form), every multiplicity at least 1 from the
+    threshold on, the label an integer triple (a, b, q) that stands for the
+    exact quotient (a*k + b) // q: q is 1 for an affine label, and for a
+    `ceil_div` label q divides a times the modulus, so the labels of the
+    class step by a*modulus // q.  `runs` holds (lo form, end form, step,
+    removed forms), `end` being one step past the last grid label.  `ops` is
+    the update ops one label of the class costs: one per point, two per run
+    and one per removed label.
     """
 
     threshold: int
@@ -212,10 +222,22 @@ class _Class:
     ops: int
 
 
+def _quotient(label):
+    """(a, b, q) of a builtin label ceil_div(a*k + b, q) with a constant
+    divisor q >= 1, or None for any other builtin label."""
+    if label.name != "ceil_div":
+        return None
+    num, den = map(expr_affine, label.args)
+    if num is None or den is None or den[0] or den[1] < 1:
+        return None
+    return (*num, den[1])
+
+
 def _class_of(clauses, modulus, residue, floor):
     """The _Class of one residue class, or None when its labels must be
     lowered one at a time: no single open-ended clause guards it, a guard
-    tests pow2 or prime, a label or bound is not affine, or a multiplicity
+    tests pow2 or prime, a label is neither affine nor a `ceil_div` of an
+    affine form by a constant, a bound is not affine, or a multiplicity
     turns negative."""
     if len(clauses) != 1:
         return None
@@ -228,8 +250,18 @@ def _class_of(clauses, modulus, residue, floor):
     threshold = max(view.threshold, floor)
     points = []
     for label, (c, d) in view.points:
-        if isinstance(label, Builtin) or c < 0 or (c == 0 and d < 0):
+        if c < 0 or (c == 0 and d < 0):
             return None
+        if isinstance(label, Builtin):
+            label = _quotient(label)
+            if label is None:
+                return None
+            a, b, q = label
+            # q divides a*modulus, so a*k + b keeps its residue mod q on the
+            # class, and rounding up adds the same amount to every label.
+            label = (a, b + (-(a * residue + b)) % q, q)
+        else:
+            label = (*label, 1)
         if c:
             # c*k + d >= 1 from here on.
             threshold = max(threshold, -((d - 1) // c))
@@ -249,18 +281,27 @@ def _class_plan(spec):
     """(modulus, [_Class or None for each residue]) for the batched step, or
     None when no residue class can be batched.  Labels up to every `k <= c`
     guard are left to the per-label route, so a bounded clause never meets
-    a batched label."""
+    a batched label.  The modulus of `dsl.residue_split` is widened until
+    each `ceil_div(a*k + b, q)` label's q divides a times it."""
     steps = [a.m for c in spec.clauses for a in c.guard.atoms if a.kind == "mod"]
-    if lcm(*steps, *(iv.step for c in spec.clauses for iv in c.intervals)) > _MAX_MODULUS:
+    steps += [iv.step for c in spec.clauses for iv in c.intervals]
+    labels = [i.label for c in spec.clauses for i in c.items if isinstance(i.label, Builtin)]
+    divisors = [q // gcd(a, q) for a, _, q in filter(None, map(_quotient, labels))]
+    if lcm(*steps, *divisors) > _MAX_MODULUS:
         return None
     modulus, split = residue_split(spec.clauses)
+    if not split:
+        return None
     floor = 1 + max(
         (a.c for c in spec.clauses for a in c.guard.atoms if a.kind == "le"), default=0
     )
-    classes = [_class_of(clauses, modulus, r, floor) for r, clauses in split]
+    # The guards' mod atoms divide residue_split's modulus, so a residue r of
+    # the wider one is guarded as r mod that modulus is.
+    wide = lcm(modulus, *divisors)
+    classes = [_class_of(split[r % modulus][1], wide, r, floor) for r in range(wide)]
     if not any(classes):
         return None
-    return modulus, classes
+    return wide, classes
 
 
 def _strided(arr, start, stride, n, weights, op):
@@ -366,7 +407,7 @@ def _dense_layout(cur, base, plan, describe, cap):
         bound += len(points) + sum((last - lo) // step + 1 for lo, last, step, _ in runs)
     for cls, k0, counts in batches:
         k1 = k0 + modulus * (len(counts) - 1)
-        ends += [a * k + b for (a, b), _ in cls.points for k in (k0, k1)]
+        ends += [(a * k + b) // q for (a, b, q), _ in cls.points for k in (k0, k1)]
         bound += len(counts) * len(cls.points)
         for (la, lb), (ea, eb), s, removed in cls.runs:
             lo, end = la * k1 + lb, ea * k1 + eb
@@ -422,12 +463,12 @@ def _dense_core(cur, base, plan, describe, cap):
     for cls, k0, counts in batches:
         n = len(counts)
         ops += cls.ops * (n - counts.count(0))
-        for (a, b), (c, d) in cls.points:
+        for (a, b, q), (c, d) in cls.points:
             if c:
                 weights = map(mul, counts, range(c * k0 + d, c * (k0 + modulus * n) + d, c * modulus))
             else:
                 weights = counts if d == 1 else map(mul, counts, repeat(d))
-            _strided(nxt, a * k0 + b - low, a * modulus, n, weights, add)
+            _strided(nxt, (a * k0 + b) // q - low, a * modulus // q, n, weights, add)
         for (la, lb), (ea, eb), s, removed in cls.runs:
             g0, d = diff(s, (la * k0 + lb) % s)
             _strided(d, (la * k0 + lb - g0) // s, la * modulus // s, n, counts, add)
@@ -711,11 +752,18 @@ def _closure(spec, n, max_labels, describe, plan):
     BACK_BITS."""
     layers = [_layer_of({spec.axiom}, plan)]
     cells = 1
+    fixed = False
     for depth in range(1, n + 1):
-        try:
-            layer = _closure_step(layers[-1], describe, plan, max_labels)
-        except _OverCap:
-            raise LabelCapError(max_labels, depth) from None
+        layer = layers[-1]
+        if not fixed:
+            try:
+                layer = _closure_step(layer, describe, plan, max_labels)
+            except _OverCap:
+                raise LabelCapError(max_labels, depth) from None
+            # The step is a function of the layer alone: a layer equal to the
+            # one before it is every later layer too, so it is kept once.
+            if layer == layers[-1]:
+                fixed, layer = True, layers[-1]
         size = _layer_size(layer)
         if max_labels is not None and size > max_labels:
             raise LabelCapError(max_labels, depth)
@@ -815,8 +863,8 @@ def _dense_row(layer, prev, plan, describe):
     for cls, k0, present in batches:
         n = len(present)
         acc = None  # the first term is taken as it is, not added to zeros
-        for (a, b), (c, d) in cls.points:
-            got = _read(vals, a * k0 + b - low, a * modulus, n)
+        for (a, b, q), (c, d) in cls.points:
+            got = _read(vals, (a * k0 + b) // q - low, a * modulus // q, n)
             if c:
                 got = map(mul, got, range(c * k0 + d, c * (k0 + modulus * n) + d, c * modulus))
             elif d != 1:

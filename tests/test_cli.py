@@ -428,6 +428,7 @@ class TestBench:
             (("-n", "-1"), "-n must be nonnegative"),
             (("--task", "sample", "--count", "0"), "--count must be positive"),
             (("--count", "-3"), "--count must be positive"),
+            (("--naive-cap", "-5"), "--naive-cap must be nonnegative"),
         ],
     )
     def test_bad_values_are_usage_errors(self, capsys, flags, message):
@@ -583,3 +584,33 @@ def test_json_output_is_what_json_dumps_writes(capsys, system, argv):
     code, out, _ = run(capsys, *argv, *source, "--format", "json")
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("classify", "--order", "0"), "--order must be at least 1"),
+        (("classify", "--order", "-2"), "--order must be at least 1"),
+        (("count", "-n", "3", "--cap", "0"), "--cap must be positive"),
+        (("count", "-n", "3", "--cap", "-1"), "--cap must be positive"),
+        (("gf", "--window", "-2"), "--window must be nonnegative"),
+        (("guess", "--dmax", "-1"), "--dmax must be nonnegative"),
+        (("guess", "--max-degree", "-1"), "--max-degree must be nonnegative"),
+    ],
+)
+def test_out_of_range_flags_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--system", "catalan")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("classify", "--order", "1"), 0),
+        (("count", "-n", "3", "--cap", "1"), 1),  # the cap fires after level 0
+        (("gf", "--window", "0"), 0),
+        (("guess", "--dmax", "0", "--max-degree", "0"), 0),
+    ],
+)
+def test_smallest_flag_values_still_run(capsys, argv, code):
+    assert run(capsys, *argv, "--system", "catalan")[0] == code

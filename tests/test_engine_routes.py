@@ -2,9 +2,11 @@
 back table and both sampling strategies agree on generated affine specs.
 
 The generated guards mix `k <= c`, `k >= c` and `k mod m == r` atoms, the
-intervals have steps up to 3, moving low ends and exclusions, and some
-multiplicities start at 0, so the range method's batched residue classes,
-its per-label route below their thresholds and its sparse levels all run."""
+intervals have steps up to 3, moving low ends and exclusions, some
+multiplicities start at 0, and some point labels are `ceil_div(a*k + b, m)`
+for m up to 3, so the range method's batched residue classes (widened for
+the divisors), its per-label route below their thresholds and its sparse
+levels all run."""
 
 import re
 from functools import cache
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from ecokit.catalog import get_entry
 from ecokit.dsl import (
     Affine,
+    Builtin,
     EcoSpec,
     Guard,
     GuardAtom,
@@ -34,12 +37,17 @@ def affine(slopes, lo, hi):
     return st.builds(Affine, st.sampled_from(slopes), st.integers(lo, hi))
 
 
+def ceil_div(numerator, m):
+    return Builtin("ceil_div", (numerator, Affine(0, m)))
+
+
 def items(floor):
     # Labels stay nonnegative for k >= 0; a multiplicity k - floor is 0 on
     # the clause's lowest label.  Label slope 3 spreads levels out until
     # they are sparse.
     mult = st.one_of(affine((0,), 0, 2), affine((1,), -floor, 2 - floor))
-    return st.builds(Item, affine((0, 1, 2, 3), 0, 3), mult)
+    label = affine((0, 1, 2, 3), 0, 3)
+    return st.builds(Item, st.one_of(label, st.builds(ceil_div, label, st.integers(1, 3))), mult)
 
 
 # Interval low ends stay nonnegative for k >= 0; high ends and exclusions
@@ -305,3 +313,69 @@ def test_binary_walks_follow_the_randrange_stream(name):
         rng = Random(seed)
         expected = [reference_walk(spec, g, rng) for _ in range(6)]
         assert sample_walks(spec, 25, 6, seed) == expected
+
+
+def test_ceil_half_is_batched():
+    # ceil_div(k, 2) is (k + 1) // 2 on odd labels and k // 2 on even ones,
+    # so ceil_half batches per residue mod 2 from label 2 on.
+    spec = get_entry("ceil_half").spec()
+    assert engine._class_plan(spec) is not None
+    n = 60
+    table = count_levels(spec, n, "range")
+    assert table.totals == count_levels(spec, n, "naive").totals
+    assert table.stats["fallback_labels"] <= n
+    g = back_table(spec, n)
+    assert g == reference_back_table(spec, list(iter_levels(spec, n, "naive")))
+    layers = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
+    sizes = [engine._layer_size(layer) for layer in reversed(layers)]
+    wide = [m for m, size in enumerate(sizes) if size >= engine._ROW_MIN_LABELS]
+    assert len(wide) > n - 2 * engine._ROW_MIN_LABELS
+    assert all(isinstance(g[m], engine.Row) for m in wide)
+
+
+def test_fixed_closure_layer_is_reused():
+    # Fibonacci's layers are {1}, {2}, then {1, 2} at every depth.
+    spec = get_entry("fibonacci").spec()
+    n = 3000
+    naive = list(iter_levels(spec, n, "naive"))
+    layers = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
+    assert [set(engine._layer_labels(layer)) for layer in layers] == [set(level) for level in naive]
+    assert all(layer is layers[2] for layer in layers[3:])
+    assert back_table(spec, n).cells == sum(map(len, naive)) == 2 * n
+
+
+def budget_stop(spec, n, bits):
+    """The level a back table stops at under BACK_BITS = bits, recounted from
+    the naive levels and the reference table: first each closure layer's
+    cells at _CELL_BITS, then the bits of each row's counts."""
+    levels = list(iter_levels(spec, n, "naive"))
+    cells = 0
+    for depth, level in enumerate(levels):
+        cells += len(level)
+        if depth and cells * engine._CELL_BITS > bits:
+            return depth - 1
+    charged = cells * engine._CELL_BITS
+    for m, row in enumerate(reference_back_table(spec, levels)):
+        charged += sum(map(int.bit_length, row.values()))
+        if m and charged > bits:
+            return m - 1
+    return None
+
+
+@pytest.mark.parametrize(
+    "name, n, bits",
+    [
+        ("fibonacci", 3000, 1024 * 3001),  # in the closure, past the fixed layer
+        ("fibonacci", 3000, 1024 * 6000 + 3_000_000),  # in the rows
+        ("ceil_half", 200, 1024 * 10_000),
+        ("ceil_half", 200, 1024 * 20_100 + 1_000_000),
+    ],
+)
+def test_back_bits_stop_at_the_same_level(monkeypatch, name, n, bits):
+    spec = get_entry(name).spec()
+    level = budget_stop(spec, n, bits)
+    assert level is not None
+    monkeypatch.setattr(engine, "BACK_BITS", bits)
+    with pytest.raises(engine.TableBudgetError) as exc:
+        back_table(spec, n)
+    assert exc.value.level == level
