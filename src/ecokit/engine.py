@@ -29,13 +29,11 @@ propagation methods are provided:
   rejects (a builtin interval bound, exclusion or multiplicity) or a
   pow2/prime guard tests, labels of any other builtin, and every label of a
   sparse level (span much wider than its number of labels) are lowered one
-  at a time as before; ``stats["fallback_labels"]`` counts them.  A dense
-  level stays a list from step to step: the batched step's result, its
-  zero ends stripped (``_trim``, which the back table's closure shares), is
-  the next level while it is still dense, wrapped in a read-only ``Row``
-  whose flags are its counts, and ``count_levels`` sums that list directly.
-  Only a sparse level is a dict; a dict level that turns dense is spread
-  into a list once.
+  at a time as before; ``stats["fallback_labels"]`` counts them.  A range
+  level is a read-only ``Row`` over its list of counts exactly when
+  ``_is_dense`` holds for its labels, else a dict (``_level_of``), so a
+  dense level stays a list from step to step and ``count_levels`` sums
+  that list directly.
 
 ``stats["update_ops"]`` counts the updates a method made: for ``naive`` one
 per (populated label, distinct successor label) pair; for ``range`` one per
@@ -46,25 +44,21 @@ entries of the rebuilt running sum.  Without a label cap, propagation still
 stops (marked truncated) before a run wider than ``dsl.MAX_SUCCESSORS``, and
 ``naive`` before its cached pairs pass ``NAIVE_PAIRS``; see ``stop_text``.
 
-The back table's closure (``_closure``) pushes a level of ones through the
-range step and keeps its support.  A dense layer stays a list from end to
-end: its base label and a bytes object of 0/1 flags over its span, which is
-the level the batched step reads, and whose counts become the next layer's
-flags with no dict between.  Only sparse layers are sets.  The step is a
-function of the layer alone, so once a layer equals the one before it the
-closure stops stepping and repeats that layer to depth n, still charging
-each depth's cells.  ``back_table`` builds each row as the transpose of that
-step: on a dense layer of at least ``_ROW_MIN_LABELS`` labels the previous
-row is padded by slicing, each batched residue class reads a point as one
-strided slice times its affine multiplicity, a run as the difference of two
-strided slices of the row's per-(step, residue) prefix array, and a removed
-label as a strided slice taken away, and writes its counts as one strided
-slice of a list over the layer's span.  The row is a ``Row``: a read-only
-mapping over that list whose ``row[k]`` looks up label k, whose ``len`` is
-the layer's number of labels and which equals the {label: count} dict it
-stands for.  Labels below a class threshold and every label of a sparse or
-small layer are lowered one at a time, each run summed from the same kind of
-prefix sums, into a dict row.  The table stops, raising
+The back table's closure (``_closure``) is the same range step on levels
+of ones: each layer is the step of the one before with its counts reset to
+1, a ``Row`` whose flags and counts are one bytes object of 0/1 when dense,
+else a dict of ones.  It keeps the ``_dense_layout`` it stepped each layer
+with, and once a layer equals the one before it, it repeats that layer to
+depth n without stepping, still charging each depth's cells.
+``back_table`` builds each row from that layout as the transpose of the
+step: on a dense layer of at least ``_ROW_MIN_LABELS`` labels each batched
+residue class reads a point as one strided slice of the padded previous row
+times its affine multiplicity, a run as the difference of two strided
+slices of its per-(step, residue) prefix array, and a removed label as a
+strided slice taken away, and writes its counts as one strided slice of a
+``Row`` over the layer's flags.  Other labels are lowered one at a time,
+each run summed from the same kind of prefix sums, into a dict row.  The
+table stops, raising
 ``TableBudgetError``, before its cells (charged ``_CELL_BITS`` each in the
 closure) plus the bits of its counts pass ``BACK_BITS``.  ``WalkSampler``
 reuses the closure's cached descriptions and memoizes a flat draw entry per
@@ -99,10 +93,11 @@ from .dsl import (
 
 
 class LabelCapError(SpecError):
-    """A level holds more distinct labels than the cap allows."""
+    """A level would hold more distinct labels than the cap allows; `level`
+    is the last one that fit."""
 
     def __init__(self, cap, level):
-        super().__init__(f"label cap {cap} exceeded at level {level}")
+        super().__init__(stop_text(("cap", cap), level))
         self.cap = cap
         self.level = level
 
@@ -422,20 +417,16 @@ def _dense_layout(cur, base, plan, describe, cap):
     return described, batches, low, high
 
 
-def _dense_core(cur, base, plan, describe, cap):
+def _dense_core(layout, plan):
     """(next level as a list indexed by label - low, low, update ops, labels
-    lowered one at a time) from the level held as the list `cur` indexed by
-    label - base, or None when the next level would be too sparse for a
-    list.  Its first and last entries may be 0.
+    lowered one at a time) from a level's `_dense_layout`.  Its first and
+    last entries may be 0.
 
     Each batched class adds its slice of counts to strided slices: a point
     to the next level, a run's two ends to the difference array of its
     (step, residue) key, a removed label to the next level with a minus
     sign.  The other labels add their descriptions into the same arrays."""
     modulus = plan[0]
-    layout = _dense_layout(cur, base, plan, describe, cap)
-    if layout is None:
-        return None
     described, batches, low, high = layout
     nxt = [0] * (high - low + 1)
     diffs = {}  # (step, residue) -> (lowest grid label, difference array)
@@ -504,8 +495,9 @@ class Row(Mapping):
     equals the {label: count} dict it stands for.
 
     A dense forward level is a Row with flags = vals, so its labels are the
-    nonzero counts.  A back-table row on a dense closure layer takes the
-    layer's 0/1 flags, and its vals are 0 off them."""
+    nonzero counts.  A dense closure layer's flags and vals are one bytes
+    object of 0/1, and a back-table row on it takes those flags, its vals 0
+    off them."""
 
     __slots__ = ("base", "flags", "vals", "size")
 
@@ -547,32 +539,35 @@ def _trim(nxt, low, plan):
     return low + a, nxt, size, bool(size) and _is_dense(plan, low + a, low + b - 1, size)
 
 
-def _next_level_range(level, describe, plan, cap=None):
-    """(next level, update ops, labels lowered one at a time).
+def _level_of(level, plan):
+    """A dict of nonzero counts as the range step holds it: a Row over its
+    list of counts when `_is_dense` holds for its labels, else the dict."""
+    if level and _is_dense(plan, base := min(level), top := max(level), len(level)):
+        vals = list(map(level.get, range(base, top + 1), repeat(0)))
+        return Row(base, vals, vals, len(level))
+    return level
 
-    A level held as a Row over its list of counts goes through `_dense_core`
-    with the batched classes of `plan` (from `_class_plan`), and so does a
-    dict level whose label span is near its number of labels, spread into a
-    list once.  The next level stays a Row (flags = vals) while `_is_dense`
-    holds, else it becomes a dict.  Any other level is lowered label by
-    label into a dict.  _OverCap, before any label is written, when a single
-    run is wider than `cap` labels."""
+
+def _next_level_range(level, describe, plan, cap=None):
+    """(next level, update ops, labels lowered one at a time, the level's
+    `_dense_layout` or None).
+
+    A Row level goes through `_dense_core` with the batched classes of
+    `plan` (from `_class_plan`) unless its layout is None; any other level
+    is lowered label by label.  The next level is a Row (flags = vals) when
+    `_is_dense` holds for its labels, else a dict.  _OverCap, before any
+    label is written, when a single run is wider than `cap` labels."""
+    layout = None
     if isinstance(level, Row):
-        cur, base = level.vals, level.base
-    elif level and _is_dense(plan, base := min(level), top := max(level), len(level)):
-        cur = list(map(level.get, range(base, top + 1), repeat(0)))
-    else:
-        cur = None
-    if cur is not None:
-        done = _dense_core(cur, base, plan, describe, cap)
-        if done is not None:
-            nxt, low, ops, lowered = done
+        layout = _dense_layout(level.vals, level.base, plan, describe, cap)
+        if layout is not None:
+            nxt, low, ops, lowered = _dense_core(layout, plan)
             base, vals, size, dense = _trim(nxt, low, plan)
             if dense:
-                return Row(base, vals, vals, size), ops, lowered
-            return dict(compress(zip(count(base), vals), vals)), ops, lowered
+                return Row(base, vals, vals, size), ops, lowered, layout
+            return dict(compress(zip(count(base), vals), vals)), ops, lowered, layout
     nxt, ops = _sparse_step(level.items(), describe, cap)
-    return nxt, ops, len(level)
+    return _level_of(nxt, plan), ops, len(level), layout
 
 
 def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
@@ -608,6 +603,7 @@ def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
     describe = describer(spec)
     width = MAX_SUCCESSORS if max_labels is None else max_labels
     budget = ("width" if max_labels is None else "cap", width)
+    plan = None
     if method == "naive":
         held = 0
 
@@ -627,7 +623,8 @@ def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
         # Range levels can double in width per level (up to the label cap),
         # so descriptions are rebuilt on every visit rather than kept for
         # every label seen.
-        step = partial(_next_level_range, plan=_class_plan(spec), cap=width)
+        plan = _class_plan(spec)
+        step = partial(_next_level_range, plan=plan, cap=width)
         lower = describe
     if stats is None:
         stats = {}
@@ -636,10 +633,12 @@ def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
         stats["fallback_labels"] = 0
     level = {spec.axiom: 1}
     yield level
+    level = _level_of(level, plan)
     stop = None
     for _ in range(n):
         try:
-            level, done, lowered = step(level, lower)
+            # The range step also hands back the layout it stepped with.
+            level, done, lowered = step(level, lower)[:3]
         except _OverCap as exc:
             stop = exc.args[0] if exc.args else budget
             break
@@ -699,79 +698,50 @@ class TableBudgetError(SpecError):
         self.level = level
 
 
-def _layer_of(labels, plan):
-    """A closure layer from a set of labels: (base, flags, size) when the
-    labels are dense for `plan` (`_is_dense`), else the set itself."""
-    if labels:
-        base, top, size = min(labels), max(labels), len(labels)
-        if _is_dense(plan, base, top, size):
-            flags = bytearray(top - base + 1)
-            for k in labels:
-                flags[k - base] = 1
-            return base, bytes(flags), size
-    return labels
-
-
-def _layer_size(layer):
-    return len(layer) if isinstance(layer, set) else layer[2]
-
-
-def _layer_labels(layer):
-    """The labels of a closure layer (in increasing order when dense)."""
-    if isinstance(layer, set):
-        return layer
-    base, flags, _ = layer
-    return compress(count(base), flags)
-
-
-def _closure_step(layer, describe, plan, cap):
-    """The closure layer after `layer`: the support of the range step on a
-    level of ones.  A dense layer's flags are the level `_dense_core` steps,
-    and the counts it returns become the next flags, with no dict between."""
-    if not isinstance(layer, set):
-        base, flags, _ = layer
-        done = _dense_core(flags, base, plan, describe, cap)
-        if done is not None:
-            base, vals, size, dense = _trim(done[0], done[1], plan)
-            if dense:
-                return base, bytes(map(bool, vals)), size
-            return set(compress(count(base), vals))
-    nxt, _ = _sparse_step(zip(_layer_labels(layer), repeat(1)), describe, cap)
-    return _layer_of(set(nxt), plan)
+def _ones(level):
+    """The closure layer of a range level: a Row whose flags and vals are
+    one bytes object of 0/1, or a dict mapping each label to 1."""
+    if isinstance(level, Row):
+        flags = bytes(map(bool, level.vals))
+        return Row(level.base, flags, flags, level.size)
+    return dict.fromkeys(level, 1)
 
 
 def _closure(spec, n, max_labels, describe, plan):
-    """Layers R_0..R_n, each the support of the range step (batched by
-    `plan`) applied to a level of ones.  A dense layer is (base, flags,
-    size): flags is a bytes object whose byte i is 1 when label base + i is
-    in the layer, else 0, the first and last are 1, and size counts the 1s;
-    a sparse layer is a set.
+    """(layers R_0..R_n, layouts): R_d is the range step (batched by `plan`)
+    of R_{d-1} with its counts reset to 1 (`_ones`), and layouts[d] the
+    `_dense_layout` R_d was stepped with, or None, for d < n.
 
-    LabelCapError when a layer holds more than max_labels labels;
+    LabelCapError when a layer would hold more than max_labels labels;
     TableBudgetError when the layers' cells, charged _CELL_BITS each, pass
-    BACK_BITS."""
-    layers = [_layer_of({spec.axiom}, plan)]
-    cells = 1
-    fixed = False
+    BACK_BITS.  Both name the last layer that fit."""
+    layers, layouts = [_ones(_level_of({spec.axiom: 1}, plan))], []
+    cells, fixed = 1, False
     for depth in range(1, n + 1):
         layer = layers[-1]
         if not fixed:
             try:
-                layer = _closure_step(layer, describe, plan, max_labels)
+                level, _, _, layout = _next_level_range(layer, describe, plan, max_labels)
             except _OverCap:
-                raise LabelCapError(max_labels, depth) from None
+                raise LabelCapError(max_labels, depth - 1) from None
+            level = _ones(level)
             # The step is a function of the layer alone: a layer equal to the
-            # one before it is every later layer too, so it is kept once.
-            if layer == layers[-1]:
-                fixed, layer = True, layers[-1]
-        size = _layer_size(layer)
-        if max_labels is not None and size > max_labels:
-            raise LabelCapError(max_labels, depth)
-        cells += size
+            # one before it is every later layer too, so it is kept once,
+            # with its layout.  Rows compare by base and flags.
+            if isinstance(level, Row) and isinstance(layer, Row):
+                fixed = (level.base, level.flags) == (layer.base, layer.flags)
+            else:
+                fixed = type(level) is type(layer) and level == layer
+            if not fixed:
+                layer = level
+        layouts.append(layout)
+        if max_labels is not None and len(layer) > max_labels:
+            raise LabelCapError(max_labels, depth - 1)
+        cells += len(layer)
         if cells * _CELL_BITS > BACK_BITS:
             raise TableBudgetError(depth - 1)
         layers.append(layer)
-    return layers
+    return layers, layouts
 
 
 def _split(pairs):
@@ -824,22 +794,19 @@ def _padded(prev, low, high):
     return vals
 
 
-def _dense_row(layer, prev, plan, describe):
-    """The row of `_sparse_row` on a dense closure layer as a Row, the
-    transpose of `_dense_core`, or None when the layer is small or its
-    successors too sparse for a list.
+def _dense_row(layer, layout, prev, plan):
+    """The row of `_sparse_row` on a closure layer as a Row, the transpose
+    of `_dense_core` on the `_dense_layout` the layer was stepped with, or
+    None when that layout is None or the layer is small.
 
     prev becomes a zero-padded list; each batched class reads a point as one
     strided slice times its multiplicity, a run as the difference of two
     strided slices of a per-(step, residue) prefix array and a removed label
     as a strided slice taken away, and writes its counts as one strided
     slice of the row."""
-    base, flags, size = layer
-    if size < _ROW_MIN_LABELS:
+    if layout is None or len(layer) < _ROW_MIN_LABELS:
         return None
-    layout = _dense_layout(flags, base, plan, describe, None)
-    if layout is None:
-        return None
+    base, flags = layer.base, layer.flags
     described, batches, low, high = layout
     modulus = plan[0]
     vals = _padded(prev, low, high)
@@ -885,7 +852,7 @@ def _dense_row(layer, prev, plan, describe):
             acc = map(mul, acc, present)
         i = k0 - base
         row[i : i + modulus * n : modulus] = acc
-    return Row(base, flags, row, size)
+    return Row(base, flags, row, len(layer))
 
 
 class BackTable(list):
@@ -907,28 +874,24 @@ def back_table(spec, n, max_labels=None):
 
     g[n][axiom] equals the level-n total of count_levels, which gives an
     independent route to the same number.  LabelCapError when a closure
-    layer holds more than `max_labels` labels; TableBudgetError, naming the
-    last closure layer or table row that fit, when the table would pass
-    BACK_BITS.  The rows come back as a BackTable.
+    layer would hold more than `max_labels` labels, TableBudgetError when
+    the table would pass BACK_BITS; each names the last closure layer or
+    table row that fit.  The rows come back as a BackTable.
     """
     describe = cache(describer(spec))
     t0 = time.perf_counter()
     plan = _class_plan(spec)
-    layers = _closure(spec, n, max_labels, describe, plan)
+    layers, layouts = _closure(spec, n, max_labels, describe, plan)
     t1 = time.perf_counter()
-    cells = sum(map(_layer_size, layers))
-    # The bottom row's counts are all 1, one bit each.
-    bottom = layers[n]
-    charged = _CELL_BITS * cells + _layer_size(bottom)
-    if isinstance(bottom, set):
-        g = [dict.fromkeys(bottom, 1)]
-    else:
-        g = [Row(bottom[0], bottom[1], list(bottom[1]), bottom[2])]
+    cells = sum(map(len, layers))
+    # The bottom row is layer n: its counts are all 1, one bit each.
+    g = [layers[n]]
+    charged = _CELL_BITS * cells + len(layers[n])
     for m in range(1, n + 1):
         layer, prev = layers[n - m], g[-1]
-        row = None if isinstance(layer, set) else _dense_row(layer, prev, plan, describe)
+        row = _dense_row(layer, layouts.pop(), prev, plan)
         if row is None:
-            row = _sparse_row(_layer_labels(layer), prev, describe)
+            row = _sparse_row(layer, prev, describe)
             charged += sum(map(int.bit_length, row.values()))
         else:
             charged += sum(map(int.bit_length, row.vals))

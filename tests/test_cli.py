@@ -172,7 +172,7 @@ class TestSample:
     def test_label_cap_stops_before_the_back_table(self, capsys):
         code, out, err = run(capsys, "sample", "--system", "even_jumps", "-n", "30")
         assert (code, out) == (1, "")
-        assert err == "error: label cap 100000 exceeded at level 18; no walks drawn\n"
+        assert err == "error: label cap 100000 exceeded after level 17; no walks drawn\n"
 
 
 class TestClassify:
@@ -501,7 +501,7 @@ def test_count_keeps_one_level_in_memory():
 def test_sample_bench_stops_at_the_label_cap():
     done = run_limited("bench", "--task", "sample", "--system", "even_jumps", "-n", "30")
     assert (done.returncode, done.stdout) == (1, b"")
-    assert done.stderr == b"error: label cap 100000 exceeded at level 18; no walks drawn\n"
+    assert done.stderr == b"error: label cap 100000 exceeded after level 17; no walks drawn\n"
 
 
 def test_sample_stops_at_the_back_table_budget():

@@ -25,8 +25,8 @@ def spec_of(name):
 
 def closure_layers(spec, n, max_labels=None):
     """The back table's closure layers R_0..R_n as sets of labels."""
-    layers = engine._closure(spec, n, max_labels, cache(describer(spec)), engine._class_plan(spec))
-    return [set(engine._layer_labels(layer)) for layer in layers]
+    layers, _ = engine._closure(spec, n, max_labels, cache(describer(spec)), engine._class_plan(spec))
+    return [set(layer) for layer in layers]
 
 
 class TestCounting:
@@ -136,12 +136,12 @@ class TestClosureAndBackTable:
 
     def test_label_cap_stops_closure_and_back_table(self):
         # Layer L of even_jumps holds 2^(L-1) labels, so layer 10 is the
-        # first above 500.
+        # first above 500 and layer 9 the last that fits.
         spec = spec_of("even_jumps")
         for build in (closure_layers, back_table):
             with pytest.raises(LabelCapError) as exc:
                 build(spec, 30, max_labels=500)
-            assert (exc.value.cap, exc.value.level) == (500, 10)
+            assert (exc.value.cap, exc.value.level) == (500, 9)
         assert len(closure_layers(spec, 9, max_labels=500)[9]) == 256
 
     def test_budget_stops_closure_and_back_table(self, monkeypatch):

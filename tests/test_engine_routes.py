@@ -108,8 +108,8 @@ def recount_ops(spec, levels):
 
 def closure_layers(spec, n):
     """The back table's closure layers R_0..R_n as sets of labels."""
-    layers = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
-    return [set(engine._layer_labels(layer)) for layer in layers]
+    layers, _ = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
+    return [set(layer) for layer in layers]
 
 
 def reference_back_table(spec, levels):
@@ -152,7 +152,19 @@ def test_engine_routes_agree(spec, n, seed, cap):
     assert naive == ranged
     assert ranged_stats["update_ops"] == recount_ops(spec, naive)
     assert ranged_stats["fallback_labels"] <= sum(map(len, naive[:-1]))
-    assert closure_layers(spec, n) == [set(level) for level in naive]
+    plan = engine._class_plan(spec)
+    layers, _ = engine._closure(spec, n, None, cache(describer(spec)), plan)
+    assert [set(layer) for layer in layers] == [set(level) for level in naive]
+    # One level type: a range level (after the axiom's) and a closure layer
+    # are Rows exactly when their labels are dense, and a layer's counts are 1.
+
+    def dense(level):
+        return bool(level) and engine._is_dense(plan, min(level), max(level), len(level))
+
+    assert all(isinstance(level, engine.Row) == dense(level) for level in ranged[1:])
+    for layer in layers:
+        assert isinstance(layer, engine.Row) == dense(layer)
+        assert set(layer.values()) <= {1}
     # count_levels is a fold over the same stream, capped or not.
     for method in ("naive", "range"):
         stats = {}
@@ -167,6 +179,7 @@ def test_engine_routes_agree(spec, n, seed, cap):
     g = back_table(spec, n)
     assert g == reference_back_table(spec, naive)
     assert g[n][spec.axiom] == total
+    assert set(g[0]) == set(layers[n])
     if total:
         seq = sample_walks(spec, n, 3, seed, strategy="sequential")
         assert sample_walks(spec, n, 3, seed, strategy="binary") == seq
@@ -235,18 +248,18 @@ SWITCH = EcoSpec("switch", "walk", 0, (
 def dict_route_stats(spec, n):
     """(levels, fallback_labels, peak_labels) with every level a dict: the
     levels come from `_sparse_step`, and a level `_is_dense` admits counts
-    the labels `_dense_core` lowers alone when it takes the level spread
-    into a list, every label otherwise."""
+    the labels `_dense_layout` lowers alone when it lays out the level
+    spread into a list, every label otherwise."""
     describe, plan = describer(spec), engine._class_plan(spec)
     levels, fallback = [{spec.axiom: 1}], 0
     for _ in range(n):
         level = levels[-1]
-        done = None
+        layout = None
         base, top = min(level), max(level)
         if engine._is_dense(plan, base, top, len(level)):
             cur = [level.get(k, 0) for k in range(base, top + 1)]
-            done = engine._dense_core(cur, base, plan, describe, None)
-        fallback += len(level) if done is None else done[3]
+            layout = engine._dense_layout(cur, base, plan, describe, None)
+        fallback += len(level) if layout is None else len(layout[0])
         levels.append(engine._sparse_step(level.items(), describe, None)[0])
     return levels, fallback, max(map(len, levels))
 
@@ -326,11 +339,40 @@ def test_ceil_half_is_batched():
     assert table.stats["fallback_labels"] <= n
     g = back_table(spec, n)
     assert g == reference_back_table(spec, list(iter_levels(spec, n, "naive")))
-    layers = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
-    sizes = [engine._layer_size(layer) for layer in reversed(layers)]
+    layers, _ = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
+    sizes = [len(layer) for layer in reversed(layers)]
     wide = [m for m, size in enumerate(sizes) if size >= engine._ROW_MIN_LABELS]
     assert len(wide) > n - 2 * engine._ROW_MIN_LABELS
     assert all(isinstance(g[m], engine.Row) for m in wide)
+
+
+@pytest.mark.parametrize("name", ["ceil_half", "catalan"])
+def test_each_dense_layer_is_laid_out_once(monkeypatch, name):
+    # The closure keeps the layout it stepped each dense layer with, and the
+    # layer's row reads it instead of laying the layer out again.
+    spec = get_entry(name).spec()
+    n = 60
+    plan = engine._class_plan(spec)
+    levels = list(iter_levels(spec, n, "naive"))
+    # Layer d is stepped unless it equals layer d - 1 (a reused fixed layer).
+    stepped = [
+        min(level)
+        for d, level in enumerate(levels[:n])
+        if engine._is_dense(plan, min(level), max(level), len(level))
+        and (d == 0 or set(level) != set(levels[d - 1]))
+    ]
+    assert len(stepped) >= n - 2
+    bases = []
+    layout = engine._dense_layout
+
+    def counted(cur, base, *args):
+        bases.append(base)
+        return layout(cur, base, *args)
+
+    monkeypatch.setattr(engine, "_dense_layout", counted)
+    g = back_table(spec, n)
+    assert bases == stepped
+    assert g == reference_back_table(spec, levels)
 
 
 def test_fixed_closure_layer_is_reused():
@@ -338,8 +380,8 @@ def test_fixed_closure_layer_is_reused():
     spec = get_entry("fibonacci").spec()
     n = 3000
     naive = list(iter_levels(spec, n, "naive"))
-    layers = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
-    assert [set(engine._layer_labels(layer)) for layer in layers] == [set(level) for level in naive]
+    layers, _ = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
+    assert [set(layer) for layer in layers] == [set(level) for level in naive]
     assert all(layer is layers[2] for layer in layers[3:])
     assert back_table(spec, n).cells == sum(map(len, naive)) == 2 * n
 
