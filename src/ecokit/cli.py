@@ -572,7 +572,9 @@ def _build_parser():
     p.add_argument("-n", type=int, required=True, help="last level to compute")
     p.add_argument(
         "--method", choices=("auto", "naive", "range"), default="auto",
-        help="propagation method (default auto)",
+        help="propagation method (default auto: the range step, which on rules "
+        "without intervals batches dense levels of 8 or more labels and "
+        "lowers every other label through naive's cached pairs)",
     )
     p.add_argument(
         "--cap", type=int, default=None,

@@ -6,7 +6,8 @@ label, points (label, mult) and runs (lo, last, step, cuts) of labels spaced
 `step` apart, less the cut labels.  Forward propagation is one generator,
 ``iter_levels``, which holds only the current level; ``count_levels`` folds
 it into per-level totals (and label sums on request).  Two forward
-propagation methods are provided:
+propagation methods are provided, and ``auto``, the default, picks its
+route from them:
 
 * ``naive`` expands each label's description once into (successor label,
   multiplicity) pairs and applies them to every level the label populates.
@@ -34,15 +35,26 @@ propagation methods are provided:
   ``_is_dense`` holds for its labels, else a dict (``_level_of``), so a
   dense level stays a list from step to step and ``count_levels`` sums
   that list directly.
+* ``auto`` is ``range`` on a spec with intervals.  On a spec without,
+  whose labels are a few points each, every label it lowers one at a time
+  goes through ``naive``'s cached (label, multiplicity) pairs instead of a
+  new description on each visit, and a level of fewer than
+  ``_ROW_MIN_LABELS`` labels stays a dict, so only its larger dense levels
+  are batched.  The route is chosen per level: a Row is batched unless its
+  layout reaches too far, anything else steps through the cached pairs.
+  Its stats read method ``range``.
 
 ``stats["update_ops"]`` counts the updates a method made: for ``naive`` one
 per (populated label, distinct successor label) pair; for ``range`` one per
 point, two per run, one per cut and one per label the rebuild writes.  The
 batched route counts the same: per class, the per-label ops times the
 nonzero counts of its slice, and per (step, residue) key, the nonzero
-entries of the rebuilt running sum.  Without a label cap, propagation still
-stops (marked truncated) before a run wider than ``dsl.MAX_SUCCESSORS``, and
-``naive`` before its cached pairs pass ``NAIVE_PAIRS``; see ``stop_text``.
+entries of the rebuilt running sum.  ``auto`` on a spec without intervals
+counts a label lowered through the cached pairs as ``naive`` does, and a
+batched class as ``range`` does.  Without a label cap, propagation still
+stops (marked truncated) before a run wider than ``dsl.MAX_SUCCESSORS``,
+and ``naive`` (or ``auto`` without intervals) before its cached pairs pass
+``NAIVE_PAIRS``; see ``stop_text``.
 
 The back table's closure (``_closure``) is the same range step on levels
 of ones: each layer is the step of the one before with its counts reset to
@@ -74,7 +86,7 @@ import time
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from itertools import accumulate, compress, count, repeat
 from math import gcd, lcm
 from operator import add, mul, sub
@@ -189,7 +201,8 @@ def _next_level_naive(level, succ):
 _DENSE_RATIO = 4
 _DENSE_SLACK = 64
 # A batched back-table row costs about 10 us up front and a label lowered
-# alone about 1 us (more with runs), so rows of fewer labels go label by label.
+# alone about 1 us (more with runs), so rows of fewer labels go label by
+# label, and so do auto's forward levels of fewer labels on point rules.
 _ROW_MIN_LABELS = 8
 # Each residue class costs a class view up front and a slice per level, so
 # specs whose guards and steps need a larger modulus are not batched.
@@ -539,16 +552,25 @@ def _trim(nxt, low, plan):
     return low + a, nxt, size, bool(size) and _is_dense(plan, low + a, low + b - 1, size)
 
 
-def _level_of(level, plan):
+def _level_of(level, plan, floor=1):
     """A dict of nonzero counts as the range step holds it: a Row over its
-    list of counts when `_is_dense` holds for its labels, else the dict."""
-    if level and _is_dense(plan, base := min(level), top := max(level), len(level)):
+    list of counts when it has at least `floor` labels and `_is_dense` holds
+    for them, else the dict.  Its labels are only scanned for their span
+    when `plan` batches a class and the first and last labels written are
+    not already too far apart for a list."""
+    size = len(level)
+    if plan is None or size < floor:
+        return level
+    if abs(next(reversed(level)) - next(iter(level))) >= _DENSE_RATIO * size + _DENSE_SLACK:
+        return level
+    base, top = min(level), max(level)
+    if _is_dense(plan, base, top, size):
         vals = list(map(level.get, range(base, top + 1), repeat(0)))
-        return Row(base, vals, vals, len(level))
+        return Row(base, vals, vals, size)
     return level
 
 
-def _next_level_range(level, describe, plan, cap=None):
+def _next_level_range(level, describe, plan, cap=None, pairs=None):
     """(next level, update ops, labels lowered one at a time, the level's
     `_dense_layout` or None).
 
@@ -556,18 +578,30 @@ def _next_level_range(level, describe, plan, cap=None):
     `plan` (from `_class_plan`) unless its layout is None; any other level
     is lowered label by label.  The next level is a Row (flags = vals) when
     `_is_dense` holds for its labels, else a dict.  _OverCap, before any
-    label is written, when a single run is wider than `cap` labels."""
+    label is written, when a single run is wider than `cap` labels.
+
+    With `pairs`, naive's cached (label, mult) pairs of a spec without
+    intervals, a level of fewer than _ROW_MIN_LABELS labels is not batched
+    and the next level is a Row only from that many labels on; every level
+    that is not batched steps through `_next_level_naive` on those pairs
+    instead of describing its labels again."""
+    floor = 1 if pairs is None else _ROW_MIN_LABELS
     layout = None
-    if isinstance(level, Row):
+    # Row is a Mapping, so isinstance would run the abc check on every level.
+    if type(level) is Row and level.size >= floor:
         layout = _dense_layout(level.vals, level.base, plan, describe, cap)
         if layout is not None:
             nxt, low, ops, lowered = _dense_core(layout, plan)
             base, vals, size, dense = _trim(nxt, low, plan)
-            if dense:
+            if dense and size >= floor:
                 return Row(base, vals, vals, size), ops, lowered, layout
             return dict(compress(zip(count(base), vals), vals)), ops, lowered, layout
-    nxt, ops = _sparse_step(level.items(), describe, cap)
-    return _level_of(nxt, plan), ops, len(level), layout
+    if pairs is None:
+        nxt, ops = _sparse_step(level.items(), describe, cap)
+        lowered = len(level)
+    else:
+        nxt, ops, lowered = _next_level_naive(level, pairs)
+    return _level_of(nxt, plan, floor), ops, lowered, layout
 
 
 def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
@@ -576,6 +610,9 @@ def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
     or for a dense range level a Row over its list of counts, whose labels
     iterate in increasing order.  Only the current level is held.
 
+    `method` is "naive", "range" or "auto", the range step with naive's
+    cached pairs on a spec without intervals (see the module docstring); its
+    stats read method "range".
     `stats`, when given, is filled as the levels go: method, levels,
     update_ops, peak_labels and (range) fallback_labels are current after
     each yield, and seconds (wall time to exhaustion, the consumer's time
@@ -588,44 +625,52 @@ def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
     with one run wider than the cap is cut from its descriptions, before
     any of its labels is written, and its update ops are not counted.
     Without a cap, a run wider than MAX_SUCCESSORS labels stops the tree the
-    same way; the naive method also stops before its cached pairs pass
-    NAIVE_PAIRS.  ValueError, when iteration starts, for n < 0 or an
-    unknown method.
+    same way; naive, and auto on a spec without intervals, also stop
+    before their cached pairs pass NAIVE_PAIRS.  ValueError, when iteration
+    starts, for n < 0 or an unknown method.
     """
     if n < 0:
         raise ValueError(f"level count needs n >= 0, got {n}")
+    points_only = method == "auto" and not any(c.intervals for c in spec.clauses)
     if method == "auto":
-        has_intervals = any(c.intervals for c in spec.clauses)
-        method = "range" if has_intervals else "naive"
+        method = "range"
     if method not in ("naive", "range"):
         raise ValueError(f"unknown method {method!r}")
     t0 = time.perf_counter()
     describe = describer(spec)
     width = MAX_SUCCESSORS if max_labels is None else max_labels
     budget = ("width" if max_labels is None else "cap", width)
-    plan = None
+    held = 0
+
+    @cache
+    def expanded(k):
+        nonlocal held
+        desc = describe(k)
+        _check_runs(desc[1], width)
+        pairs = tuple(expand(desc).items())
+        held += len(pairs)
+        if held > NAIVE_PAIRS:
+            raise _OverCap(("pairs", NAIVE_PAIRS))
+        return pairs
+
+    plan = cached = None
     if method == "naive":
-        held = 0
-
-        @cache
-        def lower(k):
-            nonlocal held
-            desc = describe(k)
-            _check_runs(desc[1], width)
-            pairs = tuple(expand(desc).items())
-            held += len(pairs)
-            if held > NAIVE_PAIRS:
-                raise _OverCap(("pairs", NAIVE_PAIRS))
-            return pairs
-
-        step = _next_level_naive
+        step, lower = _next_level_naive, expanded
     else:
-        # Range levels can double in width per level (up to the label cap),
-        # so descriptions are rebuilt on every visit rather than kept for
-        # every label seen.
         plan = _class_plan(spec)
-        step = partial(_next_level_range, plan=plan, cap=width)
-        lower = describe
+        if points_only:
+            # A point label's pairs are a few entries, NAIVE_PAIRS bounds
+            # them all, and they stand in for a description with no runs.
+            cached, lower = expanded, lambda k: (expanded(k), ())
+        else:
+            # A run's pairs would take its width, and levels can double in
+            # width per level (up to the label cap), so range describes a
+            # label again on each visit and keeps nothing per label.
+            lower = describe
+
+        def step(level, lower):
+            return _next_level_range(level, lower, plan, width, cached)
+
     if stats is None:
         stats = {}
     stats.update(method=method, levels=0, update_ops=0, peak_labels=1)
@@ -666,7 +711,7 @@ def count_levels(spec, n, method="auto", max_labels=None, label_sums=False) -> C
     totals = []
     sums = [] if label_sums else None
     for level in iter_levels(spec, n, method, max_labels, stats):
-        if isinstance(level, Row):
+        if type(level) is Row:
             vals = level.vals
             totals.append(sum(vals))
             if label_sums:

@@ -331,10 +331,14 @@ class TestNoneReasons:
 
 
 def test_report_names_the_pair_budget_that_shortened_its_series(monkeypatch):
+    # pow2 guards keep every label off the batched step, so each one is
+    # lowered through the cached pairs the budget bounds.
     monkeypatch.setattr(engine, "NAIVE_PAIRS", 100)
+    body = "(2*k) x 1, (2*k+1) x 1, (2*k+2) x 1"
     spec = parse_spec(
-        "system tri { mode walk; axiom 1; rule always: (2*k) x 1, (2*k+1) x 1, (2*k+2) x 1; }"
+        f"system tri {{ mode walk; axiom 1; rule pow2(k): {body}; rule !pow2(k): {body}; }}"
     )
+    assert engine._class_plan(spec) is None
     report = build_report(spec, order=12)
     assert report.budget == ("pairs", 100)
     assert report.to_json_obj()["partial"] == {"pairs": 100, "level": 4}

@@ -61,10 +61,35 @@ class TestCounting:
         assert table.label_sums[:-1] == table.totals[1:]
 
     def test_auto_method_selection(self):
-        with_intervals = count_levels(spec_of("catalan"), 3)
-        without = count_levels(spec_of("bell"), 3)
-        assert with_intervals.stats["method"] == "range"
-        assert without.stats["method"] == "naive"
+        # auto takes the range step.  A spec without intervals lowers its
+        # labels through naive's cached pairs: levels of at least
+        # _ROW_MIN_LABELS dense labels are batched, while fredholm's pow2
+        # guards and goldbach's builtin labels leave no class to batch.
+        assert count_levels(spec_of("catalan"), 3).stats["method"] == "range"
+        n = 80
+        for name, batched in [
+            ("bell", True),
+            ("ceil_half", True),
+            ("parity_three_even", True),
+            ("affine_jumps", True),
+            ("fredholm", False),
+            ("goldbach", False),
+        ]:
+            spec = spec_of(name)
+            assert (engine._class_plan(spec) is not None) == batched
+            auto = count_levels(spec, n, label_sums=True)
+            naive = count_levels(spec, n, "naive", label_sums=True)
+            assert (auto.totals, auto.label_sums) == (naive.totals, naive.label_sums)
+            assert auto.stats["method"] == "range"
+            assert auto.stats["update_ops"] == naive.stats["update_ops"]
+            levels = list(iter_levels(spec, n))
+            stepped = sum(map(len, levels[:-1]))
+            rows = [level for level in levels if isinstance(level, engine.Row)]
+            if batched:
+                assert auto.stats["fallback_labels"] < stepped // 4, name
+                assert rows and min(map(len, rows)) >= engine._ROW_MIN_LABELS
+            else:
+                assert auto.stats["fallback_labels"] == stepped and not rows
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -106,6 +131,16 @@ class TestCounting:
         assert table.stats["budget"] == ("pairs", 100)
         assert table.stats["truncated"] and table.depth == 12
         assert table.totals == count_levels(spec, 12, method="range").totals
+
+    def test_auto_cached_pairs_stop_at_the_pair_budget(self, monkeypatch):
+        # goldbach's builtin labels are all lowered through the cached pairs,
+        # so auto meets the budget at naive's level.
+        monkeypatch.setattr(engine, "NAIVE_PAIRS", 100)
+        spec = spec_of("goldbach")
+        auto, naive = count_levels(spec, 40), count_levels(spec, 40, method="naive")
+        assert auto.stats["budget"] == naive.stats["budget"] == ("pairs", 100)
+        assert auto.stats["truncated"] and auto.depth == naive.depth < 40
+        assert auto.totals == naive.totals
 
     @pytest.mark.parametrize("method", ["naive", "range"])
     def test_overlapping_guards_raise_on_both_routes(self, method):

@@ -166,15 +166,25 @@ def test_engine_routes_agree(spec, n, seed, cap):
         assert isinstance(layer, engine.Row) == dense(layer)
         assert set(layer.values()) <= {1}
     # count_levels is a fold over the same stream, capped or not.
-    for method in ("naive", "range"):
+    streams = {}
+    for method in ("naive", "range", "auto"):
         stats = {}
-        levels = list(iter_levels(spec, n, method, cap, stats))
+        levels = streams[method] = list(iter_levels(spec, n, method, cap, stats))
         table = count_levels(spec, n, method, cap, label_sums=True)
         assert table.totals == [sum(level.values()) for level in levels]
         assert table.label_sums == [sum(k * c for k, c in level.items()) for level in levels]
         assert table.depth == stats["levels"] == len(levels) - 1
         assert list(table.stats) == list(stats)
         assert {**table.stats, "seconds": 0} == {**stats, "seconds": 0}
+    # auto is the range step; without intervals it lowers labels through
+    # naive's cached pairs and holds no level of fewer than _ROW_MIN_LABELS
+    # labels as a Row, so no such level is batched.
+    assert streams["auto"] == streams["naive"]
+    floor = 1 if any(c.intervals for c in spec.clauses) else engine._ROW_MIN_LABELS
+    assert all(
+        isinstance(level, engine.Row) == (len(level) >= floor and dense(level))
+        for level in streams["auto"][1:]
+    )
     total = sum(naive[n].values())
     g = back_table(spec, n)
     assert g == reference_back_table(spec, naive)
