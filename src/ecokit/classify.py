@@ -24,9 +24,12 @@ propagation before it is reported.
 
 A report walks the reachable labels once, with `dsl._reachable_closure` to
 `dsl.PROBE`: the label set counts as finite exactly when that walk
-completes, and the numeric checks read its labels.  Those checks fold each
+completes, and the numeric checks read its labels.  The walk pushes each
+label's successor labels straight from its description's points and runs,
+so no label's multiset is expanded to find them.  Those checks fold each
 label's concrete successor description (`dsl.describe`), never a class view,
-so they stay an independent check of the symbolic folds.
+so they stay an independent check of the symbolic folds; each fold costs
+the size of the description, not the number of successors.
 """
 
 from __future__ import annotations
@@ -368,14 +371,34 @@ class WalkForm:
         }
 
 
-def form_expansion(form, k):
-    """Successor multiset the walk form predicts for a node labeled k."""
+def _form_description(form, k):
+    """The walk form at a node labeled k as a `dsl.describe` description:
+    the jumps as points and {base..k-1} less its notches as one step-1 run."""
+    points = tuple((k + j, 1) for j in form.jumps)
+    if form.base > k - 1:
+        return points, ()
     removed = {k - d for d in form.removed_offsets}
     removed |= {form.base + c for c in form.removed_low}
-    out = Counter(v for v in range(form.base, k) if v not in removed)
-    for j in form.jumps:
-        out[k + j] += 1
-    return out
+    cuts = tuple(sorted(v for v in removed if form.base <= v < k))
+    return points, ((form.base, k - 1, 1, cuts),)
+
+
+def _add_differences(diff, desc, sign):
+    """Add sign times the difference map j -> M[j] - M[j-1] of the multiset
+    M that a description with step-1 runs lists: a point gives +m at j and
+    -m at j+1, a run +1 at lo and -1 past last, a cut -1 at itself and +1
+    past it.  Two multisets are equal exactly when their maps are."""
+    get = diff.get
+    points, runs = desc
+    for j, m in points:
+        diff[j] = get(j, 0) + sign * m
+        diff[j + 1] = get(j + 1, 0) - sign * m
+    for lo, last, _, cuts in runs:
+        diff[lo] = get(lo, 0) + sign
+        diff[last + 1] = get(last + 1, 0) - sign
+        for c in cuts:
+            diff[c] = get(c, 0) - sign
+            diff[c + 1] = get(c + 1, 0) + sign
 
 
 def _item_text(item):
@@ -391,8 +414,10 @@ def factorial_form(spec):
     The single clause must expand one step-1 interval from a fixed base up
     to k plus a constant, minus constant labels or fixed-offset notches,
     together with fixed jumps of constant multiplicity.  The recognized form
-    is re-expanded against the spec for every guarded label up to
-    FORM_CHECK_TO before it is returned.
+    is checked against the spec for every guarded label up to FORM_CHECK_TO
+    before it is returned: at each label the form's successor multiset and
+    the clause's description are compared as difference maps, which costs
+    O(jumps + notches + points + cuts) rather than O(k).
     """
     form, _ = _walk_shape(spec)
     if form is None:
@@ -401,7 +426,10 @@ def factorial_form(spec):
     floors = [a.c for a in clause.guard.atoms]
     floor = max([1 if spec.mode == "eco" else 0, *floors])
     for k in range(floor, FORM_CHECK_TO + 1):
-        if form_expansion(form, k) != expand(describe(clause, k)):
+        diff = {}
+        _add_differences(diff, _form_description(form, k), 1)
+        _add_differences(diff, describe(clause, k), -1)
+        if any(diff.values()):
             return None
     return form
 
@@ -601,7 +629,8 @@ def _radius_zero(spec, closure):
     over BACK_WIDTHS.  "Does not hold" is an inconclusive verdict, never a
     claim of a positive radius."""
     describe_at, labels, _ = closure
-    no_fwd = [k for k in labels if not _at_or_above(describe_at(k), k + 1)]
+    descs = [describe_at(k) for k in labels]
+    no_fwd = [k for k, desc in zip(labels, descs) if not _at_or_above(desc, k + 1)]
     if no_fwd:
         return RadiusVerdict(
             False, None, None, (), (), f"no forward jump from label {no_fwd[0]}"
@@ -613,14 +642,14 @@ def _radius_zero(spec, closure):
         )
     verdict = None
     for b in BACK_WIDTHS:
-        verdict = _radius_for_width(modulus, views, labels, describe_at, b)
+        verdict = _radius_for_width(modulus, views, labels, descs, b)
         if verdict.holds:
             return verdict
     return verdict
 
 
-def _radius_for_width(modulus, views, labels, describe_at, b):
-    tally = tuple((k, _at_or_above(describe_at(k), k - b)) for k in labels)
+def _radius_for_width(modulus, views, labels, descs, b):
+    tally = tuple((k, _at_or_above(desc, k - b)) for k, desc in zip(labels, descs))
     shown = tally[:12]
     if any(m2 < m1 for (_, m1), (_, m2) in zip(tally, tally[1:])):
         return RadiusVerdict(
@@ -669,10 +698,15 @@ def _radius_for_width(modulus, views, labels, describe_at, b):
             False, b, slope, tuple(descriptions), shown,
             "certified bound dips across residue classes",
         )
+    # m < s*k + i, cleared of the denominators: m*sd*id < sn*id*k + in*sd.
+    bounds = {
+        r: (s.denominator * i.denominator, s.numerator * i.denominator, i.numerator * s.denominator)
+        for r, (s, i, _) in by_residue.items()
+    }
     for k, m in tally:
         if k >= start:
-            s, i, _ = by_residue[k % modulus]
-            if Fraction(m) < s * k + i:
+            den, a, c = bounds[k % modulus]
+            if m * den < a * k + c:
                 raise ClassifyError("symbolic return bound exceeds the exact count")
     return RadiusVerdict(
         True,

@@ -35,10 +35,12 @@ check here and the symbolic detectors in ``classify`` fold over it.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, filterfalse
 from math import lcm
 
 
@@ -841,13 +843,49 @@ def _odd_count(desc):
 
 def _at_or_above(desc, t):
     """Number of successors labeled t or more, with multiplicity.  In a run,
-    -((lo - t) // step) grid labels lie below t when t > lo."""
+    -((lo - t) // step) grid labels lie below t when t > lo, and the cuts at
+    or above t are counted by bisecting the sorted cuts, so a description
+    costs O(points + runs * log cuts)."""
     points, runs = desc
-    total = sum(m for j, m in points if j >= t)
+    total = 0
+    for j, m in points:
+        if j >= t:
+            total += m
     for lo, last, step, cuts in runs:
         total += max(0, (last - lo) // step + 1 + min(0, (lo - t) // step))
-        total -= sum(j >= t for j in cuts)
+        if cuts:
+            total -= len(cuts) - bisect_left(cuts, t)
     return total
+
+
+def _support(desc):
+    """The distinct labels of expand(desc), in its key order.
+
+    Listed straight from the points and the runs between their cuts when no
+    label can come twice: the point labels are distinct, no point lies on a
+    run's grid and no two runs span overlapping ranges.  Otherwise the list
+    would repeat a label that `expand` keeps once, so the dict is built."""
+    points, runs = desc
+    labels = [j for j, _ in points]
+    if len(set(labels)) < len(labels):
+        return expand(desc)
+    if not runs:
+        return labels
+    for lo, last, step, _ in runs:
+        for j in labels:
+            if lo <= j <= last and (j - lo) % step == 0:
+                return expand(desc)
+    spans = sorted((lo, last) for lo, last, _, _ in runs)
+    for (_, a_last), (b_lo, _) in zip(spans, spans[1:]):
+        if a_last >= b_lo:
+            return expand(desc)
+    pieces = [labels]
+    for lo, last, step, cuts in runs:
+        for c in cuts:
+            pieces.append(range(lo, c, step))
+            lo = c + step
+        pieces.append(range(lo, last + 1, step))
+    return chain.from_iterable(pieces)
 
 
 def successors(spec, k) -> Counter:
@@ -1155,6 +1193,11 @@ def _reachable_closure(spec, kprobe, describe_at):
     off ("label-range" below the floor, "probe" above kprobe), failed to
     expand ("expansion") or has more than MAX_SUCCESSORS successor labels
     ("width", counted before anything is expanded).
+
+    The walk is a depth-first search: each expanded label pushes its unseen
+    successor labels in `expand`'s key order, listed by `_support` from the
+    description itself, so a label costs O(points + runs + cuts) plus one
+    set lookup per listed label, not a multiplicity dict.
     """
     floor = 1 if spec.mode == "eco" else 0
     seen = set()
@@ -1176,9 +1219,11 @@ def _reachable_closure(spec, kprobe, describe_at):
             except SpecError as exc:
                 issue = Issue("expansion", f"label {k} does not expand: {exc}", k)
             else:
-                # What expand(desc) walks over; multiplicities cost nothing.
+                # The labels the description lists; multiplicities cost nothing.
                 points, runs = desc
-                width = len(points) + sum((last - lo) // step + 1 for lo, last, step, _ in runs)
+                width = len(points)
+                for lo, last, step, _ in runs:
+                    width += (last - lo) // step + 1
                 if width > MAX_SUCCESSORS:
                     issue = Issue(
                         "width",
@@ -1186,7 +1231,7 @@ def _reachable_closure(spec, kprobe, describe_at):
                         k,
                     )
                 else:
-                    frontier.extend(j for j in expand(desc) if j not in seen)
+                    frontier.extend(filterfalse(seen.__contains__, _support(desc)))
         stop = stop or issue
     return sorted(seen), stop
 

@@ -14,8 +14,9 @@ from ecokit.classify import (
     _parity_affine,
     _radius_zero,
     build_report,
+    FORM_CHECK_TO,
+    _walk_shape,
     factorial_form,
-    form_expansion,
     linear_bound_check,
     rational_from_finite,
     rational_gf_affine,
@@ -26,6 +27,7 @@ from ecokit.dsl import (
     Affine,
     EcoSpec,
     Guard,
+    GuardAtom,
     Interval,
     Item,
     RuleClause,
@@ -68,6 +70,31 @@ def bounded_plus_jumps(spec):
 
 def radius_zero_check(spec):
     return _radius_zero(spec, _closure(spec))
+
+
+def form_expansion(form, k):
+    """Successor multiset the walk form predicts for a node labeled k."""
+    removed = {k - d for d in form.removed_offsets}
+    removed |= {form.base + c for c in form.removed_low}
+    out = Counter(v for v in range(form.base, k) if v not in removed)
+    for j in form.jumps:
+        out[k + j] += 1
+    return out
+
+
+def multiset_checked_form(spec):
+    """factorial_form by the multiset check: the form from `_walk_shape`,
+    kept only if `form_expansion` equals the expanded description at every
+    guarded label up to FORM_CHECK_TO."""
+    form, _ = _walk_shape(spec)
+    if form is None:
+        return None
+    clause = spec.clauses[0]
+    floor = max([1 if spec.mode == "eco" else 0, *(a.c for a in clause.guard.atoms)])
+    for k in range(floor, FORM_CHECK_TO + 1):
+        if form_expansion(form, k) != expand(describe(clause, k)):
+            return None
+    return form
 
 
 def to_walk_spec(form, name="walk"):
@@ -373,3 +400,40 @@ def test_finite_label_closed_form_matches_the_naive_engine(case):
     order = 2 * d + 10
     want = total_series(spec, order, method="naive")
     assert finite.closed_form.expand(order).as_ints() == want
+
+
+@st.composite
+def interval_walk_specs(draw):
+    """One clause `k >= c: interval(base, k+h) minus {...}, (k+j) x m, ...`:
+    constant exclusions below, on and above the base, k+c exclusions that
+    notch below k, inside the top block or above it, jumps with repeated
+    and zero multiplicities, and an axiom at, above or below the base."""
+    base = draw(st.integers(0, 3))
+    h = draw(st.integers(-3, 3))
+    minus = draw(
+        st.lists(
+            st.one_of(
+                st.builds(Affine, st.just(0), st.integers(0, 8)),
+                st.builds(Affine, st.just(1), st.integers(-4, 4)),
+            ),
+            max_size=3,
+        )
+    )
+    items = draw(
+        st.lists(
+            st.builds(Item, st.builds(Affine, st.just(1), st.integers(-3, 3)),
+                      st.builds(Affine, st.just(0), st.integers(0, 2))),
+            max_size=3,
+        )
+    )
+    atoms = (GuardAtom("ge", c=draw(st.integers(0, 4))),) if draw(st.booleans()) else ()
+    interval = Interval(Affine(0, base), Affine(1, h), 1, tuple(minus))
+    clause = RuleClause(Guard(atoms), tuple(items), (interval,))
+    mode = draw(st.sampled_from(("eco", "walk")))
+    return EcoSpec("w", mode, base + draw(st.integers(-1, 3)), (clause,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_walk_specs())
+def test_walk_form_check_matches_the_multiset_check(spec):
+    assert factorial_form(spec) == multiset_checked_form(spec)
