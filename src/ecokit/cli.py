@@ -84,12 +84,22 @@ def _load_valid_source(args):
 _INT_CHUNK = 256
 
 
-def _write_json(write, obj, pad):
-    """Write json.dumps(obj, indent=2) piece by piece.
+class _Reprs(dict):
+    """int -> its text, each formatted on first use."""
 
-    A list of plain ints, or of nonempty lists of plain ints (walks), is
-    written about _INT_CHUNK ints at a time, each piece formatted by the list
-    repr in C, not through the pure-Python encoder that an indent selects."""
+    def __missing__(self, k):
+        text = self[k] = repr(k)
+        return text
+
+
+def _write_json(write, obj, pad):
+    """Write json.dumps(obj, indent=2) piece by piece, not through the
+    pure-Python encoder that an indent selects.
+
+    A list of plain ints is written about _INT_CHUNK ints at a time, each
+    piece formatted by the list repr in C.  A list of nonempty lists of
+    plain ints (walks) is written in pieces of about as many labels, joined
+    from a table that formats each distinct label once."""
     if isinstance(obj, dict) and obj:
         inner = pad + "  "
         sep = "{\n" + inner
@@ -112,15 +122,19 @@ def _write_json(write, obj, pad):
                 write(sep)
             write(repr(list(obj[i : i + _INT_CHUNK]))[1:-1].replace(", ", sep))
     elif kinds == {list} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
-        # "[[1, 2], [3]]" becomes the rows' text by two replaces.
+        # Each distinct label is formatted once; a piece of rows is joined
+        # from that text.  Only exact ints get here, so True and 1 never
+        # share an entry.
+        text = _Reprs()
         down = f"\n{inner}  "
         rows = f"\n{inner}]{sep}[{down}"
+        labels = "," + down
         step = max(1, _INT_CHUNK // max(map(len, obj)))
         write(f"[\n{inner}[{down}")
         for i in range(0, len(obj), step):
             if i:
                 write(rows)
-            write(repr(obj[i : i + step])[2:-2].replace("], [", rows).replace(", ", "," + down))
+            write(rows.join([labels.join(map(text.__getitem__, walk)) for walk in obj[i : i + step]]))
         write(f"\n{inner}]")
     else:
         lead = "[\n" + inner

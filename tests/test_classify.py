@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from ecokit.classify import (
     _bounded_plus_jumps,
     _closure,
     _parity_affine,
+    _radius_for_width,
     _radius_zero,
     build_report,
     FORM_CHECK_TO,
@@ -272,6 +274,32 @@ class TestRadiusZero:
     @pytest.mark.parametrize("name", ["catalan", "motzkin", "fibonacci", "ceil_half"])
     def test_does_not_hold_on_tame_systems(self, name):
         assert not radius_zero_check(spec_of(name)).holds
+
+    @pytest.mark.parametrize("low", [False, True])
+    def test_bound_clears_unequal_denominators(self, low):
+        # No catalog view has a slope and an intercept with different
+        # denominators: here k even keeps at least k/2 + 1 returns (1/2 and
+        # 1), k odd at least k/2 + 1/2.  The probed counts meet that bound
+        # exactly, or fall one below it at label 8.
+        class View:
+            def __init__(self, inter):
+                self.inter = inter
+
+            def at_or_above(self, b):
+                if b < 0:
+                    return (Fraction(1), Fraction(0), 0), ""
+                return (Fraction(1, 2), self.inter, 0), ""
+
+        views = [(0, View(Fraction(1)), None), (1, View(Fraction(1, 2)), None)]
+        labels = list(range(12))
+        counts = [k // 2 + 1 - (low and k == 8) for k in labels]
+        descs = [(((k, m),), ()) for k, m in zip(labels, counts)]
+        if low:
+            with pytest.raises(ClassifyError, match="symbolic return bound exceeds the exact count"):
+                _radius_for_width(2, views, labels, descs, 0)
+        else:
+            verdict = _radius_for_width(2, views, labels, descs, 0)
+            assert verdict.holds and verdict.slope == Fraction(1, 2)
 
 
 EXPECT = {

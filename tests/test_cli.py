@@ -562,6 +562,13 @@ def test_json_writer_splits_long_int_lists():
         "empty": [[1], []],
     }
     assert emitted_json(obj) == json.dumps(obj, indent=2) + "\n"
+    # Walks over more pieces than one, of varying length, whose labels
+    # repeat within and across walks: label 0, multi-digit and negative
+    # ints, and ints past 2**200.
+    labels = [0, 7, 12, 305, -1, -40, 2**201, -(2**230), 10**70]
+    walks = [[rng.choice(labels) for _ in range(rng.randrange(1, 9))] for _ in range(3 * n)]
+    obj = {"command": "sample", "walks": walks, "last": [walks[0]]}
+    assert emitted_json(obj) == json.dumps(obj, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("system", ["catalan", "motzkin"])

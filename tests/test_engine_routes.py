@@ -10,6 +10,7 @@ levels all run."""
 
 import re
 from functools import cache
+from operator import add
 from random import Random
 
 import pytest
@@ -293,6 +294,99 @@ def test_levels_switch_between_lists_and_dicts():
     reference, fallback, peak = dict_route_stats(SWITCH, n)
     assert reference == naive
     assert (stats["fallback_labels"], stats["peak_labels"]) == (fallback, peak)
+
+
+# Labels 0..2 (a k <= 2 clause) and 3 (its multiplicity k - 3 is still 0)
+# are lowered alone, into labels 1..5, where the batched point k + 1 of the
+# labels from 4 on lands too; label 1 comes back on every level.
+LONE = EcoSpec("lone", "walk", 0, (
+    clause([GuardAtom("le", c=2)], [Item(Affine(1, 1), Affine(0, 1)), Item(Affine(1, 3), Affine(0, 2))]),
+    clause(
+        [GuardAtom("ge", c=3)],
+        [Item(Affine(1, 1), Affine(0, 1)), Item(Affine(0, 1), Affine(1, -3)), Item(Affine(1, -1), Affine(0, 1))],
+    ),
+))
+# Even labels go to k + 1 and k + 2, odd ones to k + 1 and k - 1: the odd
+# class's first point lands on the even labels the even class wrote.
+PARITY = EcoSpec("parity", "walk", 0, (
+    clause([GuardAtom("mod", m=2, r=0)], [Item(Affine(1, 1), Affine(0, 1)), Item(Affine(1, 2), Affine(0, 1))]),
+    clause([GuardAtom("mod", m=2, r=1)], [Item(Affine(1, 1), Affine(0, 1)), Item(Affine(1, -1), Affine(0, 1))]),
+))
+# The first point k + 1 of the top label is the last slot of the span.  No
+# class starts below label 1, so the labels start there.
+TOP = EcoSpec("top", "walk", 1, (
+    clause([GuardAtom("ge", c=1)], [Item(Affine(1, 1), Affine(0, 1)), Item(Affine(0, 1), Affine(0, 1))]),
+))
+
+
+@pytest.mark.parametrize("spec", [LONE, PARITY, TOP], ids=["lone", "parity", "top"])
+def test_first_write_into_a_fresh_level(monkeypatch, spec):
+    # Into a next level nothing wrote to yet, the first batched point (or
+    # rebuilt key) stores its weights; every other write adds.  No write
+    # resizes a list.
+    assigned = []
+    strided = engine._strided
+
+    def spy(arr, start, stride, n, weights, op):
+        size = len(arr)
+        strided(arr, start, stride, n, weights, op)
+        assert len(arr) == size
+        if op is None:
+            assigned.append((start + stride * (n - 1), size))
+
+    monkeypatch.setattr(engine, "_strided", spy)
+    n = 20
+    stats = {}
+    naive = list(iter_levels(spec, n, "naive"))
+    ranged = list(iter_levels(spec, n, "range", stats=stats))
+    assert ranged == naive
+    assert all(isinstance(level, engine.Row) for level in ranged[1:])
+    assert stats["update_ops"] == recount_ops(spec, naive)
+    assert closure_layers(spec, n) == [set(level) for level in naive]
+    assert back_table(spec, n)[n][spec.axiom] == sum(naive[n].values())
+    # LONE has a label lowered alone on every level, so nothing assigns.
+    assert bool(assigned) == (spec is not LONE)
+    if spec is TOP:
+        assert all(last == size - 1 for last, size in assigned)
+
+
+@pytest.mark.parametrize("form", [list, bytes, iter])
+@pytest.mark.parametrize("op", [None, add], ids=["assign", "add"])
+@pytest.mark.parametrize(
+    "start, stride, n", [(4, 0, 3), (2, 1, 8), (0, 1, 10), (1, 3, 3), (9, -2, 5), (9, -1, 10), (6, -3, 3)]
+)
+def test_strided_writes_exactly_its_slots(start, stride, n, op, form):
+    arr = list(range(100, 110))
+    weights = list(range(1, n + 1))
+    expected = list(arr)
+    slots = [start] if not stride else [start + t * stride for t in range(n)]
+    for i, w in zip(slots, [sum(weights)] if not stride else weights):
+        expected[i] = w if op is None else op(expected[i], w)
+    engine._strided(arr, start, stride, n, form(weights), op)
+    assert arr == expected
+
+
+@pytest.mark.parametrize(
+    "name, n, cap, shape",
+    [
+        ("involutions", 30, None, lambda row: 0 in row.vals),
+        ("walk_notch1", 30, None, lambda row: row.base == 0),
+        ("bessel", 30, None, lambda row: row.base == 0),
+        ("permutations", 30, None, lambda row: row.size == 1),
+        ("even_jumps", 12, 5000, lambda row: len(row.vals) > engine._FOLD_CHUNK),
+    ],
+    ids=["interior-zeros", "walk_notch1-base-0", "bessel-base-0", "one-label", "longer-than-a-chunk"],
+)
+def test_row_fold_gives_the_label_sums(name, n, cap, shape):
+    # A Row's total and label sum come from the suffix sums of its counts.
+    spec = get_entry(name).spec()
+    table = count_levels(spec, n, "range", cap, label_sums=True)
+    levels = list(iter_levels(spec, n, "range", cap))
+    assert len(levels) == n + 1
+    assert any(shape(level) for level in levels if isinstance(level, engine.Row))
+    assert table.totals == [sum(level.values()) for level in levels]
+    assert table.label_sums == [sum(k * c for k, c in level.items()) for level in levels]
+    assert count_levels(spec, n, "range", cap).totals == table.totals
 
 
 @pytest.mark.parametrize(
