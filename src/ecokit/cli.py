@@ -438,10 +438,13 @@ def _cmd_bench(args):
 
 
 def _bench_count(name, spec, args):
-    ranged = count_levels(spec, args.n, method="range")
-    if ranged.stats.get("truncated"):
-        print(f"error: {_stopped(ranged)}; range table is partial", file=sys.stderr)
-        return 1
+    tables = {}
+    for method in ("range", "auto"):
+        table = tables[method] = count_levels(spec, args.n, method=method)
+        if table.stats.get("truncated"):
+            print(f"error: {_stopped(table)}; {method} table is partial", file=sys.stderr)
+            return 1
+    ranged = tables["range"]
     naive = None
     skipped = f"n > naive cap {args.naive_cap}"
     if args.n <= args.naive_cap:
@@ -449,13 +452,18 @@ def _bench_count(name, spec, args):
         if naive.stats.get("truncated"):
             skipped = _stopped(naive)
             naive = None
-        elif naive.totals != ranged.totals:
+        else:
+            tables["naive"] = naive
+    # Each route is checked against naive, or auto against range without it.
+    ref = "naive" if naive else "range"
+    for method, table in tables.items():
+        if table.totals != tables[ref].totals:
             print(
-                f"error: naive and range totals disagree on {name} at n={args.n}",
+                f"error: {ref} and {method} totals disagree on {name} at n={args.n}",
                 file=sys.stderr,
             )
             return 1
-    rows = [("range", ranged.stats)] + ([("naive", naive.stats)] if naive else [])
+    rows = [(m, t.stats) for m, t in tables.items()]
     speedup = (
         naive.stats["seconds"] / ranged.stats["seconds"]
         if naive and ranged.stats["seconds"] > 0
@@ -485,7 +493,7 @@ def _bench_count(name, spec, args):
     else:
         print(f"bench count {name}  n={args.n}")
         for m, s in rows:
-            fallback = f"  fallback_labels={s['fallback_labels']}" if m == "range" else ""
+            fallback = f"  fallback_labels={s['fallback_labels']}" if m != "naive" else ""
             print(
                 f"  {m:<6} {s['seconds']:>10.4f} s   "
                 f"update_ops={s['update_ops']}  peak_labels={s['peak_labels']}{fallback}"

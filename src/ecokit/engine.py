@@ -4,8 +4,9 @@ Everything here runs on Python integers, so the counts are exact at any
 depth.  Every routine reads successors through `dsl.describer`: for each
 label, points (label, mult) and runs (lo, last, step, cuts) of labels spaced
 `step` apart, less the cut labels.  Forward propagation is one generator,
-``iter_levels``, which holds only the current level; ``count_levels`` folds
-it into per-level totals (and label sums on request).  Two forward
+``iter_levels``, which holds only the current level; ``count_levels`` reads
+per-level totals (and label sums on request) from the same propagation,
+which folds each level as it is made, ahead of its step.  Two forward
 propagation methods are provided, and ``auto``, the default, picks its
 route from them:
 
@@ -43,10 +44,18 @@ route from them:
   whose labels are a few points each, every label it lowers one at a time
   goes through ``naive``'s cached (label, multiplicity) pairs instead of a
   new description on each visit, and a level of fewer than
-  ``_ROW_MIN_LABELS`` labels stays a dict, so only its larger dense levels
-  are batched.  The route is chosen per level: a Row is batched unless its
-  layout reaches too far, anything else steps through the cached pairs.
-  Its stats read method ``range``.
+  ``_ROW_MIN_LABELS`` labels stays a dict and steps through those pairs.
+  A larger level is batched per residue class of the plan: a Row by
+  strided slices as ``range`` does, unless its layout reaches too far, and
+  any other level by ``_class_step`` over each class's lists of labels and
+  counts.  There an affine or ``ceil_div`` point label maps all the class's
+  labels in one pass, and a constant point label with multiplicity c*k + d
+  receives c*S1 + d*S0 of the class (S0 the sum of its counts, S1 of its
+  labels times their counts), read from the level's fold when the class
+  holds every label of the level, so a label sum is multiplied out once
+  per level.  Labels below a class threshold and the labels of an
+  unbatched class still step through the cached pairs.  Its stats read
+  method ``range``.
 
 ``stats["update_ops"]`` counts the updates a method made: for ``naive`` one
 per (populated label, distinct successor label) pair; for ``range`` one per
@@ -55,7 +64,8 @@ batched route counts the same: per class, the per-label ops times the
 nonzero counts of its slice, and per (step, residue) key, the nonzero
 entries of the rebuilt running sum.  ``auto`` on a spec without intervals
 counts a label lowered through the cached pairs as ``naive`` does, and a
-batched class as ``range`` does.  Without a label cap, propagation still
+label of a batched class, on a Row or a sparse level, as ``range`` does:
+one per point of its clause.  Without a label cap, propagation still
 stops (marked truncated) before a run wider than ``dsl.MAX_SUCCESSORS``,
 and ``naive`` (or ``auto`` without intervals) before its cached pairs pass
 ``NAIVE_PAIRS``; see ``stop_text``.
@@ -122,6 +132,8 @@ class LabelCapError(SpecError):
 # pairs, about 100 bytes each, and stops before the label that would take it
 # past this many.  Through level 600 (bench's naive cap) only even_jumps
 # passes it, at level 12; quinary holds the most of the rest, 2,883,591.
+# auto keeps them only for the labels it lowers one at a time: the labels of
+# a batched class, on a dense level or a sparse one, cache no pairs.
 NAIVE_PAIRS = 4_000_000
 
 # The back table charges each cell its count's bit length plus _CELL_BITS for
@@ -583,7 +595,82 @@ def _level_of(level, plan, floor=1):
     return level
 
 
-def _next_level_range(level, describe, plan, cap=None, pairs=None):
+def _merge(nxt, part):
+    """The dicts of counts nxt and part added together, into the larger one:
+    one `dict.update` when their labels are disjoint, else label by label."""
+    if len(part) > len(nxt):
+        nxt, part = part, nxt
+    if nxt.keys().isdisjoint(part):
+        nxt.update(part)
+    else:
+        get = nxt.get
+        for j, w in part.items():
+            nxt[j] = get(j, 0) + w
+    return nxt
+
+
+def _class_step(level, plan, pairs, fold):
+    """(next level, update ops, labels lowered one at a time) of a point-rule
+    level that is not a batched Row, stepped per residue class of `plan`
+    over the class's lists of labels and counts.
+
+    A point label a*k + b (or its exact quotient by q) of a batched class
+    maps every label of the class in one pass, its weights the counts times
+    the multiplicity c*k + d.  A constant label receives c*S1 + d*S0 once,
+    with S0 the sum of the class's counts and S1 of its labels times their
+    counts; when the class holds every label of the level they are read
+    from `fold`, the level's (total, label sum or None).  Labels below a
+    class threshold and the labels of an unbatched class step through
+    naive's cached `pairs` first."""
+    modulus, classes = plan
+    if modulus == 1:
+        groups = {0: (list(level), list(level.values()))}
+    else:
+        groups = {}
+        for k, c in level.items():
+            r = k % modulus
+            if r not in groups:
+                groups[r] = ([], [])
+            keys, counts = groups[r]
+            keys.append(k)
+            counts.append(c)
+    lone, batches = {}, []
+    for r, (keys, counts) in groups.items():
+        cls = classes[r]
+        if cls is None:
+            lone.update(zip(keys, counts))
+            continue
+        t = cls.threshold
+        if min(keys) < t:
+            lone.update((k, c) for k, c in zip(keys, counts) if k < t)
+            keys, counts = _split([(k, c) for k, c in zip(keys, counts) if k >= t])
+        if keys:
+            batches.append((cls, keys, counts))
+    nxt, ops, lowered = _next_level_naive(lone, pairs)
+    for cls, keys, counts in batches:
+        ops += cls.ops * len(keys)
+        s0, s1 = fold if fold and len(keys) == len(level) else (None, None)
+        for (a, b, q), (c, d) in cls.points:
+            if not a:
+                if s0 is None:
+                    s0 = sum(counts)
+                if c and s1 is None:
+                    s1 = sum(map(mul, keys, counts))
+                nxt[b // q] = nxt.get(b // q, 0) + d * s0 + (c * s1 if c else 0)
+                continue
+            if q == 1:
+                targets = [a * k + b for k in keys]
+            else:
+                targets = [(a * k + b) // q for k in keys]
+            if c:
+                weights = map(mul, counts, [c * k + d for k in keys])
+            else:
+                weights = counts if d == 1 else map(mul, counts, repeat(d))
+            nxt = _merge(nxt, dict(zip(targets, weights)))
+    return nxt, ops, lowered
+
+
+def _next_level_range(level, describe, plan, cap=None, pairs=None, fold=None):
     """(next level, update ops, labels lowered one at a time, the level's
     `_dense_layout` or None).
 
@@ -595,9 +682,11 @@ def _next_level_range(level, describe, plan, cap=None, pairs=None):
 
     With `pairs`, naive's cached (label, mult) pairs of a spec without
     intervals, a level of fewer than _ROW_MIN_LABELS labels is not batched
-    and the next level is a Row only from that many labels on; every level
-    that is not batched steps through `_next_level_naive` on those pairs
-    instead of describing its labels again."""
+    and the next level is a Row only from that many labels on.  A level of
+    fewer labels, or of a spec `plan` does not batch, steps through
+    `_next_level_naive` on those pairs instead of describing its labels
+    again; any other level that does not take `_dense_core` takes
+    `_class_step`, which reads the level's `fold`."""
     floor = 1 if pairs is None else _ROW_MIN_LABELS
     layout = None
     # Row is a Mapping, so isinstance would run the abc check on every level.
@@ -612,8 +701,10 @@ def _next_level_range(level, describe, plan, cap=None, pairs=None):
     if pairs is None:
         nxt, ops = _sparse_step(level.items(), describe, cap)
         lowered = len(level)
-    else:
+    elif plan is None or len(level) < floor:
         nxt, ops, lowered = _next_level_naive(level, pairs)
+    else:
+        nxt, ops, lowered = _class_step(level, plan, pairs, fold)
     return _level_of(nxt, plan, floor), ops, lowered, layout
 
 
@@ -621,7 +712,8 @@ def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
     """Yield the label counts {label: nodes} of levels 0..n of the generating
     tree, one read-only mapping at a time, with no zero-count label: a dict,
     or for a dense range level a Row over its list of counts, whose labels
-    iterate in increasing order.  Only the current level is held.
+    iterate in increasing order.  Only the current level is held, and no
+    level is folded into a total.
 
     `method` is "naive", "range" or "auto", the range step with naive's
     cached pairs on a spec without intervals (see the module docstring); its
@@ -642,6 +734,47 @@ def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
     before their cached pairs pass NAIVE_PAIRS.  ValueError, when iteration
     starts, for n < 0 or an unknown method.
     """
+    for level, _ in _levels(spec, n, method, max_labels, stats, None):
+        yield level
+
+
+# Suffix sums per piece of a Row's fold (`_fold`): a whole level's list of
+# them read a few percent more peak RSS on the count benchmark.
+_FOLD_CHUNK = 256
+
+
+def _row_fold(base, vals):
+    """(total, label sum) of the counts vals at labels base, base + 1, ...
+
+    With S_i the sum of vals[i:], the total is S_0 and the label sum
+    sum((base + i) * vals[i]) is (base - 1) * S_0 + sum(S_i): each S_i is
+    one running add from the top, with no multiply per label."""
+    top = reversed(vals)
+    total = sigma = 0
+    for _ in range(0, len(vals), _FOLD_CHUNK):
+        part = list(accumulate(islice(top, _FOLD_CHUNK), initial=total))
+        total = part[-1]
+        sigma += sum(part) - part[0]
+    return total, (base - 1) * total + sigma
+
+
+def _fold(level, label_sums):
+    """(total, label sum or None) of a level, the label sum only with
+    `label_sums`: a Row's from the suffix sums of its counts (`_row_fold`),
+    a dict's as the sum of its labels times their counts."""
+    if type(level) is Row:
+        if label_sums:
+            return _row_fold(level.base, level.vals)
+        return sum(level.vals), None
+    total = sum(level.values())
+    return total, sum(map(mul, level.keys(), level.values())) if label_sums else None
+
+
+def _levels(spec, n, method, max_labels, stats, label_sums):
+    """(level, fold) for each level `iter_levels` yields.  With `label_sums`
+    None the fold is None; else it is the level's `_fold`, taken as the
+    level is made and ahead of its step, which reads it: `_class_step`
+    takes a whole level's S0 and S1 from it instead of forming them again."""
     if n < 0:
         raise ValueError(f"level count needs n >= 0, got {n}")
     points_only = method == "auto" and not any(c.intervals for c in spec.clauses)
@@ -668,7 +801,10 @@ def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
 
     plan = cached = None
     if method == "naive":
-        step, lower = _next_level_naive, expanded
+
+        def step(level, fold):
+            return _next_level_naive(level, expanded)
+
     else:
         plan = _class_plan(spec)
         if points_only:
@@ -681,8 +817,12 @@ def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
             # label again on each visit and keeps nothing per label.
             lower = describe
 
-        def step(level, lower):
-            return _next_level_range(level, lower, plan, width, cached)
+        def step(level, fold):
+            # The range step also hands back the layout it stepped with.
+            return _next_level_range(level, lower, plan, width, cached, fold)[:3]
+
+    def folded(level):
+        return None if label_sums is None else _fold(level, label_sums)
 
     if stats is None:
         stats = {}
@@ -690,13 +830,13 @@ def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
     if method == "range":
         stats["fallback_labels"] = 0
     level = {spec.axiom: 1}
-    yield level
+    fold = folded(level)
+    yield level, fold
     level = _level_of(level, plan)
     stop = None
     for _ in range(n):
         try:
-            # The range step also hands back the layout it stepped with.
-            level, done, lowered = step(level, lower)[:3]
+            level, done, lowered = step(level, fold)
         except _OverCap as exc:
             stop = exc.args[0] if exc.args else budget
             break
@@ -709,53 +849,26 @@ def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
             break
         stats["levels"] += 1
         stats["peak_labels"] = max(stats["peak_labels"], len(level))
-        yield level
+        fold = folded(level)
+        yield level, fold
     stats["seconds"] = round(time.perf_counter() - t0, 6)
     if stop:
         stats["truncated"] = True
         stats["budget"] = stop
 
 
-# Suffix sums per piece of a Row's fold in count_levels: a whole level's
-# list of them read a few percent more peak RSS on the count benchmark.
-_FOLD_CHUNK = 256
-
-
-def _row_fold(base, vals):
-    """(total, label sum) of the counts vals at labels base, base + 1, ...
-
-    With S_i the sum of vals[i:], the total is S_0 and the label sum
-    sum((base + i) * vals[i]) is (base - 1) * S_0 + sum(S_i): each S_i is
-    one running add from the top, with no multiply per label."""
-    top = reversed(vals)
-    total = sigma = 0
-    for _ in range(0, len(vals), _FOLD_CHUNK):
-        part = list(accumulate(islice(top, _FOLD_CHUNK), initial=total))
-        total = part[-1]
-        sigma += sum(part) - part[0]
-    return total, (base - 1) * total + sigma
-
-
 def count_levels(spec, n, method="auto", max_labels=None, label_sums=False) -> CountTable:
-    """Totals (and, with `label_sums`, label sums) of levels 0..n, folded
-    from `iter_levels` with one level in memory at a time; the stats are
-    those `iter_levels` fills.  A Row's label sum comes from the suffix sums
-    of its counts (`_row_fold`)."""
+    """Totals (and, with `label_sums`, label sums) of levels 0..n with one
+    level in memory at a time; the stats are those `iter_levels` fills.
+    Each level is folded (`_fold`) inside the propagation, ahead of its
+    step, so a point-rule level's step reuses its label sum."""
     stats = {}
     totals = []
     sums = [] if label_sums else None
-    for level in iter_levels(spec, n, method, max_labels, stats):
-        if type(level) is Row:
-            if label_sums:
-                total, label_sum = _row_fold(level.base, level.vals)
-                totals.append(total)
-                sums.append(label_sum)
-            else:
-                totals.append(sum(level.vals))
-        else:
-            totals.append(sum(level.values()))
-            if label_sums:
-                sums.append(sum(map(mul, level.keys(), level.values())))
+    for _, (total, label_sum) in _levels(spec, n, method, max_labels, stats, label_sums):
+        totals.append(total)
+        if label_sums:
+            sums.append(label_sum)
     return CountTable(mode=spec.mode, totals=totals, label_sums=sums, stats=stats)
 
 

@@ -385,14 +385,45 @@ class TestBench:
         assert code == 0
         assert "totals agree" in out
         assert "fallback_labels=39" in out
+        assert [line.split()[0] for line in out.splitlines()[1:4]] == ["range", "auto", "naive"]
 
     def test_count_benchmark_json_counts_fallback_labels(self, capsys):
         code, out, _ = run(capsys, "bench", "--task", "count", "--system", "catalan",
                            "-n", "40", "--format", "json")
         assert code == 0
         methods = json.loads(out)["methods"]
+        assert list(methods) == ["range", "auto", "naive"]
         assert methods["range"]["fallback_labels"] == 0
+        assert methods["auto"]["method"] == "range"
         assert "fallback_labels" not in methods["naive"]
+
+    def test_count_benchmark_runs_auto_on_point_rules(self, capsys):
+        # Tripling's auto route lowers only its seven levels of fewer than 8
+        # labels one at a time; range lowers every label of its sparse levels.
+        code, out, _ = run(capsys, "bench", "--task", "count", "--system", "tripling",
+                           "-n", "60", "--format", "csv")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()]
+        assert [row[0] for row in rows] == ["method", "range", "auto", "naive"]
+        assert len({row[2] for row in rows[1:]}) == 1
+        code, out, _ = run(capsys, "bench", "--task", "count", "--system", "tripling", "-n", "60")
+        assert "  auto " in out and "fallback_labels=28\n" in out
+
+    @pytest.mark.parametrize("naive_cap", ["600", "10"])
+    def test_count_benchmark_fails_when_auto_disagrees(self, capsys, monkeypatch, naive_cap):
+        # auto is checked against naive, or against range past the naive cap.
+        def count_levels(spec, n, method="auto", **kwargs):
+            table = engine.count_levels(spec, n, method=method, **kwargs)
+            if method == "auto":
+                table.totals[-1] += 1
+            return table
+
+        monkeypatch.setattr(cli, "count_levels", count_levels)
+        code, out, err = run(capsys, "bench", "--task", "count", "--system", "bell",
+                             "-n", "20", "--naive-cap", naive_cap)
+        ref = "naive" if naive_cap == "600" else "range"
+        assert (code, out) == (1, "")
+        assert err == f"error: {ref} and auto totals disagree on bell at n=20\n"
 
     def test_naive_pair_budget_skips_the_naive_row(self, capsys, monkeypatch):
         monkeypatch.setattr(engine, "NAIVE_PAIRS", 1000)
@@ -406,7 +437,7 @@ class TestBench:
         code, out, _ = run(capsys, "bench", "--task", "count", "--system", "quaternary",
                            "-n", "40", "--format", "json")
         doc = json.loads(out)
-        assert code == 0 and list(doc["methods"]) == ["range"]
+        assert code == 0 and list(doc["methods"]) == ["range", "auto"]
         assert doc["naive_skipped"].startswith("naive budget of 1000 ")
 
     def test_sample_benchmark_reports_the_table_and_draw_entries(self, capsys):

@@ -61,19 +61,21 @@ class TestCounting:
         assert table.label_sums[:-1] == table.totals[1:]
 
     def test_auto_method_selection(self):
-        # auto takes the range step.  A spec without intervals lowers its
-        # labels through naive's cached pairs: levels of at least
-        # _ROW_MIN_LABELS dense labels are batched, while fredholm's pow2
-        # guards and goldbach's builtin labels leave no class to batch.
+        # auto takes the range step.  A spec without intervals lowers only
+        # levels of fewer than _ROW_MIN_LABELS labels through naive's cached
+        # pairs: larger levels are batched, as Rows when dense (tripling's
+        # labels 6*3^j - 3 are never dense), while fredholm's pow2 guards
+        # and goldbach's builtin labels leave no class to batch.
         assert count_levels(spec_of("catalan"), 3).stats["method"] == "range"
         n = 80
-        for name, batched in [
-            ("bell", True),
-            ("ceil_half", True),
-            ("parity_three_even", True),
-            ("affine_jumps", True),
-            ("fredholm", False),
-            ("goldbach", False),
+        for name, batched, dense in [
+            ("bell", True, True),
+            ("ceil_half", True, True),
+            ("parity_three_even", True, True),
+            ("affine_jumps", True, True),
+            ("tripling", True, False),
+            ("fredholm", False, False),
+            ("goldbach", False, False),
         ]:
             spec = spec_of(name)
             assert (engine._class_plan(spec) is not None) == batched
@@ -85,11 +87,17 @@ class TestCounting:
             levels = list(iter_levels(spec, n))
             stepped = sum(map(len, levels[:-1]))
             rows = [level for level in levels if isinstance(level, engine.Row)]
-            if batched:
+            if dense:
                 assert auto.stats["fallback_labels"] < stepped // 4, name
                 assert rows and min(map(len, rows)) >= engine._ROW_MIN_LABELS
             else:
-                assert auto.stats["fallback_labels"] == stepped and not rows
+                assert not rows
+            if not batched:
+                assert auto.stats["fallback_labels"] == stepped
+            elif not dense:
+                # Only tripling's seven levels of fewer labels are lowered.
+                small = [len(level) for level in levels[:-1] if len(level) < engine._ROW_MIN_LABELS]
+                assert auto.stats["fallback_labels"] == sum(small) == 28
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

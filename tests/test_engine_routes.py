@@ -6,7 +6,8 @@ intervals have steps up to 3, moving low ends and exclusions, some
 multiplicities start at 0, and some point labels are `ceil_div(a*k + b, m)`
 for m up to 3, so the range method's batched residue classes (widened for
 the divisors), its per-label route below their thresholds and its sparse
-levels all run."""
+levels all run.  Specs without intervals, propagated 10 to 25 levels deep,
+take auto's class step on sparse levels too."""
 
 import re
 from functools import cache
@@ -14,7 +15,7 @@ from operator import add
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecokit.catalog import get_entry
@@ -42,13 +43,19 @@ def ceil_div(numerator, m):
     return Builtin("ceil_div", (numerator, Affine(0, m)))
 
 
-def items(floor):
-    # Labels stay nonnegative for k >= 0; a multiplicity k - floor is 0 on
-    # the clause's lowest label.  Label slope 3 spreads levels out until
-    # they are sparse.
-    mult = st.one_of(affine((0,), 0, 2), affine((1,), -floor, 2 - floor))
+def mults(floor, least=0):
+    # A constant multiplicity is at least `least`; a multiplicity k - floor
+    # is 0 on the clause's lowest label.
+    return st.one_of(affine((0,), least, 2), affine((1,), -floor, 2 - floor))
+
+
+def items(floor, least=0):
+    # Labels stay nonnegative for k >= 0.  Label slope 3 spreads levels out
+    # until they are sparse, and slope 0 makes a constant label.
     label = affine((0, 1, 2, 3), 0, 3)
-    return st.builds(Item, st.one_of(label, st.builds(ceil_div, label, st.integers(1, 3))), mult)
+    return st.builds(
+        Item, st.one_of(label, st.builds(ceil_div, label, st.integers(1, 3))), mults(floor, least)
+    )
 
 
 # Interval low ends stay nonnegative for k >= 0; high ends and exclusions
@@ -69,24 +76,46 @@ def bodies(floor):
     )
 
 
-@st.composite
-def specs(draw):
-    """A walk-mode spec: one clause for the labels k <= t when split at t,
-    then one clause per residue mod m for the rest (no mod atom for m = 1)."""
+def guards(draw, moduli):
+    """(guard atoms, lowest label) per clause: one clause for the labels
+    k <= t when split at t, then one clause per residue mod m for the rest
+    (no mod atom for m = 1), m drawn from `moduli`."""
     split = draw(st.one_of(st.none(), st.integers(0, 3)))
-    m = draw(st.integers(1, 3))
-    guards = []
+    m = draw(moduli)
+    out = []
     floor = 0
     if split is not None:
-        guards.append(((GuardAtom("le", c=split),), 0))
+        out.append(((GuardAtom("le", c=split),), 0))
         floor = split + 1
     for r in range(m):
         atoms = (GuardAtom("ge", c=floor),) if split is not None else ()
         if m > 1:
             atoms += (GuardAtom("mod", m=m, r=r),)
-        guards.append((atoms, floor))
-    clauses = tuple(RuleClause(Guard(atoms), *draw(bodies(low))) for atoms, low in guards)
+        out.append((atoms, floor))
+    return out
+
+
+@st.composite
+def specs(draw):
+    """A walk-mode spec of `guards` mod m <= 3, with points and intervals."""
+    clauses = tuple(
+        RuleClause(Guard(atoms), *draw(bodies(low))) for atoms, low in guards(draw, st.integers(1, 3))
+    )
     return EcoSpec("generated", "walk", draw(st.integers(0, 3)), clauses)
+
+
+@st.composite
+def point_specs(draw):
+    """A walk-mode spec of `guards` mod m <= 2 without intervals.  A clause
+    may repeat its first point label with another multiplicity, so two of
+    its points land on the same label."""
+    clauses = []
+    for atoms, low in guards(draw, st.integers(1, 2)):
+        points = draw(st.lists(items(low, 1), min_size=2, max_size=3))
+        if draw(st.booleans()):
+            points.append(Item(points[0].label, draw(mults(low, 1))))
+        clauses.append(RuleClause(Guard(atoms), tuple(points), ()))
+    return EcoSpec("generated", "walk", draw(st.integers(0, 3)), tuple(clauses))
 
 
 def recount_ops(spec, levels):
@@ -241,6 +270,48 @@ def test_batched_and_sparse_routes():
     assert spread_stats["update_ops"] == recount_ops(SPREAD, spread)
     # Only the first levels are dense enough for a list.
     assert spread_stats["fallback_labels"] > sum(map(len, spread[:-1])) - 30
+
+
+def recount_auto_points(spec, stepped):
+    """auto's (update ops, fallback labels) on a spec without intervals over
+    the `stepped` levels, recounted by the documented rule.  On a level of at
+    least _ROW_MIN_LABELS labels, a label of a batched class at or above its
+    threshold costs one op per point of its description.  Every other label
+    is lowered through its expanded successors, one op per distinct one."""
+    describe = describer(spec)
+    plan = engine._class_plan(spec)
+    ops = fallback = 0
+    for level in stepped:
+        for k in level:
+            points, _ = describe(k)
+            cls = None
+            if plan is not None and len(level) >= engine._ROW_MIN_LABELS:
+                cls = plan[1][k % plan[0]]
+            if cls is not None and k >= cls.threshold:
+                ops += len(points)
+            else:
+                ops += len(expand((points, ())))
+                fallback += 1
+    return ops, fallback
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_specs(), st.integers(10, 25))
+@example(SPREAD, 20)
+def test_point_rule_levels_step_by_class(spec, n):
+    # Sparse point-rule levels of at least _ROW_MIN_LABELS labels step their
+    # batched classes by class; SPREAD's levels are all of that kind.
+    cap = 2000
+    naive = list(iter_levels(spec, n, "naive", cap))
+    stats = {}
+    assert list(iter_levels(spec, n, "auto", cap, stats)) == naive
+    table = count_levels(spec, n, "auto", cap, label_sums=True)
+    assert table.totals == count_levels(spec, n, "auto", cap).totals
+    assert table.totals == [sum(level.values()) for level in naive]
+    assert table.label_sums == [sum(k * c for k, c in level.items()) for level in naive]
+    # A level the cap drops was still stepped, and its work is counted.
+    stepped = naive if stats.get("truncated") else naive[:-1]
+    assert (stats["update_ops"], stats["fallback_labels"]) == recount_auto_points(spec, stepped)
 
 
 # Labels 0..12 climb and fill in below.  Label 12 also jumps to 500, too far
