@@ -62,7 +62,8 @@ from .guess import guess_rational, shortest_recurrence
 from .qpoly import QPoly
 from .ratfunc import RatFunc
 
-# A report's propagation stops before a level with more distinct labels than
+# The label cap of the analysis commands: a report's propagation (and the
+# CLI's guess and sample) stops before a level with more distinct labels than
 # this, and the report marks its series partial.
 LABEL_CAP = 100_000
 

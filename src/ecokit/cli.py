@@ -23,7 +23,7 @@ from pathlib import Path
 from random import Random
 
 from .catalog import ENTRIES, CatalogError, get_entry, verify_entry
-from .classify import ClassifyError, ClosureError, build_report, factorial_form
+from .classify import LABEL_CAP, ClassifyError, ClosureError, build_report, factorial_form
 from .contfrac import ContFracError
 from .dsl import ParseError, SpecError, parse_spec, validate_spec
 from .engine import (
@@ -38,7 +38,6 @@ from .guess import GuessError, guess_rational, minimal_algebraic
 from .kernel import KernelError, gf_report
 from .series import SeriesError
 
-_WIDTH_CAP = 100_000  # label-width cap for analysis commands
 EXIT_PIPE = 141  # what a shell reports for a writer killed by SIGPIPE
 
 
@@ -222,7 +221,7 @@ def _cmd_sample(args):
         raise UsageError("--count must be positive")
     try:
         walks = sample_walks(
-            spec, args.n, args.count, args.seed, args.strategy, max_labels=_WIDTH_CAP
+            spec, args.n, args.count, args.seed, args.strategy, max_labels=LABEL_CAP
         )
     except (LabelCapError, TableBudgetError) as exc:
         print(f"error: {exc}; no walks drawn", file=sys.stderr)
@@ -277,7 +276,7 @@ def _cmd_gf(args):
         raise UsageError("--order must be at least 2")
     if args.window < 0:
         raise UsageError("--window must be nonnegative")
-    name, spec = _load_source(args)
+    name, spec = _load_valid_source(args)
     form = factorial_form(spec)
     if form is None:
         print(
@@ -319,8 +318,8 @@ def _cmd_guess(args):
         raise UsageError("--dmax must be nonnegative")
     if args.max_degree < 0:
         raise UsageError("--max-degree must be nonnegative")
-    name, spec = _load_source(args)
-    table = count_levels(spec, args.order - 1, max_labels=_WIDTH_CAP)
+    name, spec = _load_valid_source(args)
+    table = count_levels(spec, args.order - 1, max_labels=LABEL_CAP)
     terms = table.totals
     if table.stats.get("truncated"):
         print(
@@ -438,13 +437,10 @@ def _cmd_bench(args):
 
 
 def _bench_count(name, spec, args):
-    tables = {}
-    for method in ("range", "auto"):
-        table = tables[method] = count_levels(spec, args.n, method=method)
-        if table.stats.get("truncated"):
-            print(f"error: {_stopped(table)}; {method} table is partial", file=sys.stderr)
-            return 1
-    ranged = tables["range"]
+    ranged = count_levels(spec, args.n, method="range")
+    if ranged.stats.get("truncated"):
+        print(f"error: {_stopped(ranged)}; range table is partial", file=sys.stderr)
+        return 1
     naive = None
     skipped = f"n > naive cap {args.naive_cap}"
     if args.n <= args.naive_cap:
@@ -452,18 +448,13 @@ def _bench_count(name, spec, args):
         if naive.stats.get("truncated"):
             skipped = _stopped(naive)
             naive = None
-        else:
-            tables["naive"] = naive
-    # Each route is checked against naive, or auto against range without it.
-    ref = "naive" if naive else "range"
-    for method, table in tables.items():
-        if table.totals != tables[ref].totals:
+        elif naive.totals != ranged.totals:
             print(
-                f"error: {ref} and {method} totals disagree on {name} at n={args.n}",
+                f"error: naive and range totals disagree on {name} at n={args.n}",
                 file=sys.stderr,
             )
             return 1
-    rows = [(m, t.stats) for m, t in tables.items()]
+    rows = [("range", ranged.stats)] + ([("naive", naive.stats)] if naive else [])
     speedup = (
         naive.stats["seconds"] / ranged.stats["seconds"]
         if naive and ranged.stats["seconds"] > 0
@@ -493,7 +484,7 @@ def _bench_count(name, spec, args):
     else:
         print(f"bench count {name}  n={args.n}")
         for m, s in rows:
-            fallback = f"  fallback_labels={s['fallback_labels']}" if m != "naive" else ""
+            fallback = f"  fallback_labels={s['fallback_labels']}" if m == "range" else ""
             print(
                 f"  {m:<6} {s['seconds']:>10.4f} s   "
                 f"update_ops={s['update_ops']}  peak_labels={s['peak_labels']}{fallback}"
@@ -510,7 +501,7 @@ def _bench_count(name, spec, args):
 def _bench_sample(name, spec, args):
     t0 = time.perf_counter()
     try:
-        sampler = WalkSampler(spec, args.n, max_labels=_WIDTH_CAP)
+        sampler = WalkSampler(spec, args.n, max_labels=LABEL_CAP)
     except (LabelCapError, TableBudgetError) as exc:
         print(f"error: {exc}; no walks drawn", file=sys.stderr)
         return 1
@@ -594,9 +585,8 @@ def _build_parser():
     p.add_argument("-n", type=int, required=True, help="last level to compute")
     p.add_argument(
         "--method", choices=("auto", "naive", "range"), default="auto",
-        help="propagation method (default auto: the range step, which on rules "
-        "without intervals batches dense levels of 8 or more labels and "
-        "lowers every other label through naive's cached pairs)",
+        help="propagation method: range (auto, the default, is another name "
+        "for it), or naive, the oracle that expands every label's successors",
     )
     p.add_argument(
         "--cap", type=int, default=None,

@@ -7,68 +7,60 @@ label, points (label, mult) and runs (lo, last, step, cuts) of labels spaced
 ``iter_levels``, which holds only the current level; ``count_levels`` reads
 per-level totals (and label sums on request) from the same propagation,
 which folds each level as it is made, ahead of its step.  Two forward
-propagation methods are provided, and ``auto``, the default, picks its
-route from them:
+propagation methods are provided, and ``auto``, the default, is a name for
+``range``:
 
 * ``naive`` expands each label's description once into (successor label,
   multiplicity) pairs and applies them to every level the label populates.
-  It is the oracle for the others.
+  It is the oracle for the other.
 * ``range`` records two difference events per run, keyed by (step, residue
   of lo), and rebuilds the next level with one running sum
   (``itertools.accumulate``) per key.  On interval-heavy systems a level
   then costs about (number of distinct labels) instead of (sum of run
-  lengths).  A level whose label span is near its number of labels is held
-  as a list indexed by label, and on each residue class k = r mod M where
-  one affine clause guards every label from a threshold on
-  (``dsl.residue_split``, ``dsl.class_view``) the class is batched: each
-  point, each run end and each cut is one strided slice operation over the
-  class's counts, with no per-label description; when no label of the
-  level was lowered one at a time, the first batched point assigns its
-  weights to the fresh next level instead of adding them to zeros.  A point
-  label ``ceil_div(a*k + b, q)`` with a constant q is batched too: M is
-  widened until q divides a*M, so on each class the label is the exact
-  integer quotient (a*k + b + c) // q for a fixed c, and steps by a*M // q.
-  Labels below a class threshold (a ``k <= c`` guard, a multiplicity still
-  below 1, a run not yet of its affine shape), labels of classes
-  ``class_view`` rejects (a builtin interval bound, exclusion or
+  lengths).  A level of at least ``_ROW_MIN_LABELS`` labels whose span is
+  near their number is held as a list indexed by label, and on each
+  residue class k = r mod M where one affine clause guards every label
+  from a threshold on (``dsl.residue_split``, ``dsl.class_view``) the class
+  is batched: each point, each run end and each cut is one strided slice
+  operation over the class's counts, with no per-label description; when
+  no label of the level was lowered one at a time, the first batched point
+  assigns its weights to the fresh next level instead of adding them to
+  zeros.  A point label ``ceil_div(a*k + b, q)`` with a constant q is
+  batched too: M is widened until q divides a*M, so on each class the
+  label is the exact integer quotient (a*k + b + c) // q for a fixed c, and
+  steps by a*M // q.  Labels below a class threshold (a ``k <= c`` guard, a
+  multiplicity still below 1, a run not yet of its affine shape), labels
+  of classes ``class_view`` rejects (a builtin interval bound, exclusion or
   multiplicity) or a pow2/prime guard tests, labels of any other builtin,
-  and every label of a sparse level (span much wider than its number of
-  labels) are lowered one at a time as before; ``stats["fallback_labels"]``
-  counts them.  A range level is a read-only ``Row`` over its list of
-  counts exactly when ``_is_dense`` holds for its labels, else a dict
-  (``_level_of``), so a dense level stays a list from step to step and
-  ``count_levels`` sums that list directly: the label sum too, from the
-  list's running sums from the top (``_row_fold``), with no multiply per
-  label.
-* ``auto`` is ``range`` on a spec with intervals.  On a spec without,
-  whose labels are a few points each, every label it lowers one at a time
-  goes through ``naive``'s cached (label, multiplicity) pairs instead of a
-  new description on each visit, and a level of fewer than
-  ``_ROW_MIN_LABELS`` labels stays a dict and steps through those pairs.
-  A larger level is batched per residue class of the plan: a Row by
-  strided slices as ``range`` does, unless its layout reaches too far, and
-  any other level by ``_class_step`` over each class's lists of labels and
-  counts.  There an affine or ``ceil_div`` point label maps all the class's
-  labels in one pass, and a constant point label with multiplicity c*k + d
-  receives c*S1 + d*S0 of the class (S0 the sum of its counts, S1 of its
-  labels times their counts), read from the level's fold when the class
-  holds every label of the level, so a label sum is multiplied out once
-  per level.  Labels below a class threshold and the labels of an
-  unbatched class still step through the cached pairs.  Its stats read
-  method ``range``.
+  and every label of any other level are lowered one at a time;
+  ``stats["fallback_labels"]`` counts them.  A level is a read-only ``Row``
+  over its list of counts exactly when ``_is_dense`` holds for its labels,
+  else a dict (``_level_of``), so a dense level stays a list from step to
+  step and ``count_levels`` sums that list directly: the label sum too,
+  from the list's running sums from the top (``_row_fold``), with no
+  multiply per label.
+  On a spec without intervals, whose labels are a few points each, every
+  label lowered one at a time goes through ``naive``'s cached (label,
+  multiplicity) pairs instead of a new description on each visit.  A dict
+  level of at least ``_ROW_MIN_LABELS`` labels is then batched too, by
+  ``_class_step`` over each class's lists of labels and counts: an affine
+  or ``ceil_div`` point label maps all the class's labels in one pass, and
+  a constant point label with multiplicity c*k + d receives c*S1 + d*S0 of
+  the class (S0 the sum of its counts, S1 of its labels times their
+  counts), read from the level's fold when the class holds every label of
+  the level, so a label sum is multiplied out once per level.
 
 ``stats["update_ops"]`` counts the updates a method made: for ``naive`` one
 per (populated label, distinct successor label) pair; for ``range`` one per
 point, two per run, one per cut and one per label the rebuild writes.  The
 batched route counts the same: per class, the per-label ops times the
 nonzero counts of its slice, and per (step, residue) key, the nonzero
-entries of the rebuilt running sum.  ``auto`` on a spec without intervals
+entries of the rebuilt running sum.  On a spec without intervals ``range``
 counts a label lowered through the cached pairs as ``naive`` does, and a
-label of a batched class, on a Row or a sparse level, as ``range`` does:
-one per point of its clause.  Without a label cap, propagation still
-stops (marked truncated) before a run wider than ``dsl.MAX_SUCCESSORS``,
-and ``naive`` (or ``auto`` without intervals) before its cached pairs pass
-``NAIVE_PAIRS``; see ``stop_text``.
+label of a batched class, on a Row or a dict level, one per point of its
+clause.  Without a label cap, propagation still stops (marked truncated)
+before a run wider than ``dsl.MAX_SUCCESSORS``, and before its cached
+pairs pass ``NAIVE_PAIRS`` when it keeps them; see ``stop_text``.
 
 The back table's closure (``_closure``) is the same range step on levels
 of ones: each layer is the step of the one before with its counts reset to
@@ -77,14 +69,13 @@ else a dict of ones.  It keeps the ``_dense_layout`` it stepped each layer
 with, and once a layer equals the one before it, it repeats that layer to
 depth n without stepping, still charging each depth's cells.
 ``back_table`` builds each row from that layout as the transpose of the
-step: on a dense layer of at least ``_ROW_MIN_LABELS`` labels each batched
-residue class reads a point as one strided slice of the padded previous row
-times its affine multiplicity, a run as the difference of two strided
-slices of its per-(step, residue) prefix array, and a removed label as a
-strided slice taken away, and writes its counts as one strided slice of a
-``Row`` over the layer's flags.  Other labels are lowered one at a time,
-each run summed from the same kind of prefix sums, into a dict row.  The
-table stops, raising
+step: on a dense layer each batched residue class reads a point as one
+strided slice of the padded previous row times its affine multiplicity, a
+run as the difference of two strided slices of its per-(step, residue)
+prefix array, and a removed label as a strided slice taken away, and
+writes its counts as one strided slice of a ``Row`` over the layer's
+flags.  Other labels are lowered one at a time, each run summed from the
+same kind of prefix sums, into a dict row.  The table stops, raising
 ``TableBudgetError``, before its cells (charged ``_CELL_BITS`` each in the
 closure) plus the bits of its counts pass ``BACK_BITS``.  ``WalkSampler``
 reuses the closure's cached descriptions and memoizes a flat draw entry per
@@ -132,8 +123,9 @@ class LabelCapError(SpecError):
 # pairs, about 100 bytes each, and stops before the label that would take it
 # past this many.  Through level 600 (bench's naive cap) only even_jumps
 # passes it, at level 12; quinary holds the most of the rest, 2,883,591.
-# auto keeps them only for the labels it lowers one at a time: the labels of
-# a batched class, on a dense level or a sparse one, cache no pairs.
+# range keeps them on a spec without intervals, only for the labels it lowers
+# one at a time: the labels of a batched class, on a Row or a dict level,
+# cache no pairs.
 NAIVE_PAIRS = 4_000_000
 
 # The back table charges each cell its count's bit length plus _CELL_BITS for
@@ -216,9 +208,9 @@ def _next_level_naive(level, succ):
 # level's span must keep the same ratio to a bound on its number of labels.
 _DENSE_RATIO = 4
 _DENSE_SLACK = 64
-# A batched back-table row costs about 10 us up front and a label lowered
-# alone about 1 us (more with runs), so rows of fewer labels go label by
-# label, and so do auto's forward levels of fewer labels on point rules.
+# A batched level or back-table row costs about 10 us up front and a label
+# lowered alone about 1 us (more with runs), so a level or closure layer of
+# fewer labels is a dict, stepped and read label by label.
 _ROW_MIN_LABELS = 8
 # Each residue class costs a class view up front and a slice per level, so
 # specs whose guards and steps need a larger modulus are not batched.
@@ -521,9 +513,14 @@ def _dense_core(layout, plan):
 
 
 def _is_dense(plan, base, top, size):
-    """Whether a level of `size` labels from base to top goes through the
-    batched step of `plan`."""
-    return plan is not None and plan[0] <= top - base + 1 <= _DENSE_RATIO * size + _DENSE_SLACK
+    """Whether a level of `size` labels from base to top is a list that goes
+    through the batched step of `plan`: at least _ROW_MIN_LABELS labels,
+    spanning at least the modulus and not much more than their number."""
+    return (
+        size >= _ROW_MIN_LABELS
+        and plan is not None
+        and plan[0] <= top - base + 1 <= _DENSE_RATIO * size + _DENSE_SLACK
+    )
 
 
 class Row(Mapping):
@@ -574,17 +571,17 @@ def _trim(nxt, low, plan):
         b -= 1
     del nxt[b:], nxt[:a]
     size = b - a - nxt.count(0)
-    return low + a, nxt, size, bool(size) and _is_dense(plan, low + a, low + b - 1, size)
+    return low + a, nxt, size, _is_dense(plan, low + a, low + b - 1, size)
 
 
-def _level_of(level, plan, floor=1):
+def _level_of(level, plan):
     """A dict of nonzero counts as the range step holds it: a Row over its
-    list of counts when it has at least `floor` labels and `_is_dense` holds
-    for them, else the dict.  Its labels are only scanned for their span
-    when `plan` batches a class and the first and last labels written are
-    not already too far apart for a list."""
+    list of counts when `_is_dense` holds for its labels, else the dict.
+    Its labels are only scanned for their span when `plan` batches a class,
+    there are enough of them, and the first and last labels written are not
+    already too far apart for a list."""
     size = len(level)
-    if plan is None or size < floor:
+    if plan is None or size < _ROW_MIN_LABELS:
         return level
     if abs(next(reversed(level)) - next(iter(level))) >= _DENSE_RATIO * size + _DENSE_SLACK:
         return level
@@ -681,31 +678,28 @@ def _next_level_range(level, describe, plan, cap=None, pairs=None, fold=None):
     label is written, when a single run is wider than `cap` labels.
 
     With `pairs`, naive's cached (label, mult) pairs of a spec without
-    intervals, a level of fewer than _ROW_MIN_LABELS labels is not batched
-    and the next level is a Row only from that many labels on.  A level of
-    fewer labels, or of a spec `plan` does not batch, steps through
-    `_next_level_naive` on those pairs instead of describing its labels
-    again; any other level that does not take `_dense_core` takes
-    `_class_step`, which reads the level's `fold`."""
-    floor = 1 if pairs is None else _ROW_MIN_LABELS
+    intervals, a level that does not take `_dense_core` is not described
+    again: it steps through `_next_level_naive` on those pairs when it has
+    fewer than _ROW_MIN_LABELS labels or `plan` batches no class, else
+    through `_class_step`, which reads the level's `fold`."""
     layout = None
     # Row is a Mapping, so isinstance would run the abc check on every level.
-    if type(level) is Row and level.size >= floor:
+    if type(level) is Row:
         layout = _dense_layout(level.vals, level.base, plan, describe, cap)
         if layout is not None:
             nxt, low, ops, lowered = _dense_core(layout, plan)
             base, vals, size, dense = _trim(nxt, low, plan)
-            if dense and size >= floor:
+            if dense:
                 return Row(base, vals, vals, size), ops, lowered, layout
             return dict(compress(zip(count(base), vals), vals)), ops, lowered, layout
     if pairs is None:
         nxt, ops = _sparse_step(level.items(), describe, cap)
         lowered = len(level)
-    elif plan is None or len(level) < floor:
+    elif plan is None or len(level) < _ROW_MIN_LABELS:
         nxt, ops, lowered = _next_level_naive(level, pairs)
     else:
         nxt, ops, lowered = _class_step(level, plan, pairs, fold)
-    return _level_of(nxt, plan, floor), ops, lowered, layout
+    return _level_of(nxt, plan), ops, lowered, layout
 
 
 def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
@@ -715,9 +709,8 @@ def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
     iterate in increasing order.  Only the current level is held, and no
     level is folded into a total.
 
-    `method` is "naive", "range" or "auto", the range step with naive's
-    cached pairs on a spec without intervals (see the module docstring); its
-    stats read method "range".
+    `method` is "naive" or "range" (see the module docstring); "auto" is
+    another name for "range", and its stats read method "range".
     `stats`, when given, is filled as the levels go: method, levels,
     update_ops, peak_labels and (range) fallback_labels are current after
     each yield, and seconds (wall time to exhaustion, the consumer's time
@@ -730,7 +723,7 @@ def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
     with one run wider than the cap is cut from its descriptions, before
     any of its labels is written, and its update ops are not counted.
     Without a cap, a run wider than MAX_SUCCESSORS labels stops the tree the
-    same way; naive, and auto on a spec without intervals, also stop
+    same way; naive, and range on a spec without intervals, also stop
     before their cached pairs pass NAIVE_PAIRS.  ValueError, when iteration
     starts, for n < 0 or an unknown method.
     """
@@ -777,7 +770,6 @@ def _levels(spec, n, method, max_labels, stats, label_sums):
     takes a whole level's S0 and S1 from it instead of forming them again."""
     if n < 0:
         raise ValueError(f"level count needs n >= 0, got {n}")
-    points_only = method == "auto" and not any(c.intervals for c in spec.clauses)
     if method == "auto":
         method = "range"
     if method not in ("naive", "range"):
@@ -807,15 +799,15 @@ def _levels(spec, n, method, max_labels, stats, label_sums):
 
     else:
         plan = _class_plan(spec)
-        if points_only:
-            # A point label's pairs are a few entries, NAIVE_PAIRS bounds
-            # them all, and they stand in for a description with no runs.
-            cached, lower = expanded, lambda k: (expanded(k), ())
-        else:
+        if any(c.intervals for c in spec.clauses):
             # A run's pairs would take its width, and levels can double in
             # width per level (up to the label cap), so range describes a
             # label again on each visit and keeps nothing per label.
             lower = describe
+        else:
+            # A point label's pairs are a few entries, NAIVE_PAIRS bounds
+            # them all, and they stand in for a description with no runs.
+            cached, lower = expanded, lambda k: (expanded(k), ())
 
         def step(level, fold):
             # The range step also hands back the layout it stepped with.
@@ -832,7 +824,6 @@ def _levels(spec, n, method, max_labels, stats, label_sums):
     level = {spec.axiom: 1}
     fold = folded(level)
     yield level, fold
-    level = _level_of(level, plan)
     stop = None
     for _ in range(n):
         try:
@@ -909,7 +900,7 @@ def _closure(spec, n, max_labels, describe, plan):
     LabelCapError when a layer would hold more than max_labels labels;
     TableBudgetError when the layers' cells, charged _CELL_BITS each, pass
     BACK_BITS.  Both name the last layer that fit."""
-    layers, layouts = [_ones(_level_of({spec.axiom: 1}, plan))], []
+    layers, layouts = [{spec.axiom: 1}], []
     cells, fixed = 1, False
     for depth in range(1, n + 1):
         layer = layers[-1]
@@ -991,14 +982,15 @@ def _padded(prev, low, high):
 def _dense_row(layer, layout, prev, plan):
     """The row of `_sparse_row` on a closure layer as a Row, the transpose
     of `_dense_core` on the `_dense_layout` the layer was stepped with, or
-    None when that layout is None or the layer is small.
+    None when that layout is None (the layer is a dict, or was too sparse
+    to lay out).
 
     prev becomes a zero-padded list; each batched class reads a point as one
     strided slice times its multiplicity, a run as the difference of two
     strided slices of a per-(step, residue) prefix array and a removed label
     as a strided slice taken away, and writes its counts as one strided
     slice of the row."""
-    if layout is None or len(layer) < _ROW_MIN_LABELS:
+    if layout is None:
         return None
     base, flags = layer.base, layer.flags
     described, batches, low, high = layout

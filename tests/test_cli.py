@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import ecokit
 import ecokit.cli as cli
 from ecokit import engine
-from ecokit.catalog import get_entry
+from ecokit.catalog import ENTRIES, get_entry
 from ecokit.series import SeriesError
 
 FIB_TEXT = (
@@ -128,12 +128,21 @@ class TestCount:
         assert "label cap 500 exceeded" in err
         assert out.rstrip().endswith("29559718")
 
-    @pytest.mark.parametrize("command", ["count", "sample"])
+    def test_auto_and_range_print_the_same_bytes(self, capsys):
+        # auto is another name for the range method, on every rule shape.
+        for entry in ENTRIES:
+            for n in ("0", "8", "30"):
+                argv = ("count", "--system", entry.name, "-n", n, "--format", "json")
+                auto = run(capsys, *argv, "--method", "auto")
+                assert run(capsys, *argv, "--method", "range") == auto, (entry.name, n)
+
+    @pytest.mark.parametrize("command", ["count", "sample", "guess", "gf"])
     @pytest.mark.parametrize("text", [BAD_ARITY_TEXT, FALLING_TEXT])
     def test_invalid_file_is_rejected(self, capsys, tmp_path, command, text):
         path = tmp_path / "bad.eco"
         path.write_text(text)
-        code, out, err = run(capsys, command, "--file", str(path), "-n", "4")
+        size = {"guess": "--order", "gf": "--order"}.get(command, "-n")
+        code, out, err = run(capsys, command, "--file", str(path), size, "4")
         assert (code, out) == (2, "")
         assert "invalid spec" in err
 
@@ -384,46 +393,45 @@ class TestBench:
                            "--system", "motzkin", "-n", "40")
         assert code == 0
         assert "totals agree" in out
-        assert "fallback_labels=39" in out
-        assert [line.split()[0] for line in out.splitlines()[1:4]] == ["range", "auto", "naive"]
+        # The labels of the levels of fewer than 8 labels, and label 1, whose
+        # run interval(1, k - 1) is still empty, of each larger level.
+        assert "fallback_labels=61" in out
+        assert [line.split()[0] for line in out.splitlines()[1:3]] == ["range", "naive"]
 
     def test_count_benchmark_json_counts_fallback_labels(self, capsys):
         code, out, _ = run(capsys, "bench", "--task", "count", "--system", "catalan",
                            "-n", "40", "--format", "json")
         assert code == 0
         methods = json.loads(out)["methods"]
-        assert list(methods) == ["range", "auto", "naive"]
-        assert methods["range"]["fallback_labels"] == 0
-        assert methods["auto"]["method"] == "range"
+        assert list(methods) == ["range", "naive"]
+        # Catalan's levels 0..6 hold 1..7 labels, fewer than a list needs.
+        assert methods["range"]["fallback_labels"] == sum(range(1, 8))
         assert "fallback_labels" not in methods["naive"]
 
     def test_count_benchmark_runs_auto_on_point_rules(self, capsys):
-        # Tripling's auto route lowers only its seven levels of fewer than 8
-        # labels one at a time; range lowers every label of its sparse levels.
+        # The range row is auto's route.  On point rules it lowers only
+        # tripling's seven levels of fewer than 8 labels one at a time,
+        # through naive's cached pairs, so both rows count the same ops.
         code, out, _ = run(capsys, "bench", "--task", "count", "--system", "tripling",
                            "-n", "60", "--format", "csv")
         assert code == 0
         rows = [line.split(",") for line in out.splitlines()]
-        assert [row[0] for row in rows] == ["method", "range", "auto", "naive"]
+        assert [row[0] for row in rows] == ["method", "range", "naive"]
         assert len({row[2] for row in rows[1:]}) == 1
         code, out, _ = run(capsys, "bench", "--task", "count", "--system", "tripling", "-n", "60")
-        assert "  auto " in out and "fallback_labels=28\n" in out
+        assert "  range " in out and "fallback_labels=28\n" in out
 
-    @pytest.mark.parametrize("naive_cap", ["600", "10"])
-    def test_count_benchmark_fails_when_auto_disagrees(self, capsys, monkeypatch, naive_cap):
-        # auto is checked against naive, or against range past the naive cap.
+    def test_count_benchmark_fails_when_range_disagrees(self, capsys, monkeypatch):
         def count_levels(spec, n, method="auto", **kwargs):
             table = engine.count_levels(spec, n, method=method, **kwargs)
-            if method == "auto":
+            if method == "range":
                 table.totals[-1] += 1
             return table
 
         monkeypatch.setattr(cli, "count_levels", count_levels)
-        code, out, err = run(capsys, "bench", "--task", "count", "--system", "bell",
-                             "-n", "20", "--naive-cap", naive_cap)
-        ref = "naive" if naive_cap == "600" else "range"
+        code, out, err = run(capsys, "bench", "--task", "count", "--system", "bell", "-n", "20")
         assert (code, out) == (1, "")
-        assert err == f"error: {ref} and auto totals disagree on bell at n=20\n"
+        assert err == "error: naive and range totals disagree on bell at n=20\n"
 
     def test_naive_pair_budget_skips_the_naive_row(self, capsys, monkeypatch):
         monkeypatch.setattr(engine, "NAIVE_PAIRS", 1000)
@@ -437,7 +445,7 @@ class TestBench:
         code, out, _ = run(capsys, "bench", "--task", "count", "--system", "quaternary",
                            "-n", "40", "--format", "json")
         doc = json.loads(out)
-        assert code == 0 and list(doc["methods"]) == ["range", "auto"]
+        assert code == 0 and list(doc["methods"]) == ["range"]
         assert doc["naive_skipped"].startswith("naive budget of 1000 ")
 
     def test_sample_benchmark_reports_the_table_and_draw_entries(self, capsys):

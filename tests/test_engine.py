@@ -61,11 +61,11 @@ class TestCounting:
         assert table.label_sums[:-1] == table.totals[1:]
 
     def test_auto_method_selection(self):
-        # auto takes the range step.  A spec without intervals lowers only
-        # levels of fewer than _ROW_MIN_LABELS labels through naive's cached
-        # pairs: larger levels are batched, as Rows when dense (tripling's
-        # labels 6*3^j - 3 are never dense), while fredholm's pow2 guards
-        # and goldbach's builtin labels leave no class to batch.
+        # auto is another name for range.  A spec without intervals lowers
+        # only levels of fewer than _ROW_MIN_LABELS labels through naive's
+        # cached pairs: larger levels are batched, as Rows when dense
+        # (tripling's labels 6*3^j - 3 are never dense), while fredholm's
+        # pow2 guards and goldbach's builtin labels leave no class to batch.
         assert count_levels(spec_of("catalan"), 3).stats["method"] == "range"
         n = 80
         for name, batched, dense in [

@@ -7,7 +7,7 @@ multiplicities start at 0, and some point labels are `ceil_div(a*k + b, m)`
 for m up to 3, so the range method's batched residue classes (widened for
 the divisors), its per-label route below their thresholds and its sparse
 levels all run.  Specs without intervals, propagated 10 to 25 levels deep,
-take auto's class step on sparse levels too."""
+take range's class step on sparse levels too."""
 
 import re
 from functools import cache
@@ -180,41 +180,45 @@ def test_engine_routes_agree(spec, n, seed, cap):
     naive = list(iter_levels(spec, n, "naive"))
     ranged = list(iter_levels(spec, n, "range", stats=ranged_stats))
     assert naive == ranged
-    assert ranged_stats["update_ops"] == recount_ops(spec, naive)
-    assert ranged_stats["fallback_labels"] <= sum(map(len, naive[:-1]))
+    # Without intervals, range lowers labels through naive's cached pairs.
+    if any(c.intervals for c in spec.clauses):
+        assert ranged_stats["update_ops"] == recount_ops(spec, naive)
+        assert ranged_stats["fallback_labels"] <= sum(map(len, naive[:-1]))
+    else:
+        recount = recount_auto_points(spec, naive[:-1])
+        assert (ranged_stats["update_ops"], ranged_stats["fallback_labels"]) == recount
     plan = engine._class_plan(spec)
     layers, _ = engine._closure(spec, n, None, cache(describer(spec)), plan)
     assert [set(layer) for layer in layers] == [set(level) for level in naive]
-    # One level type: a range level (after the axiom's) and a closure layer
-    # are Rows exactly when their labels are dense, and a layer's counts are 1.
+    # One rule: a range level and a closure layer are Rows exactly when
+    # `_is_dense` holds for their labels (at least _ROW_MIN_LABELS of them),
+    # and a layer's counts are 1.
 
     def dense(level):
         return bool(level) and engine._is_dense(plan, min(level), max(level), len(level))
 
-    assert all(isinstance(level, engine.Row) == dense(level) for level in ranged[1:])
+    assert all(isinstance(level, engine.Row) == dense(level) for level in ranged)
     for layer in layers:
         assert isinstance(layer, engine.Row) == dense(layer)
         assert set(layer.values()) <= {1}
     # count_levels is a fold over the same stream, capped or not.
     streams = {}
-    for method in ("naive", "range", "auto"):
+    for method in ("naive", "range"):
         stats = {}
-        levels = streams[method] = list(iter_levels(spec, n, method, cap, stats))
+        levels = list(iter_levels(spec, n, method, cap, stats))
+        streams[method] = levels, stats
         table = count_levels(spec, n, method, cap, label_sums=True)
         assert table.totals == [sum(level.values()) for level in levels]
         assert table.label_sums == [sum(k * c for k, c in level.items()) for level in levels]
         assert table.depth == stats["levels"] == len(levels) - 1
         assert list(table.stats) == list(stats)
         assert {**table.stats, "seconds": 0} == {**stats, "seconds": 0}
-    # auto is the range step; without intervals it lowers labels through
-    # naive's cached pairs and holds no level of fewer than _ROW_MIN_LABELS
-    # labels as a Row, so no such level is batched.
-    assert streams["auto"] == streams["naive"]
-    floor = 1 if any(c.intervals for c in spec.clauses) else engine._ROW_MIN_LABELS
-    assert all(
-        isinstance(level, engine.Row) == (len(level) >= floor and dense(level))
-        for level in streams["auto"][1:]
-    )
+    assert streams["range"][0] == streams["naive"][0]
+    # auto is another name for range: the same levels and stats.
+    levels, stats = streams["range"]
+    auto_stats = {}
+    assert list(iter_levels(spec, n, "auto", cap, auto_stats)) == levels
+    assert {**auto_stats, "seconds": 0} == {**stats, "seconds": 0}
     total = sum(naive[n].values())
     g = back_table(spec, n)
     assert g == reference_back_table(spec, naive)
@@ -252,6 +256,11 @@ MIXED = EcoSpec("mixed", "walk", 0, (
 SPREAD = EcoSpec("spread", "eco", 3, (
     clause([GuardAtom("ge", c=1)], [Item(Affine(0, 3), Affine(1, -1)), Item(Affine(3, 6), Affine(0, 1))]),
 ))
+# SPREAD with its labels 3k + 6 as one-label runs, so that range describes
+# the labels of its sparse levels one at a time.
+SPREAD_RUNS = EcoSpec("spread_runs", "eco", 3, (
+    clause([GuardAtom("ge", c=1)], [Item(Affine(0, 3), Affine(1, -1))], [Interval(Affine(3, 6), Affine(3, 6))]),
+))
 
 
 def test_batched_and_sparse_routes():
@@ -264,16 +273,24 @@ def test_batched_and_sparse_routes():
     # About three labels per level sit below the threshold.
     assert stats["fallback_labels"] < 4 * 30 < labels
     spread_stats = {}
-    spread = list(iter_levels(SPREAD, 30, "range", stats=spread_stats))
-    assert spread == list(iter_levels(SPREAD, 30, "naive"))
-    assert back_table(SPREAD, 30) == reference_back_table(SPREAD, spread)
-    assert spread_stats["update_ops"] == recount_ops(SPREAD, spread)
-    # Only the first levels are dense enough for a list.
-    assert spread_stats["fallback_labels"] > sum(map(len, spread[:-1])) - 30
+    spread = list(iter_levels(SPREAD_RUNS, 30, "range", stats=spread_stats))
+    assert spread == list(iter_levels(SPREAD_RUNS, 30, "naive"))
+    assert back_table(SPREAD_RUNS, 30) == reference_back_table(SPREAD_RUNS, spread)
+    assert spread_stats["update_ops"] == recount_ops(SPREAD_RUNS, spread)
+    # No level is dense enough for a list.
+    assert not any(isinstance(level, engine.Row) for level in spread)
+    assert spread_stats["fallback_labels"] == sum(map(len, spread[:-1]))
+    # Without the runs, the sparse levels of at least _ROW_MIN_LABELS labels
+    # step by class, and only the seven smaller ones are lowered one at a time.
+    points_stats = {}
+    assert list(iter_levels(SPREAD, 30, "range", stats=points_stats)) == spread
+    recount = recount_auto_points(SPREAD, spread[:-1])
+    assert (points_stats["update_ops"], points_stats["fallback_labels"]) == recount
+    assert points_stats["fallback_labels"] == sum(range(1, engine._ROW_MIN_LABELS))
 
 
 def recount_auto_points(spec, stepped):
-    """auto's (update ops, fallback labels) on a spec without intervals over
+    """range's (update ops, fallback labels) on a spec without intervals over
     the `stepped` levels, recounted by the documented rule.  On a level of at
     least _ROW_MIN_LABELS labels, a label of a batched class at or above its
     threshold costs one op per point of its description.  Every other label
@@ -304,9 +321,9 @@ def test_point_rule_levels_step_by_class(spec, n):
     cap = 2000
     naive = list(iter_levels(spec, n, "naive", cap))
     stats = {}
-    assert list(iter_levels(spec, n, "auto", cap, stats)) == naive
-    table = count_levels(spec, n, "auto", cap, label_sums=True)
-    assert table.totals == count_levels(spec, n, "auto", cap).totals
+    assert list(iter_levels(spec, n, "range", cap, stats)) == naive
+    table = count_levels(spec, n, "range", cap, label_sums=True)
+    assert table.totals == count_levels(spec, n, "range", cap).totals
     assert table.totals == [sum(level.values()) for level in naive]
     assert table.label_sums == [sum(k * c for k, c in level.items()) for level in naive]
     # A level the cap drops was still stepped, and its work is counted.
@@ -351,8 +368,10 @@ def test_levels_switch_between_lists_and_dicts():
     stats = {}
     levels = list(iter_levels(SWITCH, n, "range", stats=stats))
     kinds = "".join("L" if isinstance(level, engine.Row) else "d" for level in levels)
-    # The axiom's dict, then lists, dicts while 500 stands apart, lists again.
-    assert re.fullmatch("dL+d+L+", kinds), kinds
+    # Dicts while the levels hold fewer than _ROW_MIN_LABELS labels, then
+    # lists, dicts while 500 stands apart, lists again.
+    small = sum(len(level) < engine._ROW_MIN_LABELS for level in levels)
+    assert re.fullmatch(f"d{{{small}}}L+d+L+", kinds), kinds
     naive = list(iter_levels(SWITCH, n, "naive"))
     assert levels == naive
     assert stats["update_ops"] == recount_ops(SWITCH, naive)
@@ -411,7 +430,11 @@ def test_first_write_into_a_fresh_level(monkeypatch, spec):
     naive = list(iter_levels(spec, n, "naive"))
     ranged = list(iter_levels(spec, n, "range", stats=stats))
     assert ranged == naive
-    assert all(isinstance(level, engine.Row) for level in ranged[1:])
+    # Every level of at least _ROW_MIN_LABELS labels is a list.
+    assert all(
+        isinstance(level, engine.Row) == (len(level) >= engine._ROW_MIN_LABELS) for level in ranged
+    )
+    assert any(isinstance(level, engine.Row) for level in ranged)
     assert stats["update_ops"] == recount_ops(spec, naive)
     assert closure_layers(spec, n) == [set(level) for level in naive]
     assert back_table(spec, n)[n][spec.axiom] == sum(naive[n].values())
@@ -443,10 +466,9 @@ def test_strided_writes_exactly_its_slots(start, stride, n, op, form):
         ("involutions", 30, None, lambda row: 0 in row.vals),
         ("walk_notch1", 30, None, lambda row: row.base == 0),
         ("bessel", 30, None, lambda row: row.base == 0),
-        ("permutations", 30, None, lambda row: row.size == 1),
         ("even_jumps", 12, 5000, lambda row: len(row.vals) > engine._FOLD_CHUNK),
     ],
-    ids=["interior-zeros", "walk_notch1-base-0", "bessel-base-0", "one-label", "longer-than-a-chunk"],
+    ids=["interior-zeros", "walk_notch1-base-0", "bessel-base-0", "longer-than-a-chunk"],
 )
 def test_row_fold_gives_the_label_sums(name, n, cap, shape):
     # A Row's total and label sum come from the suffix sums of its counts.
@@ -458,6 +480,15 @@ def test_row_fold_gives_the_label_sums(name, n, cap, shape):
     assert table.totals == [sum(level.values()) for level in levels]
     assert table.label_sums == [sum(k * c for k, c in level.items()) for level in levels]
     assert count_levels(spec, n, "range", cap).totals == table.totals
+
+
+def test_row_fold_of_a_one_label_row():
+    # A level of one label is a dict, so its fold never reaches _row_fold;
+    # the fold still gives a one-label Row's total and label sum.
+    for base, count in [(0, 5), (1, 1), (7, 720), (30, 2**100)]:
+        row = engine.Row(base, [count], [count], 1)
+        assert engine._row_fold(row.base, row.vals) == (count, base * count)
+        assert engine._fold(row, True) == (count, base * count)
 
 
 @pytest.mark.parametrize(
@@ -477,7 +508,7 @@ def test_rows_follow_the_closure_layers(spec):
     for m, row in enumerate(g):
         assert dict(row) == row and set(row) == layers[n - m]
         if isinstance(row, engine.Row):
-            assert len(row) >= engine._ROW_MIN_LABELS or m == 0
+            assert len(row) >= engine._ROW_MIN_LABELS
             gaps = [k for k in range(row.base, row.base + len(row.vals)) if k not in row]
             assert [row.vals[k - row.base] for k in gaps] == [0] * len(gaps)
             with pytest.raises(KeyError):
@@ -510,10 +541,14 @@ def test_ceil_half_is_batched():
     assert engine._class_plan(spec) is not None
     n = 60
     table = count_levels(spec, n, "range")
-    assert table.totals == count_levels(spec, n, "naive").totals
-    assert table.stats["fallback_labels"] <= n
+    levels = list(iter_levels(spec, n, "naive"))
+    assert table.totals == [sum(level.values()) for level in levels]
+    # At most one label per level below the threshold, and every label of
+    # the levels too small to batch.
+    small = sum(len(level) for level in levels[:-1] if len(level) < engine._ROW_MIN_LABELS)
+    assert table.stats["fallback_labels"] <= n + small
     g = back_table(spec, n)
-    assert g == reference_back_table(spec, list(iter_levels(spec, n, "naive")))
+    assert g == reference_back_table(spec, levels)
     layers, _ = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
     sizes = [len(layer) for layer in reversed(layers)]
     wide = [m for m, size in enumerate(sizes) if size >= engine._ROW_MIN_LABELS]
@@ -536,7 +571,8 @@ def test_each_dense_layer_is_laid_out_once(monkeypatch, name):
         if engine._is_dense(plan, min(level), max(level), len(level))
         and (d == 0 or set(level) != set(levels[d - 1]))
     ]
-    assert len(stepped) >= n - 2
+    # Every layer from the first of _ROW_MIN_LABELS labels on.
+    assert len(stepped) >= n - engine._ROW_MIN_LABELS
     bases = []
     layout = engine._dense_layout
 
