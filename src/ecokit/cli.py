@@ -437,20 +437,21 @@ def _cmd_bench(args):
 
 
 def _bench_count(name, spec, args):
-    ranged = count_levels(spec, args.n, method="range")
+    ranged = count_levels(spec, args.n, method="range", label_sums=True)
     if ranged.stats.get("truncated"):
         print(f"error: {_stopped(ranged)}; range table is partial", file=sys.stderr)
         return 1
     naive = None
     skipped = f"n > naive cap {args.naive_cap}"
     if args.n <= args.naive_cap:
-        naive = count_levels(spec, args.n, method="naive")
+        naive = count_levels(spec, args.n, method="naive", label_sums=True)
         if naive.stats.get("truncated"):
             skipped = _stopped(naive)
             naive = None
-        elif naive.totals != ranged.totals:
+        elif (naive.totals, naive.label_sums) != (ranged.totals, ranged.label_sums):
+            what = "totals" if naive.totals != ranged.totals else "label sums"
             print(
-                f"error: naive and range totals disagree on {name} at n={args.n}",
+                f"error: naive and range {what} disagree on {name} at n={args.n}",
                 file=sys.stderr,
             )
             return 1

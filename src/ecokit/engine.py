@@ -44,11 +44,16 @@ propagation methods are provided, and ``auto``, the default, is a name for
   multiplicity) pairs instead of a new description on each visit.  A dict
   level of at least ``_ROW_MIN_LABELS`` labels is then batched too, by
   ``_class_step`` over each class's lists of labels and counts: an affine
-  or ``ceil_div`` point label maps all the class's labels in one pass, and
-  a constant point label with multiplicity c*k + d receives c*S1 + d*S0 of
-  the class (S0 the sum of its counts, S1 of its labels times their
-  counts), read from the level's fold when the class holds every label of
-  the level, so a label sum is multiplied out once per level.
+  or ``ceil_div`` point label maps all the class's labels in one pass.
+
+A level's fold, its (total, label sum or None), goes into the range step.
+A batched target that does not move with k is one write of the class's S0
+(sum of counts) and S1 (of labels times counts): c*S1 + d*S0 for a constant
+point label of multiplicity c*k + d, S0 for a run's constant lo or end.
+When one batched class holds every label not lowered alone, S0 and S1 are
+the fold less the lone labels'; when that class also has ``moments``, the
+step returns the next level's fold (``_class_fold``), else it is
+``_fold``.  Only ``count_levels`` passes folds.
 
 ``stats["update_ops"]`` counts the updates a method made: for ``naive`` one
 per (populated label, distinct successor label) pair; for ``range`` one per
@@ -229,13 +234,16 @@ class _Class:
     class step by a*modulus // q.  `runs` holds (lo form, end form, step,
     removed forms), `end` being one step past the last grid label.  `ops` is
     the update ops one label of the class costs: one per point, two per run
-    and one per removed label.
+    and one per removed label.  `moments`: no runs, and every point's label
+    or multiplicity is constant, so the label sum of the class's successors
+    is affine in its S0 and S1 (`_class_fold`).
     """
 
     threshold: int
     points: tuple
     runs: tuple
     ops: int
+    moments: bool
 
 
 def _quotient(label):
@@ -290,7 +298,8 @@ def _class_of(clauses, modulus, residue, floor):
             end = (la + int(s * run.count[0]), lb + int(s * run.count[1]))
             runs.append(((la, lb), end, s, run.removed))
     ops = len(points) + sum(2 + len(run[3]) for run in runs)
-    return _Class(threshold, tuple(points), tuple(runs), ops)
+    moments = not runs and all(not a or not c for (a, _, _), (c, _) in points)
+    return _Class(threshold, tuple(points), tuple(runs), ops, moments)
 
 
 def _class_plan(spec):
@@ -442,10 +451,45 @@ def _dense_layout(cur, base, plan, describe, cap):
     return described, batches, low, high
 
 
-def _dense_core(layout, plan):
+def _class_fold(fold, batches, lone):
+    """((S0, S1), next fold or None) of a level whose labels are those of the
+    one class in `batches` and `lone`, (label, count, (points, runs)) each.
+    S0 and S1, the class's sum of counts and of labels times counts, are the
+    level's `fold` (total, label sum or None) less the lone labels'; they are
+    None without a fold or one class, S1 when the fold's label sum is.  When
+    S1 is known, the class has `moments` and no lone label has runs, the next
+    level's (total, label sum) follows: a point (a*k + b) // q of
+    multiplicity c*k + d carries w = c*S1 + d*S0 nodes, whose labels sum to
+    (b // q)*w when a = 0 and to d*(a*S1 + b*S0) // q when c = 0, as q
+    divides a*k + b on the class."""
+    if not fold or len(batches) != 1:
+        return (None, None), None
+    cls = batches[0][0]
+    s0, s1 = fold
+    moments = s1 is not None and cls.moments
+    t0 = t1 = 0
+    for k, c, (points, runs) in lone:
+        s0 -= c
+        if s1 is not None:
+            s1 -= k * c
+        moments = moments and not runs
+        if moments:
+            for j, m in points:
+                t0 += m * c
+                t1 += j * m * c
+    if not moments:
+        return (s0, s1), None
+    for (a, b, q), (c, d) in cls.points:
+        w = c * s1 + d * s0
+        t0 += w
+        t1 += d * (a * s1 + b * s0) // q if a else b // q * w
+    return (s0, s1), (t0, t1)
+
+
+def _dense_core(layout, plan, fold=None):
     """(next level as a list indexed by label - low, low, update ops, labels
-    lowered one at a time) from a level's `_dense_layout`.  Its first and
-    last entries may be 0.
+    lowered one at a time, its fold or None) from a level's `_dense_layout`.
+    Its first and last entries may be 0.
 
     Each batched class adds its slice of counts to strided slices: a point
     to the next level, a run's two ends to the difference array of its
@@ -454,9 +498,11 @@ def _dense_core(layout, plan):
     the same arrays first.  A batched point or a rebuilt key that writes
     into a next level nothing has written to yet assigns its weights
     instead of adding them to zeros.  The layout's span holds every target,
-    so each strided slice has exactly its n slots."""
+    so each strided slice has exactly its n slots.  A target that does not
+    move with k reads the class's sums (see the module docstring)."""
     modulus = plan[0]
     described, batches, low, high = layout
+    sums, moved = _class_fold(fold, batches, described)
     nxt = [0] * (high - low + 1)
     diffs = {}  # (step, residue) -> (lowest grid label, difference array)
 
@@ -484,7 +530,18 @@ def _dense_core(layout, plan):
     for cls, k0, counts in batches:
         n = len(counts)
         ops += cls.ops * (n - counts.count(0))
+        s0, s1 = sums
         for (a, b, q), (c, d) in cls.points:
+            if not a:
+                if c and s1 is None:
+                    w = sum(map(mul, counts, range(c * k0 + d, c * (k0 + modulus * n) + d, c * modulus)))
+                else:
+                    s0 = sum(counts) if s0 is None else s0
+                    w = d * s0 + (c * s1 if c else 0)
+                j = b // q - low
+                nxt[j] = w if fresh else nxt[j] + w
+                fresh = False
+                continue
             if c:
                 weights = map(mul, counts, range(c * k0 + d, c * (k0 + modulus * n) + d, c * modulus))
             else:
@@ -494,8 +551,16 @@ def _dense_core(layout, plan):
             fresh = False
         for (la, lb), (ea, eb), s, removed in cls.runs:
             g0, d = diff(s, (la * k0 + lb) % s)
-            _strided(d, (la * k0 + lb - g0) // s, la * modulus // s, n, counts, add)
-            _strided(d, (ea * k0 + eb - g0) // s, ea * modulus // s, n, counts, sub)
+            if la:
+                _strided(d, (la * k0 + lb - g0) // s, la * modulus // s, n, counts, add)
+            else:
+                s0 = sum(counts) if s0 is None else s0
+                d[(lb - g0) // s] += s0
+            if ea:
+                _strided(d, (ea * k0 + eb - g0) // s, ea * modulus // s, n, counts, sub)
+            else:
+                s0 = sum(counts) if s0 is None else s0
+                d[(eb - g0) // s] -= s0
             for ra, rb in removed:
                 _strided(nxt, ra * k0 + rb - low, ra * modulus, n, counts, sub)
                 cut, fresh = True, False
@@ -509,7 +574,7 @@ def _dense_core(layout, plan):
         fresh = False
     if cut and min(nxt) < 0:
         raise SpecError(f"negative count at label {low + nxt.index(min(nxt))}")
-    return nxt, low, ops, len(described)
+    return nxt, low, ops, len(described), moved
 
 
 def _is_dense(plan, base, top, size):
@@ -607,18 +672,17 @@ def _merge(nxt, part):
 
 
 def _class_step(level, plan, pairs, fold):
-    """(next level, update ops, labels lowered one at a time) of a point-rule
-    level that is not a batched Row, stepped per residue class of `plan`
-    over the class's lists of labels and counts.
+    """(next level, update ops, labels lowered one at a time, its fold or
+    None) of a point-rule level that is not a batched Row, stepped per
+    residue class of `plan` over the class's lists of labels and counts.
 
     A point label a*k + b (or its exact quotient by q) of a batched class
     maps every label of the class in one pass, its weights the counts times
     the multiplicity c*k + d.  A constant label receives c*S1 + d*S0 once,
     with S0 the sum of the class's counts and S1 of its labels times their
-    counts; when the class holds every label of the level they are read
-    from `fold`, the level's (total, label sum or None).  Labels below a
-    class threshold and the labels of an unbatched class step through
-    naive's cached `pairs` first."""
+    counts (see the module docstring).  Labels below a class threshold and
+    the labels of an unbatched class step through naive's cached `pairs`
+    first."""
     modulus, classes = plan
     if modulus == 1:
         groups = {0: (list(level), list(level.values()))}
@@ -644,9 +708,10 @@ def _class_step(level, plan, pairs, fold):
         if keys:
             batches.append((cls, keys, counts))
     nxt, ops, lowered = _next_level_naive(lone, pairs)
+    sums, moved = _class_fold(fold, batches, ((k, c, (pairs(k), ())) for k, c in lone.items()))
     for cls, keys, counts in batches:
         ops += cls.ops * len(keys)
-        s0, s1 = fold if fold and len(keys) == len(level) else (None, None)
+        s0, s1 = sums
         for (a, b, q), (c, d) in cls.points:
             if not a:
                 if s0 is None:
@@ -664,12 +729,12 @@ def _class_step(level, plan, pairs, fold):
             else:
                 weights = counts if d == 1 else map(mul, counts, repeat(d))
             nxt = _merge(nxt, dict(zip(targets, weights)))
-    return nxt, ops, lowered
+    return nxt, ops, lowered, moved
 
 
 def _next_level_range(level, describe, plan, cap=None, pairs=None, fold=None):
-    """(next level, update ops, labels lowered one at a time, the level's
-    `_dense_layout` or None).
+    """(next level, update ops, labels lowered one at a time, the next
+    level's fold or None, the level's `_dense_layout` or None).
 
     A Row level goes through `_dense_core` with the batched classes of
     `plan` (from `_class_plan`) unless its layout is None; any other level
@@ -681,25 +746,28 @@ def _next_level_range(level, describe, plan, cap=None, pairs=None, fold=None):
     intervals, a level that does not take `_dense_core` is not described
     again: it steps through `_next_level_naive` on those pairs when it has
     fewer than _ROW_MIN_LABELS labels or `plan` batches no class, else
-    through `_class_step`, which reads the level's `fold`."""
+    through `_class_step`.  `_dense_core` and `_class_step` read the level's
+    `fold` (total, label sum or None) and give the next level's from it
+    when its one batched class has `moments`; every other route gives None."""
     layout = None
     # Row is a Mapping, so isinstance would run the abc check on every level.
     if type(level) is Row:
         layout = _dense_layout(level.vals, level.base, plan, describe, cap)
         if layout is not None:
-            nxt, low, ops, lowered = _dense_core(layout, plan)
+            nxt, low, ops, lowered, moved = _dense_core(layout, plan, fold)
             base, vals, size, dense = _trim(nxt, low, plan)
             if dense:
-                return Row(base, vals, vals, size), ops, lowered, layout
-            return dict(compress(zip(count(base), vals), vals)), ops, lowered, layout
+                return Row(base, vals, vals, size), ops, lowered, moved, layout
+            return dict(compress(zip(count(base), vals), vals)), ops, lowered, moved, layout
+    moved = None
     if pairs is None:
         nxt, ops = _sparse_step(level.items(), describe, cap)
         lowered = len(level)
     elif plan is None or len(level) < _ROW_MIN_LABELS:
         nxt, ops, lowered = _next_level_naive(level, pairs)
     else:
-        nxt, ops, lowered = _class_step(level, plan, pairs, fold)
-    return _level_of(nxt, plan), ops, lowered, layout
+        nxt, ops, lowered, moved = _class_step(level, plan, pairs, fold)
+    return _level_of(nxt, plan), ops, lowered, moved, layout
 
 
 def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
@@ -765,9 +833,9 @@ def _fold(level, label_sums):
 
 def _levels(spec, n, method, max_labels, stats, label_sums):
     """(level, fold) for each level `iter_levels` yields.  With `label_sums`
-    None the fold is None; else it is the level's `_fold`, taken as the
-    level is made and ahead of its step, which reads it: `_class_step`
-    takes a whole level's S0 and S1 from it instead of forming them again."""
+    None the fold is None; else it is the level's (total, label sum or
+    None), taken ahead of the level's step, which reads it and may hand back
+    the next level's (`_class_fold`); every other fold is `_fold`."""
     if n < 0:
         raise ValueError(f"level count needs n >= 0, got {n}")
     if method == "auto":
@@ -795,7 +863,7 @@ def _levels(spec, n, method, max_labels, stats, label_sums):
     if method == "naive":
 
         def step(level, fold):
-            return _next_level_naive(level, expanded)
+            return (*_next_level_naive(level, expanded), None)
 
     else:
         plan = _class_plan(spec)
@@ -811,7 +879,7 @@ def _levels(spec, n, method, max_labels, stats, label_sums):
 
         def step(level, fold):
             # The range step also hands back the layout it stepped with.
-            return _next_level_range(level, lower, plan, width, cached, fold)[:3]
+            return _next_level_range(level, lower, plan, width, cached, fold)[:4]
 
     def folded(level):
         return None if label_sums is None else _fold(level, label_sums)
@@ -827,7 +895,7 @@ def _levels(spec, n, method, max_labels, stats, label_sums):
     stop = None
     for _ in range(n):
         try:
-            level, done, lowered = step(level, fold)
+            level, done, lowered, moved = step(level, fold)
         except _OverCap as exc:
             stop = exc.args[0] if exc.args else budget
             break
@@ -840,7 +908,7 @@ def _levels(spec, n, method, max_labels, stats, label_sums):
             break
         stats["levels"] += 1
         stats["peak_labels"] = max(stats["peak_labels"], len(level))
-        fold = folded(level)
+        fold = moved or folded(level)
         yield level, fold
     stats["seconds"] = round(time.perf_counter() - t0, 6)
     if stop:
@@ -851,8 +919,9 @@ def _levels(spec, n, method, max_labels, stats, label_sums):
 def count_levels(spec, n, method="auto", max_labels=None, label_sums=False) -> CountTable:
     """Totals (and, with `label_sums`, label sums) of levels 0..n with one
     level in memory at a time; the stats are those `iter_levels` fills.
-    Each level is folded (`_fold`) inside the propagation, ahead of its
-    step, so a point-rule level's step reuses its label sum."""
+    Each level is folded inside the propagation, ahead of its step, which
+    reads the fold and, with `label_sums`, may give the next level's
+    (`_class_fold`) without multiplying any label by its count."""
     stats = {}
     totals = []
     sums = [] if label_sums else None
@@ -906,7 +975,7 @@ def _closure(spec, n, max_labels, describe, plan):
         layer = layers[-1]
         if not fixed:
             try:
-                level, _, _, layout = _next_level_range(layer, describe, plan, max_labels)
+                level, _, _, _, layout = _next_level_range(layer, describe, plan, max_labels)
             except _OverCap:
                 raise LabelCapError(max_labels, depth - 1) from None
             level = _ones(level)

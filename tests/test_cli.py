@@ -422,16 +422,20 @@ class TestBench:
         assert "  range " in out and "fallback_labels=28\n" in out
 
     def test_count_benchmark_fails_when_range_disagrees(self, capsys, monkeypatch):
-        def count_levels(spec, n, method="auto", **kwargs):
-            table = engine.count_levels(spec, n, method=method, **kwargs)
-            if method == "range":
-                table.totals[-1] += 1
-            return table
+        # A wrong last total, then a wrong last label sum with right totals.
+        for what in ("totals", "label_sums"):
 
-        monkeypatch.setattr(cli, "count_levels", count_levels)
-        code, out, err = run(capsys, "bench", "--task", "count", "--system", "bell", "-n", "20")
-        assert (code, out) == (1, "")
-        assert err == "error: naive and range totals disagree on bell at n=20\n"
+            def count_levels(spec, n, method="auto", **kwargs):
+                table = engine.count_levels(spec, n, method=method, **kwargs)
+                if method == "range":
+                    getattr(table, what)[-1] += 1
+                return table
+
+            monkeypatch.setattr(cli, "count_levels", count_levels)
+            code, out, err = run(capsys, "bench", "--task", "count", "--system", "bell", "-n", "20")
+            assert (code, out) == (1, "")
+            words = what.replace("_", " ")
+            assert err == f"error: naive and range {words} disagree on bell at n=20\n"
 
     def test_naive_pair_budget_skips_the_naive_row(self, capsys, monkeypatch):
         monkeypatch.setattr(engine, "NAIVE_PAIRS", 1000)

@@ -331,6 +331,70 @@ def test_point_rule_levels_step_by_class(spec, n):
     assert (stats["update_ops"], stats["fallback_labels"]) == recount_auto_points(spec, stepped)
 
 
+@st.composite
+def fold_specs(draw):
+    """A walk-mode spec of `guards` mod m <= 2 whose points have a constant
+    label or a constant multiplicity, the shape whose next fold follows from
+    the level's; the first point of a clause moves with k, so levels widen.
+    Under a mod 2 guard every label is even, so one class is batched.  With
+    `mixed`, points may have both affine; with `runs`, each clause also has
+    an interval whose lo or end is constant."""
+    clause_guards = guards(draw, st.integers(1, 2))
+    scale = 2 if any(a.kind == "mod" for a in clause_guards[-1][0]) else 1
+    mixed, runs = (draw(st.sampled_from((False, False, True))) for _ in range(2))
+    label = st.builds(Affine, st.sampled_from((1, 2, 3)), st.integers(0, 3).map(scale.__mul__))
+    if scale == 1:
+        label = st.one_of(label, st.builds(ceil_div, label, st.integers(1, 3)))
+    moving = st.builds(Item, label, affine((0,), 1, 2))
+    clauses = []
+    for atoms, low in clause_guards:
+        shapes = [
+            moving,
+            st.builds(Item, st.builds(Affine, st.just(0), st.integers(0, 3).map(scale.__mul__)), mults(low, 1)),
+        ]
+        if mixed:
+            shapes.append(st.builds(Item, label, affine((1,), -low, 2 - low)))
+        points = [draw(moving), *draw(st.lists(st.one_of(shapes), min_size=1, max_size=2))]
+        intervals = ()
+        if runs:
+            intervals = (draw(st.one_of(
+                st.builds(Interval, affine((0,), 0, 3), affine((1, 2), -2, 2)),
+                st.builds(Interval, affine((0, 1), 0, 1), affine((0,), 1, 6)),
+            )),)
+        clauses.append(RuleClause(Guard(atoms), tuple(points), intervals))
+    return EcoSpec("generated", "walk", scale * draw(st.integers(0, 3)), tuple(clauses))
+
+
+# One batched class of labels k >= 3 over labels 0..2 lowered alone; its
+# labels ceil_div(2k + 1, 2) = k + 1 and 3 sum to moments of its S0 and S1.
+HALVES = EcoSpec("halves", "walk", 0, (
+    clause([GuardAtom("le", c=2)], [Item(Affine(1, 1), Affine(0, 1)), Item(Affine(0, 1), Affine(0, 1))]),
+    clause(
+        [GuardAtom("ge", c=3)],
+        [Item(ceil_div(Affine(2, 1), 2), Affine(0, 2)), Item(Affine(0, 3), Affine(1, -2))],
+    ),
+))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fold_specs(), st.integers(8, 18))
+@example(HALVES, 20)
+@example(get_entry("tripling").spec(), 20)
+@example(get_entry("affine_jumps").spec(), 20)
+@example(get_entry("catalan").spec(), 20)
+@example(get_entry("arrangements").spec(), 12)
+def test_every_fold_is_the_level_fold(spec, n):
+    # The fold a level is yielded with, whether the step handed it back or
+    # it was summed from the level, is the level's total and label sum.
+    cap = 2000
+    naive = count_levels(spec, n, "naive", cap, label_sums=True)
+    folds = []
+    for level, fold in engine._levels(spec, n, "range", cap, {}, True):
+        assert fold == engine._fold(level, True)
+        folds.append(fold)
+    assert folds == list(zip(naive.totals, naive.label_sums))
+
+
 # Labels 0..12 climb and fill in below.  Label 12 also jumps to 500, too far
 # for the batched step's list, so the levels are dicts until the labels from
 # 13 on, stepping by one each way, fill the span enough for a list again.
