@@ -1,77 +1,68 @@
-"""Succession-rule toolkit: exact enumeration, sampling and generating functions."""
+"""Succession-rule toolkit: exact enumeration, sampling and generating functions.
 
-from .catalog import ENTRIES, CatalogEntry, catalog_verify, get_entry
-from .classify import ClassificationReport, ClassifyError, build_report, factorial_form
-from .contfrac import BirthDeathRule, ContFracError, cf_excursions
-from .dsl import (
-    EcoSpec,
-    ParseError,
-    SpecError,
-    from_canonical_json,
-    parse_spec,
-    spec_to_text,
-    to_canonical_json,
-    validate_spec,
-)
-from .engine import (
-    CountTable,
-    WalkSampler,
-    count_levels,
-    iter_levels,
-    sample_walks,
-    total_series,
-)
-from .guess import (
-    AlgebraicGuess,
-    GuessError,
-    RationalGuess,
-    guess_algebraic,
-    guess_rational,
-    minimal_algebraic,
-)
-from .kernel import GFResult, KernelError, build_kernel, gf_report, kernel_gfs
-from .qpoly import QPoly
-from .ratfunc import RatFunc
-from .series import TruncSeries
+Importing the package loads none of its modules.  Each public name below
+resolves on first use (PEP 562), by importing the one module that defines
+it, so ``from ecokit import count_levels`` loads `dsl` and `engine` only,
+and ``ecokit.X`` and ``from ecokit import *`` give the modules' own objects.
+"""
 
-__all__ = [
-    "EcoSpec",
-    "ParseError",
-    "SpecError",
-    "parse_spec",
-    "spec_to_text",
-    "to_canonical_json",
-    "from_canonical_json",
-    "validate_spec",
-    "CountTable",
-    "WalkSampler",
-    "count_levels",
-    "iter_levels",
-    "total_series",
-    "sample_walks",
-    "QPoly",
-    "RatFunc",
-    "TruncSeries",
-    "GuessError",
-    "RationalGuess",
-    "AlgebraicGuess",
-    "guess_rational",
-    "guess_algebraic",
-    "minimal_algebraic",
-    "ClassifyError",
-    "ClassificationReport",
-    "build_report",
-    "factorial_form",
-    "KernelError",
-    "GFResult",
-    "build_kernel",
-    "kernel_gfs",
-    "gf_report",
-    "ContFracError",
-    "BirthDeathRule",
-    "cf_excursions",
-    "CatalogEntry",
-    "ENTRIES",
-    "get_entry",
-    "catalog_verify",
-]
+from importlib import import_module
+
+# Each public name and the module that defines it; the typed errors come
+# from `errors`, so naming one loads no module that raises it.
+_SOURCES = {
+    "EcoSpec": "dsl",
+    "ParseError": "dsl",
+    "SpecError": "errors",
+    "parse_spec": "dsl",
+    "spec_to_text": "dsl",
+    "to_canonical_json": "dsl",
+    "from_canonical_json": "dsl",
+    "validate_spec": "dsl",
+    "CountTable": "engine",
+    "WalkSampler": "engine",
+    "count_levels": "engine",
+    "iter_levels": "engine",
+    "total_series": "engine",
+    "sample_walks": "engine",
+    "QPoly": "qpoly",
+    "RatFunc": "ratfunc",
+    "TruncSeries": "series",
+    "GuessError": "errors",
+    "RationalGuess": "guess",
+    "AlgebraicGuess": "guess",
+    "guess_rational": "guess",
+    "guess_algebraic": "guess",
+    "minimal_algebraic": "guess",
+    "ClassifyError": "errors",
+    "ClassificationReport": "classify",
+    "build_report": "classify",
+    "factorial_form": "classify",
+    "KernelError": "errors",
+    "GFResult": "kernel",
+    "build_kernel": "kernel",
+    "kernel_gfs": "kernel",
+    "gf_report": "kernel",
+    "ContFracError": "errors",
+    "BirthDeathRule": "contfrac",
+    "cf_excursions": "contfrac",
+    "CatalogEntry": "catalog",
+    "ENTRIES": "catalog",
+    "get_entry": "catalog",
+    "catalog_verify": "catalog",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name):
+    try:
+        module = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -10,6 +10,10 @@ The golden prefixes were derived by running both propagation methods
 against each other and cross-checking hand-computable terms; they are
 deliberately embedded as literals so that any future regression in the
 engine, the solver, or a spec text fails loudly here.
+
+Importing this module loads no other ecokit module but `errors`: an
+entry's text and frozen data are plain literals, `spec()` loads `dsl`, and
+the closed forms and `verify_entry` load the modules they run.
 """
 
 from __future__ import annotations
@@ -18,24 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .classify import factorial_form
-from .contfrac import BirthDeathRule, cf_excursions
-from .dsl import parse_spec
-from .engine import total_series
-from .kernel import (
-    build_kernel,
-    closed_form_check,
-    closed_form_series,
-    closed_form_text,
-    kernel_gfs,
-)
-from .qpoly import QPoly
-from .ratfunc import RatFunc
-from .series import TruncSeries
-
-
-class CatalogError(KeyError):
-    """No catalog entry under that name."""
+from .errors import CatalogError
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +139,8 @@ class CatalogEntry:
         if kind == "rational":
             return self.rational_form().expand(order)
         if kind == "sqrt":
+            from .kernel import closed_form_series
+
             return closed_form_series(self.form, order)
         if kind == "special":
             return _SPECIAL_FORMS[self.form[1]](order)
@@ -160,6 +149,9 @@ class CatalogEntry:
     def rational_form(self):
         if self.form is None or self.form[0] != "rational":
             return None
+        from .qpoly import QPoly
+        from .ratfunc import RatFunc
+
         num = QPoly([Fraction(c) for c in self.form[1]])
         den = QPoly([Fraction(c) for c in self.form[2]])
         return RatFunc(num, den)
@@ -170,6 +162,8 @@ class CatalogEntry:
         if self.form[0] == "rational":
             return self.rational_form().to_str()
         if self.form[0] in ("sqrt", "power"):
+            from .kernel import closed_form_text
+
             return closed_form_text(self.form)
         return _SPECIAL_TEXT[self.form[1]]
 
@@ -177,6 +171,8 @@ class CatalogEntry:
 def _lacunary_ratio(order):
     # h(z) = sum of z^(2^p) for p >= 1; the totals satisfy
     # F = (1-z)^2 h / ((1-2z)(1-z)^2 h - z^4), both sides vanishing to z^2.
+    from .series import TruncSeries
+
     n = order + 2
     coeffs = [0] * n
     p = 2
@@ -511,6 +507,8 @@ def get_entry(name) -> CatalogEntry:
 
 def _spec_cache(name):
     if name not in _SPECS:
+        from .dsl import parse_spec
+
         _SPECS[name] = parse_spec(_BY_NAME[name].text)
     return _SPECS[name]
 
@@ -528,6 +526,11 @@ def verify_entry(entry, form_order=25):
     golden prefix (plus the registered closed-form identity); the continued
     fraction against the frozen excursion prefix; the numeric radius ratio.
     """
+    from .classify import factorial_form
+    from .contfrac import BirthDeathRule, cf_excursions
+    from .engine import total_series
+    from .kernel import build_kernel, closed_form_check, kernel_gfs
+
     spec = entry.spec()
     checks = {}
     diagnostics = []

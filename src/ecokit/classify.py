@@ -57,19 +57,11 @@ from .dsl import (
     expr_text,
     residue_split,
 )
-from .engine import count_levels, total_series
+from .engine import LABEL_CAP, count_levels, total_series
+from .errors import ClassifyError
 from .guess import guess_rational, shortest_recurrence
 from .qpoly import QPoly
 from .ratfunc import RatFunc
-
-# The label cap of the analysis commands: a report's propagation (and the
-# CLI's guess and sample) stops before a level with more distinct labels than
-# this, and the report marks its series partial.
-LABEL_CAP = 100_000
-
-
-class ClassifyError(ValueError):
-    """An internal consistency check failed while classifying."""
 
 
 class ClosureError(SpecError):

@@ -7,6 +7,11 @@ failure, 2 a usage error (unknown system, unreadable or invalid file, bad
 flags), 141 the reader closed stdout early (the rest of the output is
 dropped).  Output is deterministic for fixed argv and seed, except for bench,
 whose whole point is measured wall time.
+
+Each subcommand imports the modules it runs when it runs, so `count`,
+`sample` and `bench` load only `catalog`, `dsl` and `engine`, and `run`
+maps every typed error of `errors` to its exit code without loading the
+module that raises it.
 """
 
 from __future__ import annotations
@@ -22,27 +27,9 @@ from itertools import chain
 from pathlib import Path
 from random import Random
 
-from .catalog import ENTRIES, CatalogError, get_entry, verify_entry
-from .classify import LABEL_CAP, ClassifyError, ClosureError, build_report, factorial_form
-from .contfrac import ContFracError
-from .dsl import ParseError, SpecError, parse_spec, validate_spec
-from .engine import (
-    LabelCapError,
-    TableBudgetError,
-    WalkSampler,
-    count_levels,
-    sample_walks,
-    stop_text,
-)
-from .guess import GuessError, guess_rational, minimal_algebraic
-from .kernel import KernelError, gf_report
-from .series import SeriesError
+from .errors import CLI_ERRORS, UsageError
 
 EXIT_PIPE = 141  # what a shell reports for a writer killed by SIGPIPE
-
-
-class UsageError(ValueError):
-    """Bad invocation: maps to exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +39,11 @@ class UsageError(ValueError):
 def _load_source(args):
     """Resolve --system/--file into (name, parsed spec)."""
     if args.system is not None:
+        from .catalog import get_entry
+
         return args.system, get_entry(args.system).spec()
+    from .dsl import ParseError, SpecError, parse_spec
+
     path = Path(args.file)
     try:
         text = path.read_text(encoding="utf-8")
@@ -69,6 +60,8 @@ def _load_valid_source(args):
     """_load_source, and a spec file must also pass validate_spec."""
     name, spec = _load_source(args)
     if args.file is not None:
+        from .dsl import validate_spec
+
         issues = validate_spec(spec).issues
         if issues:
             more = f" (and {len(issues) - 1} more)" if len(issues) > 1 else ""
@@ -172,6 +165,8 @@ def _clean_stats(stats):
 
 
 def _stopped(table):
+    from .engine import stop_text
+
     return stop_text(table.stats["budget"], table.stats["levels"])
 
 
@@ -180,6 +175,8 @@ def _stopped(table):
 
 
 def _cmd_count(args):
+    from .engine import count_levels
+
     name, spec = _load_valid_source(args)
     if args.n < 0:
         raise UsageError("-n must be nonnegative")
@@ -214,6 +211,8 @@ def _cmd_count(args):
 
 
 def _cmd_sample(args):
+    from .engine import LABEL_CAP, LabelCapError, TableBudgetError, sample_walks
+
     name, spec = _load_valid_source(args)
     if args.n < 0:
         raise UsageError("-n must be nonnegative")
@@ -246,6 +245,9 @@ def _cmd_sample(args):
 
 
 def _cmd_classify(args):
+    from .classify import ClosureError, build_report
+    from .engine import stop_text
+
     _no_csv(args)
     if args.order < 1:
         raise UsageError("--order must be at least 1")
@@ -271,6 +273,10 @@ def _cmd_classify(args):
 
 
 def _cmd_gf(args):
+    from .catalog import get_entry
+    from .classify import factorial_form
+    from .kernel import gf_report
+
     _no_csv(args)
     if args.order < 2:
         raise UsageError("--order must be at least 2")
@@ -311,6 +317,9 @@ def _cmd_gf(args):
 
 
 def _cmd_guess(args):
+    from .engine import LABEL_CAP, count_levels
+    from .guess import guess_rational, minimal_algebraic
+
     _no_csv(args)
     if args.order < 1:
         raise UsageError("--order must be at least 1")
@@ -362,6 +371,8 @@ def _cmd_guess(args):
 
 
 def _cmd_catalog(args):
+    from .catalog import ENTRIES, get_entry, verify_entry
+
     entries = ENTRIES
     if args.names:
         entries = [get_entry(n) for n in args.names]
@@ -437,6 +448,8 @@ def _cmd_bench(args):
 
 
 def _bench_count(name, spec, args):
+    from .engine import count_levels
+
     ranged = count_levels(spec, args.n, method="range", label_sums=True)
     if ranged.stats.get("truncated"):
         print(f"error: {_stopped(ranged)}; range table is partial", file=sys.stderr)
@@ -500,6 +513,8 @@ def _bench_count(name, spec, args):
 
 
 def _bench_sample(name, spec, args):
+    from .engine import LABEL_CAP, LabelCapError, TableBudgetError, WalkSampler
+
     t0 = time.perf_counter()
     try:
         sampler = WalkSampler(spec, args.n, max_labels=LABEL_CAP)
@@ -698,13 +713,11 @@ def run(argv=None) -> int:
     except BrokenPipeError:
         _drop_stdout()
         return EXIT_PIPE
-    except (UsageError, CatalogError, GuessError) as exc:
+    except CLI_ERRORS as exc:
+        # A KeyError's str() quotes its message, so the message is args[0].
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)
-        return 2
-    except (ClassifyError, KernelError, ContFracError, SeriesError, SpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
     finally:
         if digits is not None:
             sys.set_int_max_str_digits(digits)

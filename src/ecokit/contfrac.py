@@ -22,14 +22,11 @@ from dataclasses import dataclass
 from operator import mul
 
 from .dsl import SpecError, describer, eval_expr, expand
+from .errors import ContFracError
 from .series import TruncSeries
 
 
 CHECK_TO = 60  # last level the multiplicities are checked or read on
-
-
-class ContFracError(ValueError):
-    """The rule moves labels by more than one step, or counts are invalid."""
 
 
 def _as_function(spec_or_callable):

@@ -43,6 +43,8 @@ from functools import lru_cache
 from itertools import chain, filterfalse
 from math import lcm
 
+from .errors import SpecError
+
 
 class ParseError(ValueError):
     """Syntax error with source position."""
@@ -51,10 +53,6 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {col}: {message}")
         self.line = line
         self.col = col
-
-
-class SpecError(ValueError):
-    """Semantic error in a spec or during rule expansion."""
 
 
 # ---------------------------------------------------------------------------
@@ -1197,43 +1195,49 @@ def _reachable_closure(spec, kprobe, describe_at):
     The walk is a depth-first search: each expanded label pushes its unseen
     successor labels in `expand`'s key order, listed by `_support` from the
     description itself, so a label costs O(points + runs + cuts) plus one
-    set lookup per listed label, not a multiplicity dict.
+    set lookup per listed label, not a multiplicity dict.  Every popped
+    label is marked seen, in range or not, so none is pushed or reported
+    twice, and an Issue is built only for the first stop.
     """
     floor = 1 if spec.mode == "eco" else 0
     seen = set()
+    reach = []
     stop = None
     frontier = [spec.axiom]
     while frontier:
         k = frontier.pop()
         if k in seen:
             continue
-        issue = None
-        if k < floor:
-            issue = Issue("label-range", f"label {k} is below the label floor {floor}", k)
-        elif k > kprobe:
-            issue = Issue("probe", f"label {k} is beyond probe {kprobe}", k)
-        else:
-            seen.add(k)
-            try:
-                desc = describe_at(k)
-            except SpecError as exc:
-                issue = Issue("expansion", f"label {k} does not expand: {exc}", k)
-            else:
-                # The labels the description lists; multiplicities cost nothing.
-                points, runs = desc
-                width = len(points)
-                for lo, last, step, _ in runs:
-                    width += (last - lo) // step + 1
-                if width > MAX_SUCCESSORS:
-                    issue = Issue(
-                        "width",
-                        f"label {k} has {width} successor labels, more than {MAX_SUCCESSORS}",
-                        k,
-                    )
+        seen.add(k)
+        if k < floor or k > kprobe:
+            if stop is None:
+                if k < floor:
+                    stop = Issue("label-range", f"label {k} is below the label floor {floor}", k)
                 else:
-                    frontier.extend(filterfalse(seen.__contains__, _support(desc)))
-        stop = stop or issue
-    return sorted(seen), stop
+                    stop = Issue("probe", f"label {k} is beyond probe {kprobe}", k)
+            continue
+        reach.append(k)
+        try:
+            desc = describe_at(k)
+        except SpecError as exc:
+            if stop is None:
+                stop = Issue("expansion", f"label {k} does not expand: {exc}", k)
+            continue
+        # The labels the description lists; multiplicities cost nothing.
+        points, runs = desc
+        width = len(points)
+        for lo, last, step, _ in runs:
+            width += (last - lo) // step + 1
+        if width <= MAX_SUCCESSORS:
+            frontier.extend(filterfalse(seen.__contains__, _support(desc)))
+        elif stop is None:
+            stop = Issue(
+                "width",
+                f"label {k} has {width} successor labels, more than {MAX_SUCCESSORS}",
+                k,
+            )
+    reach.sort()
+    return reach, stop
 
 
 def validate_spec(spec) -> ValidationReport:

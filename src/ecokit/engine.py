@@ -53,7 +53,8 @@ point label of multiplicity c*k + d, S0 for a run's constant lo or end.
 When one batched class holds every label not lowered alone, S0 and S1 are
 the fold less the lone labels'; when that class also has ``moments``, the
 step returns the next level's fold (``_class_fold``), else it is
-``_fold``.  Only ``count_levels`` passes folds.
+``_fold``.  Only ``count_levels`` passes folds; when the plan is that one
+class, its folds carry label sums even if only totals are asked for.
 
 ``stats["update_ops"]`` counts the updates a method made: for ``naive`` one
 per (populated label, distinct successor label) pair; for ``range`` one per
@@ -123,6 +124,11 @@ class LabelCapError(SpecError):
         self.cap = cap
         self.level = level
 
+
+# The label cap of the analysis commands: a classify report's propagation
+# (and the CLI's guess and sample) stops before a level with more distinct
+# labels than this, and the report marks its series partial.
+LABEL_CAP = 100_000
 
 # The naive route keeps every lowered label's (successor, multiplicity)
 # pairs, about 100 bytes each, and stops before the label that would take it
@@ -835,7 +841,9 @@ def _levels(spec, n, method, max_labels, stats, label_sums):
     """(level, fold) for each level `iter_levels` yields.  With `label_sums`
     None the fold is None; else it is the level's (total, label sum or
     None), taken ahead of the level's step, which reads it and may hand back
-    the next level's (`_class_fold`); every other fold is `_fold`."""
+    the next level's (`_class_fold`); every other fold is `_fold`.  The label
+    sum is also carried under False when the range plan is one class with
+    `moments`, which folds the next level only when S1 is known."""
     if n < 0:
         raise ValueError(f"level count needs n >= 0, got {n}")
     if method == "auto":
@@ -881,6 +889,12 @@ def _levels(spec, n, method, max_labels, stats, label_sums):
             # The range step also hands back the layout it stepped with.
             return _next_level_range(level, lower, plan, width, cached, fold)[:4]
 
+        if label_sums is False and plan is not None and plan[0] == 1 and plan[1][0].moments:
+            # One class with moments folds the next level from S1, with no
+            # per-label work, so the fold carries label sums even when the
+            # caller reads only totals.
+            label_sums = True
+
     def folded(level):
         return None if label_sums is None else _fold(level, label_sums)
 
@@ -920,8 +934,9 @@ def count_levels(spec, n, method="auto", max_labels=None, label_sums=False) -> C
     """Totals (and, with `label_sums`, label sums) of levels 0..n with one
     level in memory at a time; the stats are those `iter_levels` fills.
     Each level is folded inside the propagation, ahead of its step, which
-    reads the fold and, with `label_sums`, may give the next level's
-    (`_class_fold`) without multiplying any label by its count."""
+    reads the fold and may give the next level's (`_class_fold`) without
+    multiplying any label by its count; that route carries label sums even
+    when they are not asked for, and only the totals are kept then."""
     stats = {}
     totals = []
     sums = [] if label_sums else None

@@ -29,13 +29,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
+from .errors import GuessError
 from .qpoly import _PRIME, QPoly, _exact_all
 from .ratfunc import RatFunc
 from .series import TruncSeries
-
-
-class GuessError(ValueError):
-    """Raised when a fit is requested with too few terms."""
 
 
 def _int_rows(rows):

@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
+from .errors import KernelError
 from .qpoly import QPoly, _exact_all
 from .series import (
     TruncSeries,
@@ -31,11 +32,6 @@ from .series import (
     hensel_small_factor,
     newton_series_root,
 )
-
-
-class KernelError(ValueError):
-    """The walk form is outside the kernel construction, or a consistency
-    check failed."""
 
 
 @dataclass(frozen=True)

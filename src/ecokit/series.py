@@ -23,11 +23,8 @@ from itertools import repeat
 from math import isqrt
 from operator import add, mul, sub
 
+from .errors import SeriesError
 from .qpoly import QPoly, _div, _exact, _exact_all
-
-
-class SeriesError(ValueError):
-    """Domain failure in series arithmetic (valuation, square root, lifting)."""
 
 
 class TruncSeries:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import ecokit
 import ecokit.cli as cli
-from ecokit import engine
+from ecokit import catalog, engine, kernel
 from ecokit.catalog import ENTRIES, get_entry
 from ecokit.series import SeriesError
 
@@ -318,7 +318,7 @@ class TestGF:
         def broken(*args, **kwargs):
             raise SeriesError("series needs order at least 1")
 
-        monkeypatch.setattr(cli, "gf_report", broken)
+        monkeypatch.setattr(kernel, "gf_report", broken)
         code, _, err = run(capsys, "gf", "--system", "catalan")
         assert code == 1
         assert err == "error: series needs order at least 1\n"
@@ -359,7 +359,7 @@ class TestCatalog:
     def test_verify_flags_bad_golden(self, capsys, monkeypatch):
         entry = get_entry("fibonacci")
         bad = dataclasses.replace(entry, golden=entry.golden[:-1] + (999,))
-        monkeypatch.setattr(cli, "ENTRIES", (bad,))
+        monkeypatch.setattr(catalog, "ENTRIES", (bad,))
         code, out, _ = run(capsys, "catalog", "--verify")
         assert code == 1
         assert "FAIL" in out
@@ -423,15 +423,16 @@ class TestBench:
 
     def test_count_benchmark_fails_when_range_disagrees(self, capsys, monkeypatch):
         # A wrong last total, then a wrong last label sum with right totals.
+        original = engine.count_levels
         for what in ("totals", "label_sums"):
 
             def count_levels(spec, n, method="auto", **kwargs):
-                table = engine.count_levels(spec, n, method=method, **kwargs)
+                table = original(spec, n, method=method, **kwargs)
                 if method == "range":
                     getattr(table, what)[-1] += 1
                 return table
 
-            monkeypatch.setattr(cli, "count_levels", count_levels)
+            monkeypatch.setattr(engine, "count_levels", count_levels)
             code, out, err = run(capsys, "bench", "--task", "count", "--system", "bell", "-n", "20")
             assert (code, out) == (1, "")
             words = what.replace("_", " ")

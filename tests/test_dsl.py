@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from ecokit import dsl
+from ecokit.catalog import ENTRIES
 from ecokit.dsl import (
     PRIME_BOUND,
     ParseError,
@@ -251,6 +253,24 @@ class TestValidation:
         assert [(i.kind, i.message) for i in report.issues] == [
             ("label-range", "label 0 produces label -1")
         ]
+
+    def test_closure_builds_only_its_first_stop(self, monkeypatch):
+        # Labels beyond the probe are listed by many labels below it; each is
+        # popped once, and an Issue is built for the first stop only.
+        built = []
+
+        def counted(kind, message, k):
+            built.append(k)
+            return Issue(kind, message, k)
+
+        monkeypatch.setattr(dsl, "Issue", counted)
+        for entry in ENTRIES:
+            spec = entry.spec()
+            for probe in (dsl.PROBE, 7):
+                built.clear()
+                reach, stop = _reachable_closure(spec, probe, describer(spec))
+                assert built == ([] if stop is None else [stop.k]), (entry.name, probe)
+                assert reach == sorted(set(reach)) and all(k <= probe for k in reach)
 
     def test_match_clause_requires_unique_guard(self):
         overlapping = parse_spec(

@@ -395,6 +395,31 @@ def test_every_fold_is_the_level_fold(spec, n):
     assert folds == list(zip(naive.totals, naive.label_sums))
 
 
+@pytest.mark.parametrize(
+    "name", ["tripling", "affine_jumps", "fibonacci_bisection_a", "fibonacci_bisection_b"]
+)
+def test_totals_alone_fold_by_moments(monkeypatch, name):
+    # A plan of one class with moments carries label sums in its folds, so
+    # a count of totals alone sums only the levels moments do not fold.
+    spec = get_entry(name).spec()
+    summed = []
+    fold = engine._fold
+
+    def counted(level, label_sums):
+        summed.append(label_sums)
+        return fold(level, label_sums)
+
+    monkeypatch.setattr(engine, "_fold", counted)
+    full = count_levels(spec, 150, label_sums=True)
+    with_sums = len(summed)
+    summed.clear()
+    totals = count_levels(spec, 150)
+    assert (totals.totals, totals.label_sums, totals.stats["update_ops"]) == (
+        full.totals, None, full.stats["update_ops"]
+    )
+    assert summed == [True] * with_sums and with_sums <= 8
+
+
 # Labels 0..12 climb and fill in below.  Label 12 also jumps to 500, too far
 # for the batched step's list, so the levels are dicts until the labels from
 # 13 on, stepping by one each way, fill the span enough for a list again.
