@@ -273,7 +273,6 @@ def _cmd_classify(args):
 
 
 def _cmd_gf(args):
-    from .catalog import get_entry
     from .classify import factorial_form
     from .kernel import gf_report
 
@@ -291,7 +290,11 @@ def _cmd_gf(args):
             file=sys.stderr,
         )
         return 1
-    closed = get_entry(args.system).form if args.system is not None else None
+    closed = None
+    if args.system is not None:
+        from .catalog import get_entry
+
+        closed = get_entry(args.system).form
     report = gf_report(name, form, order=args.order, window=args.window, closed=closed)
     if args.format == "json":
         _emit_json({"command": "gf", **report})
@@ -513,7 +516,7 @@ def _bench_count(name, spec, args):
 
 
 def _bench_sample(name, spec, args):
-    from .engine import LABEL_CAP, LabelCapError, TableBudgetError, WalkSampler
+    from .engine import LABEL_CAP, LabelCapError, TableBudgetError, WalkSampler, count_levels
 
     t0 = time.perf_counter()
     try:
@@ -522,13 +525,25 @@ def _bench_sample(name, spec, args):
         print(f"error: {exc}; no walks drawn", file=sys.stderr)
         return 1
     build = time.perf_counter() - t0
-    timings = {}
+    ranged = count_levels(spec, args.n, method="range", max_labels=LABEL_CAP)
+    if not ranged.stats.get("truncated") and ranged.totals[-1] != sampler.total:
+        print(
+            f"error: back table and range totals disagree on {name} at n={args.n}",
+            file=sys.stderr,
+        )
+        return 1
+    timings, walks = {}, {}
     for strategy in ("sequential", "binary"):
         rng = Random(args.seed)
         t0 = time.perf_counter()
-        for _ in range(args.count):
-            sampler.sample(rng, strategy=strategy)
+        walks[strategy] = [sampler.sample(rng, strategy=strategy) for _ in range(args.count)]
         timings[strategy] = time.perf_counter() - t0
+    if walks["sequential"] != walks["binary"]:
+        print(
+            f"error: sequential and binary walks disagree on {name} at n={args.n}",
+            file=sys.stderr,
+        )
+        return 1
     factor = (
         timings["sequential"] / timings["binary"] if timings["binary"] > 0 else None
     )

@@ -68,12 +68,19 @@ clause.  Without a label cap, propagation still stops (marked truncated)
 before a run wider than ``dsl.MAX_SUCCESSORS``, and before its cached
 pairs pass ``NAIVE_PAIRS`` when it keeps them; see ``stop_text``.
 
-The back table's closure (``_closure``) is the same range step on levels
-of ones: each layer is the step of the one before with its counts reset to
-1, a ``Row`` whose flags and counts are one bytes object of 0/1 when dense,
-else a dict of ones.  It keeps the ``_dense_layout`` it stepped each layer
-with, and once a layer equals the one before it, it repeats that layer to
-depth n without stepping, still charging each depth's cells.
+The back table's closure (``_closure``) holds the labels reachable at each
+depth, each layer a ``Row`` whose flags and counts are one bytes object of
+0/1 when dense, else a dict of ones, and keeps each dense layer's
+``_dense_layout``.  Its first layers are the range step of the one before
+on levels of ones.  That step's support F is a union over labels, and it
+grows with its layer, so once a layer R_d holds R_{d-p} for a period p of
+1, 2 or 3, so does every later one, and R_{d+1} is R_{d+1-p} plus
+F(R_d - R_{d-p}): only the labels a layer gained are described
+(semi-naive evaluation).  A Row grows by one slice write of the earlier
+layer's flags, a dict by the gained labels; a layer that gains nothing is
+the earlier layer itself, with its layout.  A Row that gained more than
+1/``_GAIN_RATIO`` of its labels, and every layer of a closure that never
+nests, takes the full step.
 ``back_table`` builds each row from that layout as the transpose of the
 step: on a dense layer each batched residue class reads a point as one
 strided slice of the padded previous row times its affine multiplicity, a
@@ -98,7 +105,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from math import gcd, lcm
 from operator import add, mul, sub
 from random import Random
@@ -616,6 +623,10 @@ class Row(Mapping):
             return self.vals[i]
         raise KeyError(k)
 
+    def __contains__(self, k):
+        i = k - self.base
+        return 0 <= i < len(self.flags) and bool(self.flags[i])
+
     def __len__(self):
         return self.size
 
@@ -967,6 +978,15 @@ class TableBudgetError(SpecError):
         self.level = level
 
 
+# The periods p for which the closure tests whether R_{d-p} is within R_d;
+# walk_notch1's layers nest only three apart, motzkin's two.
+_PERIODS = (1, 2, 3)
+# A label the closure gains costs its first description, about as much as
+# _GAIN_RATIO labels of a batched Row step, so a Row layer that gained more
+# than 1/_GAIN_RATIO of its labels steps in full.
+_GAIN_RATIO = 16
+
+
 def _ones(level):
     """The closure layer of a range level: a Row whose flags and vals are
     one bytes object of 0/1, or a dict mapping each label to 1."""
@@ -976,40 +996,140 @@ def _ones(level):
     return dict.fromkeys(level, 1)
 
 
+def _within(small, big):
+    """Whether every label of the layer `small` is a label of `big`."""
+    return len(small) <= len(big) and all(map(big.__contains__, small))
+
+
+def _missing(prior, lo, last, step):
+    """The labels lo, lo + step, ..., last that are not labels of the layer
+    `prior`: on a Row's span, the zero flags of one strided slice."""
+    if type(prior) is not Row:
+        return set(range(lo, last + 1, step)).difference(prior)
+    base, flags = prior.base, prior.flags
+    top = base + len(flags) - 1
+    out = list(range(lo, min(last + 1, base), step))
+    # a is the first grid label from base on, b the last up to top.
+    a, b = lo + max(0, base - lo + step - 1) // step * step, min(last, top)
+    if a <= b:
+        part = flags[a - base : b - base + 1 : step]
+        i = part.find(0)
+        while i >= 0:
+            out.append(a + i * step)
+            i = part.find(0, i + 1)
+    out += range(lo + max(0, top - lo + step) // step * step, last + 1, step)
+    return out
+
+
+def _gained(delta, prior, describe, cap):
+    """The labels outside the layer `prior` that the labels `delta` reach:
+    their points, and each run's labels less its own cuts.  The runs of one
+    (step, residue) grid are merged before `_missing` scans them, and a cut
+    label they reach stays only when a point reaches it or a run that does
+    not cut it covers it.  _OverCap when a run is wider than `cap` labels."""
+    points, runs = set(), []
+    for k in delta:
+        pairs, own = describe(k)
+        if cap is not None:
+            _check_runs(own, cap)
+        points.update(j for j, _ in pairs)
+        runs += own
+    grids = {}
+    for lo, last, step, _ in runs:
+        grids.setdefault((step, lo % step), []).append((lo, last))
+    got = set()
+    for (step, _), spans in grids.items():
+        spans.sort()
+        lo, last = spans[0]
+        for a, b in spans[1:]:
+            if a > last + step:
+                got.update(_missing(prior, lo, last, step))
+                lo = a
+            last = max(last, b)
+        got.update(_missing(prior, lo, last, step))
+    cut = {j for *_, cuts in runs for j in cuts}
+    for j in (got & cut) - points:
+        if not any(
+            lo <= j <= last and not (j - lo) % step and j not in cuts
+            for lo, last, step, cuts in runs
+        ):
+            got.discard(j)
+    got.update(j for j in points if j not in prior)
+    return got
+
+
+def _grown(prior, gained, plan):
+    """The layer of the labels of `prior` and `gained`, none of them in
+    prior: a Row when `_is_dense` holds for them, its flags prior's copied
+    by one slice write, else a dict of ones."""
+    size = len(prior) + len(gained)
+    ends = (prior.base, prior.base + len(prior.flags) - 1) if type(prior) is Row else prior
+    low, high = min(chain(ends, gained)), max(chain(ends, gained))
+    if not _is_dense(plan, low, high, size):
+        return dict.fromkeys(chain(prior, gained), 1)
+    flags = bytearray(high - low + 1)
+    if type(prior) is Row:
+        flags[prior.base - low : prior.base - low + len(prior.flags)] = prior.flags
+        prior = ()
+    for j in chain(prior, gained):
+        flags[j - low] = 1
+    flags = bytes(flags)
+    return Row(low, flags, flags, size)
+
+
 def _closure(spec, n, max_labels, describe, plan):
-    """(layers R_0..R_n, layouts): R_d is the range step (batched by `plan`)
-    of R_{d-1} with its counts reset to 1 (`_ones`), and layouts[d] the
-    `_dense_layout` R_d was stepped with, or None, for d < n.
+    """(layers R_0..R_n, layouts): R_d holds the labels reachable in d
+    steps, each with count 1, and layouts[d] is the `_dense_layout` of R_d
+    (None for a dict, or a Row too sparse to lay out) for d < n.
+
+    Each layer is the range step of the one before, batched by `plan`, with
+    its counts reset to 1 (`_ones`), until R_{d-p} is within R_d for a
+    period p of _PERIODS.  The step's support F is a union over labels, so
+    from then on R_{d+1} = R_{d+1-p} + F(D_d), with D_d = R_d - R_{d-p} the
+    labels R_d gained (`_gained`): only those are described.  A layer that
+    gains nothing is R_{d+1-p} itself, with its layout.  A Row that gained
+    more than 1/_GAIN_RATIO of its labels takes the full step.
 
     LabelCapError when a layer would hold more than max_labels labels;
     TableBudgetError when the layers' cells, charged _CELL_BITS each, pass
     BACK_BITS.  Both name the last layer that fit."""
     layers, layouts = [{spec.axiom: 1}], []
-    cells, fixed = 1, False
+    cells, period, gained = 1, None, None
     for depth in range(1, n + 1):
         layer = layers[-1]
-        if not fixed:
-            try:
+        if period is not None:
+            older = layers[-1 - period]  # R_{d-1-p}, within the layer
+        try:
+            if period is None or type(layer) is Row and (
+                len(layer) - len(older)
+            ) * _GAIN_RATIO > len(layer):
                 level, _, _, _, layout = _next_level_range(layer, describe, plan, max_labels)
-            except _OverCap:
-                raise LabelCapError(max_labels, depth - 1) from None
-            level = _ones(level)
-            # The step is a function of the layer alone: a layer equal to the
-            # one before it is every later layer too, so it is kept once,
-            # with its layout.  Rows compare by base and flags.
-            if isinstance(level, Row) and isinstance(layer, Row):
-                fixed = (level.base, level.flags) == (layer.base, layer.flags)
+                level = _ones(level)
+                if period is None:
+                    period = next((p for p in _PERIODS[:depth] if _within(layers[-p], level)), None)
+                gained = None
             else:
-                fixed = type(level) is type(layer) and level == layer
-            if not fixed:
-                layer = level
+                if gained is None:
+                    gained = [k for k in layer if k not in older]
+                if layer is older:
+                    layout = layouts[-period]
+                elif type(layer) is Row:
+                    layout = _dense_layout(layer.flags, layer.base, plan, describe, max_labels)
+                else:
+                    layout = None
+                prior = layers[-period]
+                if gained:
+                    gained = _gained(gained, prior, describe, max_labels)
+                level = _grown(prior, gained, plan) if gained else prior
+        except _OverCap:
+            raise LabelCapError(max_labels, depth - 1) from None
         layouts.append(layout)
-        if max_labels is not None and len(layer) > max_labels:
+        if max_labels is not None and len(level) > max_labels:
             raise LabelCapError(max_labels, depth - 1)
-        cells += len(layer)
+        cells += len(level)
         if cells * _CELL_BITS > BACK_BITS:
             raise TableBudgetError(depth - 1)
-        layers.append(layer)
+        layers.append(level)
     return layers, layouts
 
 
@@ -1202,6 +1322,8 @@ class WalkSampler:
         # The labels are those of the back table, which the label cap bounds.
         self._children = cache(lambda k: _split(sorted(expand(describe(k)).items())))
         self._draws = [{} for _ in range(n + 1)]
+        # The binary descent's (draw entries, remaining depth) per step.
+        self._descent = [(self._draws[rem], rem) for rem in range(n, 0, -1)]
 
     @property
     def draw_entries(self):
@@ -1236,9 +1358,9 @@ class WalkSampler:
         k = self.spec.axiom
         walk = [k]
         if strategy == "binary":
-            getrandbits, draws, entry = rng.getrandbits, self._draws, self._draw_entry
-            for rem in range(self.n, 0, -1):
-                total, bits, labels, sums = draws[rem].get(k) or entry(k, rem)
+            getrandbits, entry = rng.getrandbits, self._draw_entry
+            for draws, rem in self._descent:
+                total, bits, labels, sums = draws.get(k) or entry(k, rem)
                 r = getrandbits(bits)
                 while r >= total:
                     r = getrandbits(bits)

@@ -466,6 +466,39 @@ class TestBench:
                            "-n", "30", "--count", "50")
         assert "cells=496" in out and "draw entries=" in out
 
+    def test_sample_benchmark_fails_when_the_table_or_the_walks_disagree(self, capsys, monkeypatch):
+        argv = ("bench", "--task", "sample", "--system", "motzkin", "-n", "20", "--count", "5")
+        count_levels, sample = engine.count_levels, engine.WalkSampler.sample
+
+        def off_by_one(truncated):
+            def counted(*args, **kwargs):
+                table = count_levels(*args, **kwargs)
+                table.totals[-1] += 1
+                if truncated:
+                    table.stats["truncated"] = True
+                return table
+            return counted
+
+        # A wrong range total, unless the count was cut short.
+        monkeypatch.setattr(engine, "count_levels", off_by_one(False))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: back table and range totals disagree on motzkin at n=20\n"
+        monkeypatch.setattr(engine, "count_levels", off_by_one(True))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("bench sample motzkin  n=20  draws=5\n")
+        monkeypatch.setattr(engine, "count_levels", count_levels)
+
+        # A binary walk that leaves the sequential stream.
+        def moved(self, rng, strategy="binary"):
+            walk = sample(self, rng, strategy)
+            return walk[:-1] + [walk[-1] + 1] if strategy == "binary" else walk
+
+        monkeypatch.setattr(engine.WalkSampler, "sample", moved)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: sequential and binary walks disagree on motzkin at n=20\n"
+
     @pytest.mark.parametrize(
         "flags, message",
         [

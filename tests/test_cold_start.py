@@ -79,6 +79,27 @@ def test_count_sample_and_bench_load_no_analysis_module(child):
     ]
 
 
+def test_gf_from_a_file_loads_no_catalog(tmp_path):
+    # Only --system reads the catalog entry's closed form.
+    path = tmp_path / "catalan.eco"
+    path.write_text(catalog.get_entry("catalan").text)
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from ecokit import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.run(['gf', '--file', {str(path)!r}, '--order', '10'])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('ecokit.'))]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ecokit.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    code, modules = json.loads(done.stdout)
+    assert code == 0 and "ecokit.kernel" in modules
+    assert "ecokit.catalog" not in modules
+
+
 def test_star_import_binds_every_public_name_to_its_module_object(child):
     assert child["names"] == sorted(ecokit.__all__)
     assert len(child["names"]) == 39

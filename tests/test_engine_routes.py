@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecokit.catalog import get_entry
+from ecokit.catalog import ENTRIES, get_entry
 from ecokit.dsl import (
     Affine,
     Builtin,
@@ -30,6 +30,7 @@ from ecokit.dsl import (
     RuleClause,
     describer,
     expand,
+    parse_spec,
 )
 from ecokit import engine
 from ecokit.engine import back_table, count_levels, iter_levels, sample_walks
@@ -721,3 +722,267 @@ def test_back_bits_stop_at_the_same_level(monkeypatch, name, n, bits):
     with pytest.raises(engine.TableBudgetError) as exc:
         back_table(spec, n)
     assert exc.value.level == level
+
+
+# ---------------------------------------------------------------------------
+# The semi-naive closure against the range step of every layer
+
+
+def full_step_closure(spec, n, max_labels, describe, plan):
+    """The closure with every layer the range step of the one before, its
+    counts reset to 1: the oracle of `engine._closure`."""
+    layers, layouts = [{spec.axiom: 1}], []
+    cells = 1
+    for depth in range(1, n + 1):
+        try:
+            level, _, _, _, layout = engine._next_level_range(layers[-1], describe, plan, max_labels)
+        except engine._OverCap:
+            raise engine.LabelCapError(max_labels, depth - 1) from None
+        level = engine._ones(level)
+        layouts.append(layout)
+        if max_labels is not None and len(level) > max_labels:
+            raise engine.LabelCapError(max_labels, depth - 1)
+        cells += len(level)
+        if cells * engine._CELL_BITS > engine.BACK_BITS:
+            raise engine.TableBudgetError(depth - 1)
+        layers.append(level)
+    return layers, layouts
+
+
+def shape(layer):
+    """A closure layer or back-table row as its type and contents: a Row's
+    base, the type of its flags, its flags and counts and its size."""
+    if type(layer) is engine.Row:
+        return engine.Row, layer.base, type(layer.flags), layer.flags, layer.vals, layer.size
+    return type(layer), layer
+
+
+def closure_outcome(build, spec, n, max_labels=None, bits=None):
+    """The layers (by `shape`) and layouts that `build` makes, or the type,
+    level and text of the budget error it raises, under BACK_BITS = bits."""
+    with pytest.MonkeyPatch.context() as mp:
+        if bits is not None:
+            mp.setattr(engine, "BACK_BITS", bits)
+        try:
+            layers, layouts = build(spec, n, max_labels, cache(describer(spec)), engine._class_plan(spec))
+        except (engine.LabelCapError, engine.TableBudgetError) as exc:
+            return type(exc), exc.level, str(exc)
+    return [shape(layer) for layer in layers], layouts
+
+
+def assert_closure_is_the_full_step(spec, n, max_labels=None, bits=None):
+    got = closure_outcome(engine._closure, spec, n, max_labels, bits)
+    assert got == closure_outcome(full_step_closure, spec, n, max_labels, bits)
+    return got
+
+
+# Every cell budget is in units of _CELL_BITS: 40 and 400 cells.
+BUDGETS = (None, 40 * engine._CELL_BITS, 400 * engine._CELL_BITS)
+
+
+@pytest.mark.parametrize("name", [e.name for e in ENTRIES])
+def test_closure_is_the_full_step_on_every_entry(name):
+    # Labels, Row or dict per layer, layouts, and the budget errors' levels
+    # and texts under small label caps and cell budgets.  The cap keeps
+    # even_jumps' doubling layers in bounds.
+    spec = get_entry(name).spec()
+    errors = set()
+    for n in (0, 1, 2, 5, 13, 40):
+        for cap in (engine.LABEL_CAP, 5, 40):
+            for bits in BUDGETS:
+                got = assert_closure_is_the_full_step(spec, n, cap, bits)
+                if got[0] in (engine.LabelCapError, engine.TableBudgetError):
+                    errors.add(got[0])
+    # 40 levels take more than 40 cells; only fibonacci and permutations
+    # keep every layer within 5 labels.
+    wide = name not in ("fibonacci", "permutations")
+    assert errors == {engine.TableBudgetError} | ({engine.LabelCapError} if wide else set())
+
+
+# The largest sizes of the sample workload's slots, per system.
+SAMPLE_SIZES = [
+    ("catalan", 181), ("motzkin", 151), ("schroeder", 151), ("fan", 141), ("ternary", 101),
+    ("quaternary", 80), ("walk_notch1", 161), ("bell", 323), ("involutions", 323),
+    ("ceil_half", 323), ("switchboard", 323), ("fibonacci", 1212),
+]
+
+
+@pytest.mark.parametrize("name, n", SAMPLE_SIZES, ids=[name for name, _ in SAMPLE_SIZES])
+def test_back_table_matches_the_full_step_at_the_sample_sizes(monkeypatch, name, n):
+    spec = get_entry(name).spec()
+    assert_closure_is_the_full_step(spec, n, engine.LABEL_CAP)
+    g = back_table(spec, n, engine.LABEL_CAP)
+    monkeypatch.setattr(engine, "_closure", full_step_closure)
+    full = back_table(spec, n, engine.LABEL_CAP)
+    assert [shape(row) for row in g] == [shape(row) for row in full]
+    assert g.cells == full.cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(specs(), point_specs()),
+    st.integers(0, 25),
+    st.integers(1, 60),
+    st.sampled_from(BUDGETS),
+)
+def test_closure_is_the_full_step_on_generated_specs(spec, n, cap, bits):
+    assert_closure_is_the_full_step(spec, n, cap, bits)
+    if n <= 6:
+        assert_closure_is_the_full_step(spec, n)
+
+
+def traced_closure(monkeypatch, spec, n):
+    """(layers, indices of the layers stepped in full, (depth, period) at
+    which a layer first held the one `period` before it or None, the label
+    sets handed to `_gained`)."""
+    stepped, nested, deltas = [], [], []
+    step, within, gained = engine._next_level_range, engine._within, engine._gained
+
+    def spy_step(level, *args):
+        stepped.append(level)
+        return step(level, *args)
+
+    def spy_within(small, big):
+        held = within(small, big)
+        if held:
+            nested.append((small, big))
+        return held
+
+    def spy_gained(delta, *args):
+        deltas.append(set(delta))
+        return gained(delta, *args)
+
+    monkeypatch.setattr(engine, "_next_level_range", spy_step)
+    monkeypatch.setattr(engine, "_within", spy_within)
+    monkeypatch.setattr(engine, "_gained", spy_gained)
+    layers, _ = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
+
+    def index(layer):
+        return next(d for d, other in enumerate(layers) if other is layer)
+
+    period = None
+    if nested:
+        ((small, big),) = nested
+        period = index(big), index(big) - index(small)
+    return layers, [index(level) for level in stepped], period, deltas
+
+
+@pytest.mark.parametrize(
+    "name, nested",
+    [
+        ("catalan", (1, 1)),
+        ("bell", (2, 1)),
+        ("tripling", (1, 1)),
+        ("fibonacci", (2, 1)),
+        ("involutions", (2, 2)),
+        ("bicolored_involutions", (2, 2)),
+        ("motzkin", (2, 2)),
+        ("walk_notch1", (3, 3)),
+        ("permutations", None),
+        ("partial_permutations", None),
+    ],
+)
+def test_closure_steps_only_the_gained_labels(monkeypatch, name, nested):
+    spec = get_entry(name).spec()
+    n = 120
+    naive = [set(level) for level in iter_levels(spec, n, "naive")]
+    layers, stepped, period, deltas = traced_closure(monkeypatch, spec, n)
+    assert [set(layer) for layer in layers] == naive
+    assert period == nested
+    if nested is None:
+        # Layers that never nest are each the range step of the one before.
+        assert stepped == list(range(n))
+        assert deltas == []
+        return
+    first, p = nested
+    # Before they nest, and on a Row that gained more than 1/_GAIN_RATIO of
+    # its labels, layers step in full; the rest hand on only what they
+    # gained, D_d = R_d - R_{d-p}.
+    big = [
+        d
+        for d in range(first, n)
+        if type(layers[d]) is engine.Row
+        and (len(naive[d]) - len(naive[d - p])) * engine._GAIN_RATIO > len(naive[d])
+    ]
+    assert stepped == list(range(first)) + big
+    gains = [naive[d] - naive[d - p] for d in range(first, n) if d not in big]
+    assert deltas == [delta for delta in gains if delta]
+    # Each depth gains at most p labels; fibonacci's layers stop gaining.
+    assert all(len(delta) <= p for delta in deltas)
+    if name == "fibonacci":
+        assert deltas == [{1}]
+    if name == "tripling":
+        # Labels near 3^n stay a dict of ones: no span is laid out.
+        assert all(type(layer) is dict for layer in layers)
+        assert max(layers[n]) > 3**n
+
+
+# Labels 0..31 of a walk that turns back at both ends: from depth 31 on the
+# layers alternate between the even and the odd labels, two Rows.
+BOUNCE = EcoSpec("bounce", "walk", 0, (
+    clause([GuardAtom("le", c=0)], [Item(Affine(1, 1), Affine(0, 1))]),
+    clause(
+        [GuardAtom("ge", c=1), GuardAtom("le", c=30)],
+        [Item(Affine(1, -1), Affine(0, 1)), Item(Affine(1, 1), Affine(0, 1))],
+    ),
+    clause([GuardAtom("ge", c=31)], [Item(Affine(1, -1), Affine(0, 1))]),
+))
+# Labels 0..40 in one cycle with halving returns: from depth 40 on every
+# layer is the Row of all of them.
+CYCLE = parse_spec(
+    "system cyc40 { mode walk; axiom 0;\n"
+    " rule k <= 39: (k+1) x 1, (0) x 1, (ceil_div(k, 2)) x 1;\n"
+    " rule k >= 40: (0) x 1; }\n"
+)
+
+
+@pytest.mark.parametrize("spec, period", [(BOUNCE, 2), (CYCLE, 1)], ids=["bounce", "cycle"])
+def test_a_fixed_row_layer_is_reused_with_its_layout(spec, period):
+    n = 80
+    assert_closure_is_the_full_step(spec, n)
+    layers, layouts = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
+    assert type(layers[n]) is engine.Row
+    fixed = [d for d in range(period, n + 1) if layers[d] is layers[d - period]]
+    assert fixed == list(range(fixed[0], n + 1)) and fixed[0] < 45
+    assert all(layouts[d] is layouts[d - period] for d in fixed if d < n)
+
+
+@st.composite
+def descriptions(draw):
+    """(labels, describe, prior): successor descriptions of a few labels, runs
+    with steps up to 3 and cuts on their grids, and a layer of labels 0..40
+    as a dict or a Row."""
+    labels = draw(st.lists(st.integers(0, 20), min_size=1, max_size=4, unique=True))
+    table = {}
+    for k in labels:
+        points = tuple(draw(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 3)), max_size=3)))
+        runs = []
+        for _ in range(draw(st.integers(0, 3))):
+            lo, step = draw(st.integers(0, 40)), draw(st.integers(1, 3))
+            grid = list(range(lo, draw(st.integers(lo, 45)) + 1, step))
+            cuts = draw(st.lists(st.sampled_from(grid), max_size=3, unique=True))
+            runs.append((lo, grid[-1], step, tuple(sorted(cuts))))
+        table[k] = points, tuple(runs)
+    prior = dict.fromkeys(draw(st.lists(st.integers(0, 40), min_size=1, unique=True)), 1)
+    if draw(st.booleans()):
+        low = min(prior)
+        flags = bytes(j in prior for j in range(low, max(prior) + 1))
+        prior = engine.Row(low, flags, flags, len(prior))
+    return labels, table.__getitem__, prior
+
+
+ODD = bytes([1, 0, 1, 0, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(descriptions())
+# A step-2 run from below a Row's base, off its grid; a cut label another
+# run covers, one a point reaches, and one nothing else reaches.
+@example(([0], {0: ((), ((0, 8, 2, ()),))}.__getitem__, engine.Row(1, ODD, ODD, 3)))
+@example(([0], {0: (((4, 1),), ((0, 6, 1, (3, 4, 5)), (3, 9, 3, ())))}.__getitem__, {20: 1}))
+def test_gained_labels_are_the_expanded_successors_outside_the_layer(case):
+    # Runs of one grid merge, overlap other grids and cut labels that a
+    # point or another run may still reach.
+    labels, describe, prior = case
+    reached = set().union(*(expand(describe(k)) for k in labels))
+    assert engine._gained(labels, prior, describe, None) == reached - set(prior)
