@@ -22,23 +22,30 @@ propagation methods are provided, and ``auto``, the default, is a name for
   residue class k = r mod M where one affine clause guards every label
   from a threshold on (``dsl.residue_split``, ``dsl.class_view``) the class
   is batched: each point, each run end and each cut is one strided slice
-  operation over the class's counts, with no per-label description; when
-  no label of the level was lowered one at a time, the first batched point
-  assigns its weights to the fresh next level instead of adding them to
-  zeros.  A point label ``ceil_div(a*k + b, q)`` with a constant q is
-  batched too: M is widened until q divides a*M, so on each class the
-  label is the exact integer quotient (a*k + b + c) // q for a fixed c, and
-  steps by a*M // q.  Labels below a class threshold (a ``k <= c`` guard, a
-  multiplicity still below 1, a run not yet of its affine shape), labels
-  of classes ``class_view`` rejects (a builtin interval bound, exclusion or
+  operation over the class's counts, with no per-label description.  The
+  layout (``_dense_layout``) takes those counts as one slice of the level's
+  list, from the first to the last nonzero count at or above the threshold,
+  and bounds the next level's span by the class's label and run-end forms
+  (``_Class.ends``) at the slice's two ends.  When no label of the level
+  was lowered one at a time, the first batched point assigns its weights
+  to the fresh next level instead of adding them to zeros.  A point label
+  ``ceil_div(a*k + b, q)`` with a constant q is batched too: M is widened
+  until q divides a*M, so on each class the label is the exact integer
+  quotient (a*k + b + c) // q for a fixed c, and steps by a*M // q.
+  Labels below a class threshold (a ``k <= c`` guard, a multiplicity still
+  below 1, a run not yet of its affine shape), labels of classes
+  ``class_view`` rejects (a builtin interval bound, exclusion or
   multiplicity) or a pow2/prime guard tests, labels of any other builtin,
   and every label of any other level are lowered one at a time;
-  ``stats["fallback_labels"]`` counts them.  A level is a read-only ``Row``
+  ``stats["fallback_labels"]`` counts them.  On a spec with intervals the
+  descriptions of the labels below the highest class threshold, a bounded
+  set, are kept from level to level.  A level is a read-only ``Row``
   over its list of counts exactly when ``_is_dense`` holds for its labels,
   else a dict (``_level_of``), so a dense level stays a list from step to
   step and ``count_levels`` sums that list directly: the label sum too,
   from the list's running sums from the top (``_row_fold``), with no
-  multiply per label.
+  multiply per label: one running sum for a level of at most
+  ``_FOLD_CHUNK`` labels, a chunk at a time for a longer one.
   On a spec without intervals, whose labels are a few points each, every
   label lowered one at a time goes through ``naive``'s cached (label,
   multiplicity) pairs instead of a new description on each visit.  A dict
@@ -106,7 +113,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, chain, compress, count, islice, repeat
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import add, mul, sub
 from random import Random
 
@@ -249,7 +256,10 @@ class _Class:
     the update ops one label of the class costs: one per point, two per run
     and one per removed label.  `moments`: no runs, and every point's label
     or multiplicity is constant, so the label sum of the class's successors
-    is affine in its S0 and S1 (`_class_fold`).
+    is affine in its S0 and S1 (`_class_fold`).  `ends` holds (a, b, q) of
+    each point label and each run's lo and last grid label, so a slice of
+    labels k0..k1 reaches labels between their values at k0 and at k1;
+    `widths` holds (end - lo form, step, number removed) of each run.
     """
 
     threshold: int
@@ -257,6 +267,8 @@ class _Class:
     runs: tuple
     ops: int
     moments: bool
+    ends: tuple
+    widths: tuple
 
 
 def _quotient(label):
@@ -312,7 +324,10 @@ def _class_of(clauses, modulus, residue, floor):
             runs.append(((la, lb), end, s, run.removed))
     ops = len(points) + sum(2 + len(run[3]) for run in runs)
     moments = not runs and all(not a or not c for (a, _, _), (c, _) in points)
-    return _Class(threshold, tuple(points), tuple(runs), ops, moments)
+    ends = [label for label, _ in points]
+    ends += [f for (la, lb), (ea, eb), s, _ in runs for f in ((la, lb, 1), (ea, eb - s, 1))]
+    widths = tuple(((ea - la, eb - lb), s, len(rm)) for (la, lb), (ea, eb), s, rm in runs)
+    return _Class(threshold, tuple(points), tuple(runs), ops, moments, tuple(ends), widths)
 
 
 def _class_plan(spec):
@@ -418,47 +433,67 @@ def _dense_layout(cur, base, plan, describe, cap):
 
     `lone` holds (label, count, description) of each label lowered one at a
     time; `batches` holds (class, k0, counts) per batched residue class, the
-    counts of k0, k0 + modulus, ... up to the last nonzero one; low..high
-    spans every label a point, run or cut of the level can reach."""
+    counts of k0, k0 + modulus, ... up to the last nonzero one, one slice of
+    cur; low..high spans every label a point, run or cut of the level can
+    reach."""
     modulus, classes = plan
     size = len(cur)
     lone, batches = [], []
     for r, cls in enumerate(classes):
         i = (r - base) % modulus
         stop = size if cls is None else min(size, max(i, cls.threshold - base))
-        lone += [(base + j, cur[j]) for j in range(i, stop, modulus) if cur[j]]
+        if i < stop:
+            lone += [(base + j, cur[j]) for j in range(i, stop, modulus) if cur[j]]
         if stop < size:
+            # The class's first and last slots at or above its threshold,
+            # moved in to its first and last nonzero counts.
             j = stop + (i - stop) % modulus
-            counts = cur[j::modulus]
-            if any(counts):
-                a, b = 0, len(counts)
-                while not counts[a]:
-                    a += 1
-                while not counts[b - 1]:
-                    b -= 1
-                batches.append((cls, base + j + a * modulus, counts[a:b]))
+            last = j + (size - 1 - j) // modulus * modulus
+            if j <= last and not cur[j]:
+                j = next(compress(count(j, modulus), cur[j : last + 1 : modulus]), size)
+            if j <= last:
+                if not cur[last]:
+                    last = next(compress(count(last, -modulus), cur[last:j:-modulus]), j)
+                batches.append((cls, base + j, cur[j : last + 1 : modulus]))
 
     # Widths and the next level's span, before anything is written.
     described = [(k, c, describe(k)) for k, c in lone]
-    ends, bound = [], 0
+    low, high, bound = inf, -inf, 0
     for _, _, (points, runs) in described:
         if cap is not None:
             _check_runs(runs, cap)
-        ends += [j for j, _ in points]
-        ends += [x for lo, last, _, _ in runs for x in (lo, last)]
-        bound += len(points) + sum((last - lo) // step + 1 for lo, last, step, _ in runs)
+        bound += len(points)
+        for j, _ in points:
+            if j < low:
+                low = j
+            if j > high:
+                high = j
+        for lo, last, step, _ in runs:
+            bound += (last - lo) // step + 1
+            if lo < low:
+                low = lo
+            if last > high:
+                high = last
     for cls, k0, counts in batches:
-        k1 = k0 + modulus * (len(counts) - 1)
-        ends += [(a * k + b) // q for (a, b, q), _ in cls.points for k in (k0, k1)]
-        bound += len(counts) * len(cls.points)
-        for (la, lb), (ea, eb), s, removed in cls.runs:
-            lo, end = la * k1 + lb, ea * k1 + eb
-            if cap is not None and (end - lo) // s - 1 - len(removed) >= cap:
+        n = len(counts)
+        k1 = k0 + modulus * (n - 1)
+        for a, b, q in cls.ends:
+            x, y = (a * k0 + b) // q, (a * k1 + b) // q
+            if x > y:
+                x, y = y, x
+            if x < low:
+                low = x
+            if y > high:
+                high = y
+        bound += n * len(cls.points)
+        for (wa, wb), s, removed in cls.widths:
+            width = wa * k1 + wb
+            if cap is not None and width // s - 1 - removed >= cap:
                 raise _OverCap
-            ends += [la * k0 + lb, la * k1 + lb, ea * k0 + eb - s, end - s]
-            bound += len(counts) * (end - lo) // s
-    # A level that reaches no label gets a one-label span.
-    low, high = (min(ends), max(ends)) if ends else (base, base)
+            bound += n * width // s
+    if low > high:
+        # A level that reaches no label gets a one-label span.
+        low = high = base
     if high - low > _DENSE_RATIO * bound + _DENSE_SLACK:
         return None
     return described, batches, low, high
@@ -499,6 +534,18 @@ def _class_fold(fold, batches, lone):
     return (s0, s1), (t0, t1)
 
 
+# What `_class_fold` gives a level without a fold: no sums, no next fold.
+_NO_FOLD = ((None, None), None)
+
+
+def _diff(diffs, step, residue, low, high):
+    """A new (lowest grid label, difference array) of the (step, residue)
+    grid over low..high, stored in `diffs`."""
+    g0 = low + (residue - low) % step
+    diffs[(step, residue)] = g0, [0] * ((high - g0) // step + 2)
+    return diffs[(step, residue)]
+
+
 def _dense_core(layout, plan, fold=None):
     """(next level as a list indexed by label - low, low, update ops, labels
     lowered one at a time, its fold or None) from a level's `_dense_layout`.
@@ -515,24 +562,16 @@ def _dense_core(layout, plan, fold=None):
     move with k reads the class's sums (see the module docstring)."""
     modulus = plan[0]
     described, batches, low, high = layout
-    sums, moved = _class_fold(fold, batches, described)
+    sums, moved = _class_fold(fold, batches, described) if fold else _NO_FOLD
     nxt = [0] * (high - low + 1)
     diffs = {}  # (step, residue) -> (lowest grid label, difference array)
-
-    def diff(step, residue):
-        hit = diffs.get((step, residue))
-        if hit is None:
-            g0 = low + (residue - low) % step
-            hit = diffs[(step, residue)] = (g0, [0] * ((high - g0) // step + 2))
-        return hit
-
     ops, cut = 0, False
     for _, c, (points, runs) in described:
         for j, m in points:
             nxt[j - low] += c * m
         ops += len(points)
         for lo, last, step, cuts in runs:
-            g0, d = diff(step, lo % step)
+            g0, d = diffs.get((step, lo % step)) or _diff(diffs, step, lo % step, low, high)
             d[(lo - g0) // step] += c
             d[(last - g0) // step + 1] -= c
             ops += 2 + len(cuts)
@@ -563,7 +602,8 @@ def _dense_core(layout, plan, fold=None):
             _strided(nxt, (a * k0 + b) // q - low, a * modulus // q, n, weights, op)
             fresh = False
         for (la, lb), (ea, eb), s, removed in cls.runs:
-            g0, d = diff(s, (la * k0 + lb) % s)
+            r = (la * k0 + lb) % s
+            g0, d = diffs.get((s, r)) or _diff(diffs, s, r, low, high)
             if la:
                 _strided(d, (la * k0 + lb - g0) // s, la * modulus // s, n, counts, add)
             else:
@@ -749,15 +789,17 @@ def _class_step(level, plan, pairs, fold):
     return nxt, ops, lowered, moved
 
 
-def _next_level_range(level, describe, plan, cap=None, pairs=None, fold=None):
+def _next_level_range(level, describe, plan, cap=None, pairs=None, fold=None, layouts=None):
     """(next level, update ops, labels lowered one at a time, the next
-    level's fold or None, the level's `_dense_layout` or None).
+    level's fold or None).
 
     A Row level goes through `_dense_core` with the batched classes of
     `plan` (from `_class_plan`) unless its layout is None; any other level
     is lowered label by label.  The next level is a Row (flags = vals) when
     `_is_dense` holds for its labels, else a dict.  _OverCap, before any
-    label is written, when a single run is wider than `cap` labels.
+    label is written, when a single run is wider than `cap` labels.  With
+    `layouts`, a list, the level's `_dense_layout` (None for a level lowered
+    label by label) is appended to it.
 
     With `pairs`, naive's cached (label, mult) pairs of a spec without
     intervals, a level that does not take `_dense_core` is not described
@@ -770,12 +812,14 @@ def _next_level_range(level, describe, plan, cap=None, pairs=None, fold=None):
     # Row is a Mapping, so isinstance would run the abc check on every level.
     if type(level) is Row:
         layout = _dense_layout(level.vals, level.base, plan, describe, cap)
-        if layout is not None:
-            nxt, low, ops, lowered, moved = _dense_core(layout, plan, fold)
-            base, vals, size, dense = _trim(nxt, low, plan)
-            if dense:
-                return Row(base, vals, vals, size), ops, lowered, moved, layout
-            return dict(compress(zip(count(base), vals), vals)), ops, lowered, moved, layout
+    if layouts is not None:
+        layouts.append(layout)
+    if layout is not None:
+        nxt, low, ops, lowered, moved = _dense_core(layout, plan, fold)
+        base, vals, size, dense = _trim(nxt, low, plan)
+        if dense:
+            return Row(base, vals, vals, size), ops, lowered, moved
+        return dict(compress(zip(count(base), vals), vals)), ops, lowered, moved
     moved = None
     if pairs is None:
         nxt, ops = _sparse_step(level.items(), describe, cap)
@@ -784,7 +828,33 @@ def _next_level_range(level, describe, plan, cap=None, pairs=None, fold=None):
         nxt, ops, lowered = _next_level_naive(level, pairs)
     else:
         nxt, ops, lowered, moved = _class_step(level, plan, pairs, fold)
-    return _level_of(nxt, plan), ops, lowered, moved, layout
+    return _level_of(nxt, plan), ops, lowered, moved
+
+
+# The labels whose descriptions the range step keeps (`_kept_below`) stop
+# here, so a spec guarded by `k <= c` for a large c keeps at most this many.
+_KEPT_LABELS = 4096
+
+
+def _kept_below(describe, plan):
+    """`describe`, keeping the descriptions of the labels 0 <= k below the
+    highest class threshold of `plan` and below _KEPT_LABELS: a dense level
+    lowers these one at a time whenever it holds them."""
+    top = max((cls.threshold for cls in plan[1] if cls), default=0) if plan else 0
+    top = min(top, _KEPT_LABELS)
+    if top <= 0:
+        return describe
+    kept = {}
+
+    def lower(k):
+        if 0 <= k < top:
+            desc = kept.get(k)
+            if desc is None:
+                desc = kept[k] = describe(k)
+            return desc
+        return describe(k)
+
+    return lower
 
 
 def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
@@ -826,7 +896,12 @@ def _row_fold(base, vals):
 
     With S_i the sum of vals[i:], the total is S_0 and the label sum
     sum((base + i) * vals[i]) is (base - 1) * S_0 + sum(S_i): each S_i is
-    one running add from the top, with no multiply per label."""
+    one running add from the top, with no multiply per label.  A row of at
+    most _FOLD_CHUNK counts takes one running sum, a longer one a chunk at
+    a time."""
+    if len(vals) <= _FOLD_CHUNK:
+        part = list(accumulate(reversed(vals), initial=0))
+        return part[-1], (base - 1) * part[-1] + sum(part)
     top = reversed(vals)
     total = sigma = 0
     for _ in range(0, len(vals), _FOLD_CHUNK):
@@ -889,16 +964,16 @@ def _levels(spec, n, method, max_labels, stats, label_sums):
         if any(c.intervals for c in spec.clauses):
             # A run's pairs would take its width, and levels can double in
             # width per level (up to the label cap), so range describes a
-            # label again on each visit and keeps nothing per label.
-            lower = describe
+            # label again on each visit and keeps only the descriptions of
+            # the few labels below the class thresholds.
+            lower = _kept_below(describe, plan)
         else:
             # A point label's pairs are a few entries, NAIVE_PAIRS bounds
             # them all, and they stand in for a description with no runs.
             cached, lower = expanded, lambda k: (expanded(k), ())
 
         def step(level, fold):
-            # The range step also hands back the layout it stepped with.
-            return _next_level_range(level, lower, plan, width, cached, fold)[:4]
+            return _next_level_range(level, lower, plan, width, cached, fold)
 
         if label_sums is False and plan is not None and plan[0] == 1 and plan[1][0].moments:
             # One class with moments folds the next level from S1, with no
@@ -906,16 +981,13 @@ def _levels(spec, n, method, max_labels, stats, label_sums):
             # caller reads only totals.
             label_sums = True
 
-    def folded(level):
-        return None if label_sums is None else _fold(level, label_sums)
-
     if stats is None:
         stats = {}
     stats.update(method=method, levels=0, update_ops=0, peak_labels=1)
     if method == "range":
         stats["fallback_labels"] = 0
     level = {spec.axiom: 1}
-    fold = folded(level)
+    fold = None if label_sums is None else _fold(level, label_sums)
     yield level, fold
     stop = None
     for _ in range(n):
@@ -928,12 +1000,15 @@ def _levels(spec, n, method, max_labels, stats, label_sums):
         stats["update_ops"] += done
         if method == "range":
             stats["fallback_labels"] += lowered
-        if max_labels is not None and len(level) > max_labels:
+        size = len(level)
+        if max_labels is not None and size > max_labels:
             stop = budget
             break
         stats["levels"] += 1
-        stats["peak_labels"] = max(stats["peak_labels"], len(level))
-        fold = moved or folded(level)
+        if size > stats["peak_labels"]:
+            stats["peak_labels"] = size
+        if label_sums is not None:
+            fold = moved or _fold(level, label_sums)
         yield level, fold
     stats["seconds"] = round(time.perf_counter() - t0, 6)
     if stop:
@@ -1103,8 +1178,7 @@ def _closure(spec, n, max_labels, describe, plan):
             if period is None or type(layer) is Row and (
                 len(layer) - len(older)
             ) * _GAIN_RATIO > len(layer):
-                level, _, _, _, layout = _next_level_range(layer, describe, plan, max_labels)
-                level = _ones(level)
+                level = _ones(_next_level_range(layer, describe, plan, max_labels, layouts=layouts)[0])
                 if period is None:
                     period = next((p for p in _PERIODS[:depth] if _within(layers[-p], level)), None)
                 gained = None
@@ -1117,13 +1191,13 @@ def _closure(spec, n, max_labels, describe, plan):
                     layout = _dense_layout(layer.flags, layer.base, plan, describe, max_labels)
                 else:
                     layout = None
+                layouts.append(layout)
                 prior = layers[-period]
                 if gained:
                     gained = _gained(gained, prior, describe, max_labels)
                 level = _grown(prior, gained, plan) if gained else prior
         except _OverCap:
             raise LabelCapError(max_labels, depth - 1) from None
-        layouts.append(layout)
         if max_labels is not None and len(level) > max_labels:
             raise LabelCapError(max_labels, depth - 1)
         cells += len(level)
@@ -1390,39 +1464,3 @@ def sample_walks(spec, n, count, seed, strategy="binary", max_labels=None):
     sampler = WalkSampler(spec, n, max_labels)
     rng = Random(seed)
     return [sampler.sample(rng, strategy=strategy) for _ in range(count)]
-
-
-# ---------------------------------------------------------------------------
-# Antidiagonal stabilization
-
-
-def antidiagonal_values(spec, nmax, kmax):
-    """Counts read off antidiagonally: row n, distance k below the top label.
-
-    Requires the top label to advance by exactly one per level.  Returns a
-    list over k <= kmax of (stable value, first level it stabilized at),
-    where stable means constant from that level through nmax.  Only each
-    level's top label and its kmax+1 values below the top are kept.
-    """
-    stats = {}
-    diagonals, prev = [], None
-    for n, level in enumerate(iter_levels(spec, nmax, stats=stats)):
-        top = max(level)
-        if n and top != prev + 1:
-            raise SpecError(f"top label moves by {top - prev} at level {n}")
-        prev = top
-        diagonals.append([level.get(top - k, 0) for k in range(min(kmax, top) + 1)])
-    if stats.get("truncated"):
-        raise SpecError(stop_text(stats["budget"], stats["levels"]))
-    out = []
-    for k in range(kmax + 1):
-        vals = [row[k] for row in diagonals if len(row) > k]
-        if not vals:
-            raise SpecError(f"antidiagonal {k} never appears up to level {nmax}")
-        stable = vals[-1]
-        first = len(vals) - 1
-        while first > 0 and vals[first - 1] == stable:
-            first -= 1
-        offset = (nmax + 1) - len(vals)
-        out.append((stable, first + offset))
-    return out

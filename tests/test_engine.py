@@ -10,7 +10,6 @@ from ecokit.engine import (
     LabelCapError,
     TableBudgetError,
     WalkSampler,
-    antidiagonal_values,
     back_table,
     count_levels,
     iter_levels,
@@ -245,18 +244,3 @@ class TestSampler:
         sampler = WalkSampler(spec_of("motzkin"), 4)
         with pytest.raises(ValueError):
             sampler.sample(Random(0), strategy="bogus")
-
-
-class TestAntidiagonals:
-    def test_values_match_direct_reading(self):
-        spec = spec_of("ceil_half")
-        levels = list(iter_levels(spec, 20))
-        out = antidiagonal_values(spec, 20, 6)
-        for k, (value, first) in enumerate(out):
-            tops = [max(lv) for lv in levels]
-            assert value == levels[20].get(tops[20] - k, 0)
-            assert levels[first].get(tops[first] - k, 0) == value
-
-    def test_requires_top_label_advancing_by_one(self):
-        with pytest.raises(Exception):
-            antidiagonal_values(spec_of("fibonacci"), 10, 2)

@@ -581,6 +581,209 @@ def test_row_fold_of_a_one_label_row():
         assert engine._fold(row, True) == (count, base * count)
 
 
+@pytest.mark.parametrize("length", [1, 255, 256, 257, 513])
+def test_row_fold_across_the_chunk_boundary(length):
+    # Up to _FOLD_CHUNK counts take one running sum, longer rows a chunk at
+    # a time; both give the total and sum((base + i) * v_i).
+    assert engine._FOLD_CHUNK == 256
+    rng = Random(length)
+    for base in (0, 1, 37):
+        vals = [rng.choice((0, 1, rng.getrandbits(90))) for _ in range(length)]
+        expected = sum(vals), sum((base + i) * v for i, v in enumerate(vals))
+        assert engine._row_fold(base, vals) == expected
+
+
+# ---------------------------------------------------------------------------
+# The one-slice layout against the layout that copies each class's counts
+# with a strided slice and strips its zero ends into a second copy
+
+
+def reference_dense_layout(cur, base, plan, describe, cap):
+    """The layout from a strided copy of each class's counts, stripped of
+    its zero ends into a second copy, and a span from a list of every label
+    the level reaches: the oracle of `engine._dense_layout`."""
+    modulus, classes = plan
+    size = len(cur)
+    lone, batches = [], []
+    for r, cls in enumerate(classes):
+        i = (r - base) % modulus
+        stop = size if cls is None else min(size, max(i, cls.threshold - base))
+        lone += [(base + j, cur[j]) for j in range(i, stop, modulus) if cur[j]]
+        if stop < size:
+            j = stop + (i - stop) % modulus
+            counts = cur[j::modulus]
+            if any(counts):
+                a, b = 0, len(counts)
+                while not counts[a]:
+                    a += 1
+                while not counts[b - 1]:
+                    b -= 1
+                batches.append((cls, base + j + a * modulus, counts[a:b]))
+    described = [(k, c, describe(k)) for k, c in lone]
+    ends, bound = [], 0
+    for _, _, (points, runs) in described:
+        if cap is not None:
+            engine._check_runs(runs, cap)
+        ends += [j for j, _ in points]
+        ends += [x for lo, last, _, _ in runs for x in (lo, last)]
+        bound += len(points) + sum((last - lo) // step + 1 for lo, last, step, _ in runs)
+    for cls, k0, counts in batches:
+        k1 = k0 + modulus * (len(counts) - 1)
+        ends += [(a * k + b) // q for (a, b, q), _ in cls.points for k in (k0, k1)]
+        bound += len(counts) * len(cls.points)
+        for (la, lb), (ea, eb), s, removed in cls.runs:
+            lo, end = la * k1 + lb, ea * k1 + eb
+            if cap is not None and (end - lo) // s - 1 - len(removed) >= cap:
+                raise engine._OverCap
+            ends += [la * k0 + lb, la * k1 + lb, ea * k0 + eb - s, end - s]
+            bound += len(counts) * (end - lo) // s
+    low, high = (min(ends), max(ends)) if ends else (base, base)
+    if high - low > engine._DENSE_RATIO * bound + engine._DENSE_SLACK:
+        return None
+    return described, batches, low, high
+
+
+def layout_variants(cur, base, plan):
+    """(counts, base) of a dense level as it is, with zero ends, and with
+    the counts zeroed at each class threshold and the slot after it, so a
+    class slice starts past its threshold."""
+    zero = type(cur)([0])
+    yield cur, base
+    yield zero * 3 + cur + zero * 2, base - 3
+    for cls in plan[1]:
+        i = cls.threshold - base if cls else -1
+        if 0 <= i < len(cur):
+            cut = list(cur)
+            cut[i : i + 1 + plan[0] : plan[0]] = [0] * len(cut[i : i + 1 + plan[0] : plan[0]])
+            yield type(cur)(cut), base
+
+
+def widest_run(layout, modulus):
+    """The most labels one run of a layout reaches, less one: a cap of that
+    many is the smallest one that stops the layout."""
+    described, batches, _, _ = layout
+    widths = [(last - lo) // step - len(cuts) for _, _, (_, runs) in described for lo, last, step, cuts in runs]
+    for cls, k0, counts in batches:
+        k1 = k0 + modulus * (len(counts) - 1)
+        widths += [((ea - la) * k1 + eb - lb) // s - 1 - len(rm) for (la, lb), (ea, eb), s, rm in cls.runs]
+    return max(widths, default=None)
+
+
+def compare_layouts(levels, plan, describe, seen):
+    """Each level's layout, and its `layout_variants`', equal the reference
+    layout's, or both raise _OverCap: with no cap, a cap of 5, and caps at
+    and just past the widest run.  `seen` collects what the levels covered."""
+    for level in levels:
+        if type(level) is not engine.Row:
+            continue
+        for cur, base in layout_variants(level.flags, level.base, plan):
+            seen.add("zero ends" if not (cur[0] and cur[-1]) else "trimmed")
+            caps = [None, 5]
+            full = reference_dense_layout(cur, base, plan, describe, None)
+            widest = full and widest_run(full, plan[0])
+            if widest is not None:
+                caps += [widest, widest + 1]
+            for cap in caps:
+                outcomes = []
+                for layout in (engine._dense_layout, reference_dense_layout):
+                    try:
+                        outcomes.append(layout(cur, base, plan, describe, cap))
+                    except engine._OverCap:
+                        outcomes.append(engine._OverCap)
+                assert outcomes[0] == outcomes[1]
+                got = outcomes[0]
+                if got in (None, engine._OverCap):
+                    continue
+                seen.add(f"modulus {plan[0]}")
+                for cls, k0, counts in got[1]:
+                    assert counts[0] and counts[-1]
+                    if k0 == cls.threshold:
+                        seen.add("slice at its threshold")
+                    if any(a < 0 for a, _, _ in cls.ends):
+                        seen.add("falling label")
+            if widest is not None:
+                seen.add("cap at the widest run")
+
+
+@pytest.mark.parametrize("name", [e.name for e in ENTRIES])
+def test_layout_matches_the_reference_on_every_entry(name):
+    # Forward levels (counts) and closure layers (0/1 bytes) to n = 80;
+    # even_jumps' doubling levels stop at the label cap.
+    spec = get_entry(name).spec()
+    plan = engine._class_plan(spec)
+    if plan is None:
+        return
+    describe = cache(describer(spec))
+    seen = set()
+    compare_layouts(iter_levels(spec, 80, "range", engine.LABEL_CAP), plan, describe, seen)
+    try:
+        layers, _ = engine._closure(spec, 80, engine.LABEL_CAP, describe, plan)
+    except engine.LabelCapError:
+        layers, _ = engine._closure(spec, 15, engine.LABEL_CAP, describe, plan)
+    compare_layouts(layers, plan, describe, seen)
+    if name in ("catalan", "motzkin", "ceil_half", "parity_three_odd"):
+        assert {"zero ends", "trimmed", "slice at its threshold"} <= seen
+    if name in ("catalan", "motzkin", "walk_notch1", "even_jumps"):
+        assert "cap at the widest run" in seen
+        assert f"modulus {plan[0]}" in seen
+    if name in ("ceil_half", "parity_three_odd", "parity_three_even", "even_jumps"):
+        assert "modulus 2" in seen
+
+
+# Above label 10 the label 20 - k falls as k rises, so the next level's span
+# starts from the top of a class slice, below label 0.
+MIRROR = parse_spec(
+    "system mirror { mode walk; axiom 0;\n"
+    " rule k <= 9: (k+1) x 1;\n"
+    " rule k >= 10: (20 - k) x 1, (k+1) x 1; }\n"
+)
+
+
+# Labels 0..4, below the class threshold, each reach the 41 labels 0..40,
+# so the widest run of a level is a lone label's, not a batched class's.
+LOW_WIDE = parse_spec(
+    "system low_wide { mode walk; axiom 0;\n"
+    " rule k <= 4: interval(0, 40);\n"
+    " rule k >= 5: (k-5) x 1, (k+1) x 1; }\n"
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(specs(), point_specs(), fold_specs()), st.integers(8, 25))
+@example(MIRROR, 40)
+@example(LOW_WIDE, 30)
+def test_layout_matches_the_reference_on_generated_specs(spec, n):
+    plan = engine._class_plan(spec)
+    if plan is None:
+        return
+    describe = cache(describer(spec))
+    seen = set()
+    compare_layouts(iter_levels(spec, n, "range", 2000), plan, describe, seen)
+    if spec is MIRROR:
+        assert "falling label" in seen
+
+
+def test_labels_below_the_thresholds_keep_their_descriptions(monkeypatch):
+    # Motzkin's one class starts at label 2, so label 1, lowered alone on
+    # every dense level, is described once; labels from 2 on every time, and
+    # so are all labels from _KEPT_LABELS on.
+    spec = get_entry("motzkin").spec()
+    plan = engine._class_plan(spec)
+    describe, calls = describer(spec), []
+
+    def counted(k):
+        calls.append(k)
+        return describe(k)
+
+    lower = engine._kept_below(counted, plan)
+    assert [lower(k) for k in (1, 1, 2, 2)] == [describe(k) for k in (1, 1, 2, 2)]
+    assert calls == [1, 2, 2]
+    monkeypatch.setattr(engine, "_KEPT_LABELS", 1)
+    lower, calls[:] = engine._kept_below(counted, plan), []
+    lower(1), lower(1)
+    assert calls == [1, 1]
+
+
 @pytest.mark.parametrize(
     "spec",
     [MIXED, SPREAD, get_entry("involutions").spec(), get_entry("catalan").spec()],
@@ -735,11 +938,10 @@ def full_step_closure(spec, n, max_labels, describe, plan):
     cells = 1
     for depth in range(1, n + 1):
         try:
-            level, _, _, _, layout = engine._next_level_range(layers[-1], describe, plan, max_labels)
+            level = engine._next_level_range(layers[-1], describe, plan, max_labels, layouts=layouts)[0]
         except engine._OverCap:
             raise engine.LabelCapError(max_labels, depth - 1) from None
         level = engine._ones(level)
-        layouts.append(layout)
         if max_labels is not None and len(level) > max_labels:
             raise engine.LabelCapError(max_labels, depth - 1)
         cells += len(level)
@@ -838,9 +1040,9 @@ def traced_closure(monkeypatch, spec, n):
     stepped, nested, deltas = [], [], []
     step, within, gained = engine._next_level_range, engine._within, engine._gained
 
-    def spy_step(level, *args):
+    def spy_step(level, *args, **kwargs):
         stepped.append(level)
-        return step(level, *args)
+        return step(level, *args, **kwargs)
 
     def spy_within(small, big):
         held = within(small, big)
