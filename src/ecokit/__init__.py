@@ -37,7 +37,7 @@ _SOURCES = {
     "ClassifyError": "errors",
     "ClassificationReport": "classify",
     "build_report": "classify",
-    "factorial_form": "classify",
+    "factorial_form": "kernel",
     "KernelError": "errors",
     "GFResult": "kernel",
     "build_kernel": "kernel",

@@ -526,10 +526,9 @@ def verify_entry(entry, form_order=25):
     golden prefix (plus the registered closed-form identity); the continued
     fraction against the frozen excursion prefix; the numeric radius ratio.
     """
-    from .classify import factorial_form
     from .contfrac import BirthDeathRule, cf_excursions
     from .engine import total_series
-    from .kernel import build_kernel, closed_form_check, kernel_gfs
+    from .kernel import build_kernel, closed_form_check, factorial_form, kernel_gfs
 
     spec = entry.spec()
     checks = {}

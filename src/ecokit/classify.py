@@ -8,7 +8,7 @@ supports one:
                                length at most the label count;
 * affine label sum          -> order-2 rational form (child-count mode only);
 * parity-split label sum    -> order-3 rational form;
-* interval-plus-jumps shape -> walk reformulation for the algebraic route;
+* interval-plus-jumps shape -> walk form and kernel readiness, from `kernel`;
 * bounded-plus-jumps shape  -> flagged, rational form fitted and re-verified;
 * linear label growth       -> slope certificate for the propagation bound;
 * shrinking-return count    -> zero-radius divergence certificate.
@@ -46,11 +46,11 @@ from .dsl import (
     SpecError,
     _arity,
     _at_or_above,
+    _item_text,
     _label_sum,
     _odd_count,
     _reachable_closure,
     class_view,
-    describe,
     describer,
     expand,
     expr_affine,
@@ -60,6 +60,8 @@ from .dsl import (
 from .engine import LABEL_CAP, count_levels, total_series
 from .errors import ClassifyError
 from .guess import guess_rational, shortest_recurrence
+# The walk form lives in `kernel`; its names stay importable from here.
+from .kernel import FORM_CHECK_TO, WalkForm, _kernel_obstacle, _walk_shape, factorial_form
 from .qpoly import QPoly
 from .ratfunc import RatFunc
 
@@ -315,170 +317,6 @@ def rational_gf_parity(w):
         ]
     )
     return RatFunc(num, den)
-
-
-# ---------------------------------------------------------------------------
-# Interval-plus-jumps (walk) shape
-
-
-@dataclass(frozen=True)
-class WalkForm:
-    """Successor structure "interval up to k-1, with notches, plus jumps".
-
-    A node labeled k has the successors {base..k-1}
-                    minus {k-d : d in removed_offsets}
-                    minus {base+c : c in removed_low}
-                    plus the multiset {k+j : j in jumps}.
-
-    Heights are labels shifted down by base, so walks start at start_height.
-    """
-
-    base: int
-    jumps: tuple
-    removed_offsets: frozenset
-    removed_low: frozenset
-    start_height: int
-    mode: str
-
-    @property
-    def max_jump(self):
-        return max(self.jumps) if self.jumps else None
-
-    @property
-    def back_width(self):
-        """How far below the current label the structure can distinguish:
-        the deepest notch or the deepest downward jump."""
-        down = list(self.removed_offsets)
-        down += [-j for j in self.jumps if j < 0]
-        return max([0, *down])
-
-    def to_json_obj(self):
-        return {
-            "base": self.base,
-            "jumps": list(self.jumps),
-            "removed_offsets": sorted(self.removed_offsets),
-            "removed_low": sorted(self.removed_low),
-            "start_height": self.start_height,
-            "max_jump": self.max_jump,
-            "back_width": self.back_width,
-        }
-
-
-def _form_description(form, k):
-    """The walk form at a node labeled k as a `dsl.describe` description:
-    the jumps as points and {base..k-1} less its notches as one step-1 run."""
-    points = tuple((k + j, 1) for j in form.jumps)
-    if form.base > k - 1:
-        return points, ()
-    removed = {k - d for d in form.removed_offsets}
-    removed |= {form.base + c for c in form.removed_low}
-    cuts = tuple(sorted(v for v in removed if form.base <= v < k))
-    return points, ((form.base, k - 1, 1, cuts),)
-
-
-def _add_differences(diff, desc, sign):
-    """Add sign times the difference map j -> M[j] - M[j-1] of the multiset
-    M that a description with step-1 runs lists: a point gives +m at j and
-    -m at j+1, a run +1 at lo and -1 past last, a cut -1 at itself and +1
-    past it.  Two multisets are equal exactly when their maps are."""
-    get = diff.get
-    points, runs = desc
-    for j, m in points:
-        diff[j] = get(j, 0) + sign * m
-        diff[j + 1] = get(j + 1, 0) - sign * m
-    for lo, last, _, cuts in runs:
-        diff[lo] = get(lo, 0) + sign
-        diff[last + 1] = get(last + 1, 0) - sign
-        for c in cuts:
-            diff[c] = get(c, 0) - sign
-            diff[c + 1] = get(c + 1, 0) + sign
-
-
-def _item_text(item):
-    return f"({expr_text(item.label)}) x {expr_text(item.mult)}"
-
-
-FORM_CHECK_TO = 100  # last label a recognized walk form is checked on
-
-
-def factorial_form(spec):
-    """Recognize the interval-plus-jumps shape, or None.
-
-    The single clause must expand one step-1 interval from a fixed base up
-    to k plus a constant, minus constant labels or fixed-offset notches,
-    together with fixed jumps of constant multiplicity.  The recognized form
-    is checked against the spec for every guarded label up to FORM_CHECK_TO
-    before it is returned: at each label the form's successor multiset and
-    the clause's description are compared as difference maps, which costs
-    O(jumps + notches + points + cuts) rather than O(k).
-    """
-    form, _ = _walk_shape(spec)
-    if form is None:
-        return None
-    clause = spec.clauses[0]  # the only one, guarding every k from here on
-    floors = [a.c for a in clause.guard.atoms]
-    floor = max([1 if spec.mode == "eco" else 0, *floors])
-    for k in range(floor, FORM_CHECK_TO + 1):
-        diff = {}
-        _add_differences(diff, _form_description(form, k), 1)
-        _add_differences(diff, describe(clause, k), -1)
-        if any(diff.values()):
-            return None
-    return form
-
-
-def _walk_shape(spec):
-    """The unverified WalkForm the rule text spells out: (form, "") or
-    (None, reason)."""
-    if len(spec.clauses) != 1:
-        return None, f"{len(spec.clauses)} clauses, the shape needs one"
-    clause = spec.clauses[0]
-    if any(a.kind != "ge" for a in clause.guard.atoms):
-        return None, "guard is more than a lower bound on k"
-    if len(clause.intervals) != 1 or clause.intervals[0].step != 1:
-        return None, "the shape needs exactly one step-1 interval"
-    iv = clause.intervals[0]
-    lo = expr_affine(iv.lo)
-    hi = expr_affine(iv.hi)
-    if lo is None or hi is None or lo[0] != 0 or hi[0] != 1 or lo[1] < 0:
-        return None, "interval does not run from a fixed base up to k plus a constant"
-    base, h = lo[1], hi[1]
-    jumps = Counter(range(h + 1))
-    offsets = set(range(1, -h)) if h < 0 else set()
-    low = set()
-    for e in iv.minus:
-        aff = expr_affine(e)
-        if aff is None or aff[0] not in (0, 1):
-            return None, f"exclusion {expr_text(e)} is neither constant nor k+c"
-        a, t = aff
-        if a == 0:
-            if t >= base:
-                low.add(t - base)
-        elif t >= 0:
-            # A notch inside the top block cancels that jump slot; above
-            # the block it never lands, so it is a no-op.
-            if t <= h and jumps[t] > 0:
-                jumps[t] -= 1
-        else:
-            offsets.add(-t)
-    for item in clause.items:
-        la = expr_affine(item.label)
-        mu = expr_affine(item.mult)
-        if la is None or mu is None or la[0] != 1 or mu[0] != 0 or mu[1] < 0:
-            return None, f"item {_item_text(item)} is not a fixed jump from k"
-        jumps[la[1]] += mu[1]
-    start = spec.axiom - base
-    if start < 0:
-        return None, f"axiom {spec.axiom} lies below the interval base {base}"
-    form = WalkForm(
-        base=base,
-        jumps=tuple(sorted(jumps.elements())),
-        removed_offsets=frozenset(offsets),
-        removed_low=frozenset(low),
-        start_height=start,
-        mode=spec.mode,
-    )
-    return form, ""
 
 
 # ---------------------------------------------------------------------------
@@ -857,20 +695,14 @@ def build_report(spec, order=30):
         witness = {k: getattr(pw, k) for k in ("alpha", "beta_even", "beta_odd", "odd_per_rule")}
         add("parity-label-sum", "holds", witness, rational_gf_parity(pw))
 
-    form = factorial_form(spec)
-    kernel_ready = False
+    form, why = factorial_form(spec, why=True)
     if form is None:
-        why = _walk_shape(spec)[1] or "the recognized shape disagrees with the rules"
         add("interval-walk-shape", "none", note=why)
     else:
-        kernel_ready = bool(form.jumps) and not form.removed_low and form.start_height == 0
-        note = (
-            "algebraic route applies"
-            if kernel_ready
-            else "recognized, but low exclusions or a raised start keep the "
-            "algebraic route out of scope"
-        )
+        why = _kernel_obstacle(form)
+        note = f"recognized, but {why}" if why else "algebraic route applies"
         add("interval-walk-shape", "holds", form.to_json_obj(), note=note)
+    kernel_ready = form is not None and why is None
 
     bj, why = _bounded_plus_jumps(spec)
     if bj is None:

@@ -273,8 +273,7 @@ def _cmd_classify(args):
 
 
 def _cmd_gf(args):
-    from .classify import factorial_form
-    from .kernel import gf_report
+    from .kernel import factorial_form, gf_report
 
     _no_csv(args)
     if args.order < 2:

@@ -567,6 +567,10 @@ def _atom_text(atom):
     return f"{bang}{atom.kind}(k)"
 
 
+def _item_text(item):
+    return f"({expr_text(item.label)}) x {expr_text(item.mult)}"
+
+
 def spec_to_text(spec) -> str:
     """Render a spec in the canonical textual form (parse round-trips it)."""
     lines = [f"system {spec.name} {{", f"  mode {spec.mode};", f"  axiom {spec.axiom};"]
@@ -581,7 +585,7 @@ def spec_to_text(spec) -> str:
                 inner += ", minus {" + ", ".join(expr_text(e) for e in iv.minus) + "}"
             parts.append(f"interval({inner})")
         for item in clause.items:
-            parts.append(f"({expr_text(item.label)}) x {expr_text(item.mult)}")
+            parts.append(_item_text(item))
         lines.append(f"  rule {guard}: {', '.join(parts)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

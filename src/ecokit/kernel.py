@@ -5,8 +5,10 @@ excluded, plus fixed jumps) satisfies one functional equation whose kernel
 K(z,u) is quadratic-free in z: K = K0(u) + z*K1(u).  The b+1 branches of
 K = 0 that stay finite at z = 0 collect into a monic factor S(z,u) of degree
 b+1 in u, and the full bivariate count is F(z,u) = -S/K.  Everything here is
-exact series arithmetic:
+exact:
 
+* factorial_form recognizes a spec's walk form; _kernel_obstacle, the one
+  readiness test of build_kernel and `classify`, says why a form is refused;
 * build_kernel assembles K from the walk form and checks its shape;
 * kernel_gfs extracts S (Newton when b = 0, a Hensel lift otherwise), reads
   off F(z,1), expands -S/K row by row for F(z,u) and the excursion column
@@ -15,7 +17,8 @@ exact series arithmetic:
   expression ("sqrt", num, disc, den) or the relation ("power", m).
 
 Guards raise KernelError; a negative or fractional walk count anywhere means
-the form was mis-detected, never a warning to ignore.
+the form was mis-detected, never a warning to ignore.  The walk-form
+functions import `dsl` when they run, so the closed-form text loads no parser.
 """
 
 from __future__ import annotations
@@ -65,23 +68,16 @@ def build_kernel(form, order=32):
     K(z,u) = u^b (1-u) + z u^b - z (1-u) sum_j p_j u^(j+b)
                                 + z (1-u) sum_d u^(b-d)
     over jumps j with multiplicity p_j and notch offsets d; b clears every
-    negative power.  Requires no low exclusions, start at height 0, and at
-    least one strictly positive jump.
+    negative power.  Raises KernelError with `_kernel_obstacle`'s reason.
     """
-    if form.removed_low:
-        raise KernelError("low exclusions are outside the kernel construction")
-    if form.start_height != 0:
-        raise KernelError("kernel route needs the walk to start at height 0")
-    jumps = Counter(form.jumps)
-    if not jumps or max(jumps) < 1:
-        raise KernelError("no forward jump: the kernel is degenerate")
-    a = max(jumps)
-    b = max([0, *form.removed_offsets, *(-j for j in jumps if j < 0)])
+    if why := _kernel_obstacle(form):
+        raise KernelError(why)
+    a, b = form.max_jump, form.back_width
     one_minus_u = QPoly([1, -1])
     k0 = QPoly([0] * b + [1, -1])
     jump_sum = QPoly.zero()
-    for j, mult in jumps.items():
-        jump_sum = jump_sum + QPoly([0] * (j + b) + [mult])
+    for j in form.jumps:
+        jump_sum = jump_sum + QPoly([0] * (j + b) + [1])
     notch_sum = QPoly.zero()
     for d in form.removed_offsets:
         notch_sum = notch_sum + QPoly([0] * (b - d) + [1])
@@ -89,7 +85,7 @@ def build_kernel(form, order=32):
     kp = UPoly.from_z_slices([k0, k1], order)
     if kp.degree_u != a + b + 1:
         raise KernelError(f"kernel degree {kp.degree_u}, expected {a + b + 1}")
-    p_a = jumps[a]
+    p_a = form.jumps.count(a)
     top = kp.coeffs[a + b + 1]
     if top != TruncSeries.from_poly([0, p_a], order):
         raise KernelError("kernel top coefficient is not p_a * z")
@@ -98,7 +94,7 @@ def build_kernel(form, order=32):
     return KernelPoly(
         K=kp,
         p_a=p_a,
-        jumps=tuple(sorted(jumps.elements())),
+        jumps=form.jumps,
         notches=tuple(sorted(form.removed_offsets)),
         a=a,
         b=b,
@@ -208,6 +204,175 @@ def _reconcile_excursions(kp, small, f0):
     if not matches:
         return "neither printed variant"
     return " and ".join(matches)
+
+
+# ---------------------------------------------------------------------------
+# The walk form: interval-plus-jumps shape and kernel readiness
+
+
+@dataclass(frozen=True)
+class WalkForm:
+    """Successor structure "interval up to k-1, with notches, plus jumps".
+
+    A node labeled k has the successors {base..k-1}
+                    minus {k-d : d in removed_offsets}
+                    minus {base+c : c in removed_low}
+                    plus the multiset {k+j : j in jumps}.
+
+    Heights are labels shifted down by base, so walks start at start_height.
+    """
+
+    base: int
+    jumps: tuple
+    removed_offsets: frozenset
+    removed_low: frozenset
+    start_height: int
+
+    @property
+    def max_jump(self):
+        return max(self.jumps) if self.jumps else None
+
+    @property
+    def back_width(self):
+        """How far below the current label the structure can distinguish:
+        the deepest notch or the deepest downward jump."""
+        return max([0, *self.removed_offsets, *(-j for j in self.jumps if j < 0)])
+
+    def to_json_obj(self):
+        return {
+            "base": self.base,
+            "jumps": list(self.jumps),
+            "removed_offsets": sorted(self.removed_offsets),
+            "removed_low": sorted(self.removed_low),
+            "start_height": self.start_height,
+            "max_jump": self.max_jump,
+            "back_width": self.back_width,
+        }
+
+
+def _form_description(form, k):
+    """The walk form at a node labeled k as a `dsl.describe` description:
+    the jumps as points and {base..k-1} less its notches as one step-1 run."""
+    points = tuple((k + j, 1) for j in form.jumps)
+    if form.base > k - 1:
+        return points, ()
+    removed = {k - d for d in form.removed_offsets}
+    removed |= {form.base + c for c in form.removed_low}
+    cuts = tuple(sorted(v for v in removed if form.base <= v < k))
+    return points, ((form.base, k - 1, 1, cuts),)
+
+
+def _add_differences(diff, desc, sign):
+    """Add sign times the difference map j -> M[j] - M[j-1] of the multiset
+    M that a description with step-1 runs lists: a point gives +m at j and
+    -m at j+1, a run +1 at lo and -1 past last, a cut -1 at itself and +1
+    past it.  Two multisets are equal exactly when their maps are."""
+    get = diff.get
+    points, runs = desc
+    for j, m in points:
+        diff[j] = get(j, 0) + sign * m
+        diff[j + 1] = get(j + 1, 0) - sign * m
+    for lo, last, _, cuts in runs:
+        diff[lo] = get(lo, 0) + sign
+        diff[last + 1] = get(last + 1, 0) - sign
+        for c in cuts:
+            diff[c] = get(c, 0) - sign
+            diff[c + 1] = get(c + 1, 0) + sign
+
+
+FORM_CHECK_TO = 100  # last label a recognized walk form is checked on
+
+
+def factorial_form(spec, why=False):
+    """Recognize the interval-plus-jumps shape, or None; with `why`, the pair
+    (form, "") or (None, the reason the spec has no form).
+
+    The single clause must expand one step-1 interval from a fixed base up
+    to k plus a constant, minus constant labels or fixed-offset notches,
+    together with fixed jumps of constant multiplicity.  The recognized form
+    is checked against the spec for every guarded label up to FORM_CHECK_TO
+    before it is returned: at each label the form's successor multiset and
+    the clause's description are compared as difference maps, which costs
+    O(jumps + notches + points + cuts) rather than O(k).
+    """
+    from .dsl import describe
+
+    form, reason = _walk_shape(spec)
+    if form is not None:
+        clause = spec.clauses[0]  # the only one, guarding every k from here on
+        floor = max([1 if spec.mode == "eco" else 0, *(a.c for a in clause.guard.atoms)])
+        for k in range(floor, FORM_CHECK_TO + 1):
+            diff = {}
+            _add_differences(diff, _form_description(form, k), 1)
+            _add_differences(diff, describe(clause, k), -1)
+            if any(diff.values()):
+                form, reason = None, "the recognized shape disagrees with the rules"
+                break
+    return (form, reason) if why else form
+
+
+def _walk_shape(spec):
+    """The unverified WalkForm the rule text spells out: (form, "") or
+    (None, reason)."""
+    from .dsl import _item_text, expr_affine, expr_text
+
+    if len(spec.clauses) != 1:
+        return None, f"{len(spec.clauses)} clauses, the shape needs one"
+    clause = spec.clauses[0]
+    if any(a.kind != "ge" for a in clause.guard.atoms):
+        return None, "guard is more than a lower bound on k"
+    if len(clause.intervals) != 1 or clause.intervals[0].step != 1:
+        return None, "the shape needs exactly one step-1 interval"
+    iv = clause.intervals[0]
+    lo, hi = expr_affine(iv.lo), expr_affine(iv.hi)
+    if lo is None or hi is None or lo[0] != 0 or hi[0] != 1 or lo[1] < 0:
+        return None, "interval does not run from a fixed base up to k plus a constant"
+    base, h = lo[1], hi[1]
+    jumps = Counter(range(h + 1))
+    offsets = set(range(1, -h)) if h < 0 else set()
+    low = set()
+    for e in iv.minus:
+        aff = expr_affine(e)
+        if aff is None or aff[0] not in (0, 1):
+            return None, f"exclusion {expr_text(e)} is neither constant nor k+c"
+        a, t = aff
+        if a == 0:
+            if t >= base:
+                low.add(t - base)
+        elif t >= 0:
+            # A notch inside the top block cancels that jump slot; above
+            # the block it never lands, so it is a no-op.
+            if t <= h and jumps[t] > 0:
+                jumps[t] -= 1
+        else:
+            offsets.add(-t)
+    for item in clause.items:
+        la, mu = expr_affine(item.label), expr_affine(item.mult)
+        if la is None or mu is None or la[0] != 1 or mu[0] != 0 or mu[1] < 0:
+            return None, f"item {_item_text(item)} is not a fixed jump from k"
+        jumps[la[1]] += mu[1]
+    start = spec.axiom - base
+    if start < 0:
+        return None, f"axiom {spec.axiom} lies below the interval base {base}"
+    form = WalkForm(
+        base=base,
+        jumps=tuple(sorted(jumps.elements())),
+        removed_offsets=frozenset(offsets),
+        removed_low=frozenset(low),
+        start_height=start,
+    )
+    return form, ""
+
+
+def _kernel_obstacle(form):
+    """Why the kernel route does not apply to a walk form, or None."""
+    if form.removed_low:
+        return "low exclusions are outside the kernel construction"
+    if form.start_height != 0:
+        return "kernel route needs the walk to start at height 0"
+    if not form.jumps or form.max_jump < 1:
+        return "no forward jump: the kernel is degenerate"
+    return None
 
 
 # ---------------------------------------------------------------------------

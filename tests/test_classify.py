@@ -37,9 +37,11 @@ from ecokit.dsl import (
     expand,
     match_clause,
     parse_spec,
+    validate_spec,
 )
-from ecokit import engine
+from ecokit import cli, engine, kernel
 from ecokit.engine import total_series
+from ecokit.errors import KernelError
 from ecokit.qpoly import QPoly
 
 
@@ -465,3 +467,81 @@ def interval_walk_specs(draw):
 @given(interval_walk_specs())
 def test_walk_form_check_matches_the_multiset_check(spec):
     assert factorial_form(spec) == multiset_checked_form(spec)
+
+
+def test_walk_form_names_are_the_kernels():
+    assert factorial_form is kernel.factorial_form
+    assert _walk_shape is kernel._walk_shape
+    assert FORM_CHECK_TO is kernel.FORM_CHECK_TO
+
+
+def walk_shape_note(spec):
+    report = build_report(spec, order=8)
+    return next(r.note for r in report.results if r.criterion == "interval-walk-shape")
+
+
+def kernel_refusal(form):
+    """build_kernel's error message for the form, or None if it builds."""
+    try:
+        kernel.build_kernel(form, 8)
+    except KernelError as exc:
+        return str(exc)
+    return None
+
+
+def test_a_walk_form_without_a_forward_jump_gets_the_kernels_reason(tmp_path, capsys):
+    # Every node keeps its label: the interval is empty at height 0, so the
+    # walk never moves, and the kernel has no top jump to solve with.
+    text = "system t { mode walk; axiom 0; rule always: interval(0, k-1), (k) x 1; }"
+    path = tmp_path / "t.eco"
+    path.write_text(text)
+    assert cli.run(["gf", "--file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: no forward jump: the kernel is degenerate\n")
+    note = walk_shape_note(parse_spec(text))
+    assert note == "recognized, but " + err.removeprefix("error: ").rstrip("\n")
+
+
+WALK_TEXTS = {
+    "no_forward_jump": "system t { mode walk; axiom 0; rule always: interval(0, k-1), (k) x 1; }",
+    "raised_start": "system t { mode walk; axiom 2; rule always: interval(0, k-1), (k+1) x 1; }",
+    **{e.name: e.text for e in ENTRIES},
+}
+
+
+def assert_note_follows_build_kernel(spec):
+    form = factorial_form(spec)
+    if form is None:
+        return
+    refusal = kernel_refusal(form)
+    want = "algebraic route applies" if refusal is None else f"recognized, but {refusal}"
+    assert walk_shape_note(spec) == want
+
+
+@pytest.mark.parametrize("name", WALK_TEXTS)
+def test_algebraic_route_applies_only_where_the_kernel_builds(name):
+    assert_note_follows_build_kernel(parse_spec(WALK_TEXTS[name]))
+
+
+@st.composite
+def walk_form_texts(draw):
+    """Walk-mode specs `interval(base, k-1, minus {...}), (k+j) x m, ...`
+    whose labels never leave [base, oo): notches below k, at most one low
+    exclusion, stay and upward jumps, and a start at or above the base."""
+    base = draw(st.integers(0, 2))
+    minus = [f"k-{d}" for d in sorted(draw(st.sets(st.integers(1, 3), max_size=2)))]
+    low = draw(st.sampled_from((None, None, None, 0, 1, 2)))
+    minus += [] if low is None else [str(base + low)]
+    jumps = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 2)), max_size=3))
+    parts = [f"interval({base}, k-1" + (f", minus {{{', '.join(minus)}}})" if minus else ")")]
+    parts += [f"(k+{j}) x {m}" for j, m in jumps]
+    axiom = base + draw(st.sampled_from((0, 0, 1)))
+    return f"system w {{ mode walk; axiom {axiom}; rule always: {', '.join(parts)}; }}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_form_texts())
+def test_walk_shape_note_follows_build_kernel_on_generated_forms(text):
+    spec = parse_spec(text)
+    assert validate_spec(spec).ok and factorial_form(spec) is not None
+    assert_note_follows_build_kernel(spec)

@@ -79,25 +79,56 @@ def test_count_sample_and_bench_load_no_analysis_module(child):
     ]
 
 
-def test_gf_from_a_file_loads_no_catalog(tmp_path):
-    # Only --system reads the catalog entry's closed form.
-    path = tmp_path / "catalan.eco"
-    path.write_text(catalog.get_entry("catalan").text)
+def loaded_by(*argv):
+    """(exit code, the ecokit modules loaded) of one CLI command run in a
+    fresh process."""
     script = (
         "import contextlib, io, json, sys\n"
         "from ecokit import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cli.run(['gf', '--file', {str(path)!r}, '--order', '10'])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('ecokit.'))]))\n"
+        f"    code = cli.run({list(argv)!r})\n"
+        "print(json.dumps([code, sorted(m[7:] for m in sys.modules if m.startswith('ecokit.'))]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(ecokit.__file__).parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert (done.returncode, done.stderr) == (0, "")
-    code, modules = json.loads(done.stdout)
-    assert code == 0 and "ecokit.kernel" in modules
-    assert "ecokit.catalog" not in modules
+    return tuple(json.loads(done.stdout))
+
+
+# What `kernel` runs on: the walk form it detects needs `dsl`, the series
+# arithmetic `qpoly` and `series`.
+GF_MODULES = ["cli", "dsl", "errors", "kernel", "qpoly", "series"]
+
+
+def test_gf_loads_only_the_kernel_route():
+    assert loaded_by("gf", "--system", "catalan", "--order", "10") == (
+        0,
+        ["catalog", *GF_MODULES],
+    )
+
+
+def test_gf_from_a_file_loads_no_catalog(tmp_path):
+    # Only --system reads the catalog entry's closed form.
+    path = tmp_path / "catalan.eco"
+    path.write_text(catalog.get_entry("catalan").text)
+    assert loaded_by("gf", "--file", str(path), "--order", "10") == (0, GF_MODULES)
+
+
+def test_catalog_json_loads_no_parser():
+    # The closed-form text comes from `kernel` and `ratfunc`; `kernel` loads
+    # `dsl` only when it detects a walk form.
+    assert loaded_by("catalog", "--format", "json") == (
+        0,
+        ["catalog", "cli", "errors", "kernel", "qpoly", "ratfunc", "series"],
+    )
+
+
+def test_catalog_verify_loads_no_detector_or_guesser():
+    code, modules = loaded_by("catalog", "--verify")
+    assert code == 0 and "kernel" in modules
+    assert "classify" not in modules and "guess" not in modules
 
 
 def test_star_import_binds_every_public_name_to_its_module_object(child):

@@ -10,6 +10,7 @@ levels all run.  Specs without intervals, propagated 10 to 25 levels deep,
 take range's class step on sparse levels too."""
 
 import re
+import tracemalloc
 from functools import cache
 from operator import add
 from random import Random
@@ -591,6 +592,21 @@ def test_row_fold_across_the_chunk_boundary(length):
         vals = [rng.choice((0, 1, rng.getrandbits(90))) for _ in range(length)]
         expected = sum(vals), sum((base + i) * v for i, v in enumerate(vals))
         assert engine._row_fold(base, vals) == expected
+
+
+def test_row_fold_keeps_one_chunk_of_partial_sums():
+    # 64 chunks of counts of about 4096 bits: a running sum over the whole
+    # row would hold all 16,384 partial sums at once (about 9.6 MB), the
+    # chunked fold one chunk of them (about 0.3 MB).
+    vals = [(1 << 4096) + i for i in range(64 * engine._FOLD_CHUNK)]
+    tracemalloc.start()
+    try:
+        got = engine._row_fold(5, vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (sum(vals), sum((5 + i) * v for i, v in enumerate(vals)))
+    assert peak < 2 * 2**20
 
 
 # ---------------------------------------------------------------------------
