@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 from .errors import CatalogError
@@ -495,7 +496,6 @@ ENTRIES = (
 
 
 _BY_NAME = {e.name: e for e in ENTRIES}
-_SPECS = {}
 
 
 def get_entry(name) -> CatalogEntry:
@@ -505,12 +505,11 @@ def get_entry(name) -> CatalogEntry:
         raise CatalogError(f"unknown system {name!r}; see `catalog` for the list")
 
 
+@cache
 def _spec_cache(name):
-    if name not in _SPECS:
-        from .dsl import parse_spec
+    from .dsl import parse_spec
 
-        _SPECS[name] = parse_spec(_BY_NAME[name].text)
-    return _SPECS[name]
+    return parse_spec(_BY_NAME[name].text)
 
 
 # ---------------------------------------------------------------------------

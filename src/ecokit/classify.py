@@ -444,16 +444,6 @@ class RadiusVerdict:
     probe: tuple
     reason: str
 
-    def to_json_obj(self):
-        return {
-            "holds": self.holds,
-            "back_width": self.back_width,
-            "slope": None if self.slope is None else str(self.slope),
-            "classes": list(self.classes),
-            "probe": [list(p) for p in self.probe],
-            "reason": self.reason,
-        }
-
 
 def _radius_zero(spec, closure):
     """The RadiusVerdict of the shrinking-return test, sweeping back_width

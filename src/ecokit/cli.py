@@ -281,10 +281,10 @@ def _cmd_gf(args):
     if args.window < 0:
         raise UsageError("--window must be nonnegative")
     name, spec = _load_valid_source(args)
-    form = factorial_form(spec)
+    form, why = factorial_form(spec, why=True)
     if form is None:
         print(
-            "error: the rule set is not an interval-with-jumps walk; "
+            f"error: the rule set is not an interval-with-jumps walk ({why}); "
             "the algebraic route does not apply (try `classify`)",
             file=sys.stderr,
         )

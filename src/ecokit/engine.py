@@ -111,7 +111,7 @@ import time
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate, chain, compress, count, islice, repeat
 from math import gcd, inf, lcm
 from operator import add, mul, sub
@@ -831,30 +831,10 @@ def _next_level_range(level, describe, plan, cap=None, pairs=None, fold=None, la
     return _level_of(nxt, plan), ops, lowered, moved
 
 
-# The labels whose descriptions the range step keeps (`_kept_below`) stop
-# here, so a spec guarded by `k <= c` for a large c keeps at most this many.
+# The range step keeps the descriptions of the labels it lowered last, at
+# most this many: a dense level lowers the labels below its class thresholds
+# one at a time on every visit.
 _KEPT_LABELS = 4096
-
-
-def _kept_below(describe, plan):
-    """`describe`, keeping the descriptions of the labels 0 <= k below the
-    highest class threshold of `plan` and below _KEPT_LABELS: a dense level
-    lowers these one at a time whenever it holds them."""
-    top = max((cls.threshold for cls in plan[1] if cls), default=0) if plan else 0
-    top = min(top, _KEPT_LABELS)
-    if top <= 0:
-        return describe
-    kept = {}
-
-    def lower(k):
-        if 0 <= k < top:
-            desc = kept.get(k)
-            if desc is None:
-                desc = kept[k] = describe(k)
-            return desc
-        return describe(k)
-
-    return lower
 
 
 def iter_levels(spec, n, method="auto", max_labels=None, stats=None):
@@ -963,10 +943,9 @@ def _levels(spec, n, method, max_labels, stats, label_sums):
         plan = _class_plan(spec)
         if any(c.intervals for c in spec.clauses):
             # A run's pairs would take its width, and levels can double in
-            # width per level (up to the label cap), so range describes a
-            # label again on each visit and keeps only the descriptions of
-            # the few labels below the class thresholds.
-            lower = _kept_below(describe, plan)
+            # width per level (up to the label cap), so range keeps only the
+            # descriptions of the labels it lowered last.
+            lower = lru_cache(maxsize=_KEPT_LABELS)(describe)
         else:
             # A point label's pairs are a few entries, NAIVE_PAIRS bounds
             # them all, and they stand in for a description with no runs.

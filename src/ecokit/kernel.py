@@ -10,9 +10,9 @@ exact:
 * factorial_form recognizes a spec's walk form; _kernel_obstacle, the one
   readiness test of build_kernel and `classify`, says why a form is refused;
 * build_kernel assembles K from the walk form and checks its shape;
-* kernel_gfs extracts S (Newton when b = 0, a Hensel lift otherwise), reads
-  off F(z,1), expands -S/K row by row for F(z,u) and the excursion column
-  F(z,0), and cross-checks the rows against F(z,1);
+* kernel_gfs extracts S by one Hensel lift for every b, reads off
+  F(z,1) = -S(z,1)/z, expands -S/K row by row for F(z,u) and the excursion
+  column F(z,0), and cross-checks the rows against F(z,1);
 * closed_form_check compares a series against a closed form: a square-root
   expression ("sqrt", num, disc, den) or the relation ("power", m).
 
@@ -29,12 +29,7 @@ from itertools import accumulate
 
 from .errors import KernelError
 from .qpoly import QPoly, _exact_all
-from .series import (
-    TruncSeries,
-    UPoly,
-    hensel_small_factor,
-    newton_series_root,
-)
+from .series import TruncSeries, UPoly, hensel_small_factor
 
 
 @dataclass(frozen=True)
@@ -146,24 +141,18 @@ def _divide_rows(kp, small, order):
 def kernel_gfs(kp, order=32, window=16):
     """All the generating functions one kernel yields, cross-verified.
 
-    The small factor comes from Newton iteration on the branch at u(0) = 1
-    when b = 0 and from a Hensel lift otherwise.  Every walk count must be a
+    The small factor S comes from a Hensel lift, and F(z,1) = -S(z,1)/z is
+    read off as a coefficient shift.  Every walk count must be a
     nonnegative integer, each row must sum to the matching F(z,1)
     coefficient, and the excursion column is reconciled against both printed
     single-formula variants.  The rows are checked and their low
     coefficients collected as they are divided, one row in memory at a time.
     """
-    K = kp.K.truncate(order)
-    if kp.b == 0:
-        root = newton_series_root(K, 1, order)
-        small = UPoly([-root, TruncSeries.one(order)])
-    else:
-        small, _ = hensel_small_factor(K, kp.b, order)
+    small, _ = hensel_small_factor(kp.K.truncate(order), kp.b, order)
     at_one = small.eval_scalar(1)
     if at_one[0] != 0:
         raise KernelError("small factor does not vanish at u = 1, z = 0")
-    z_series = TruncSeries.from_poly([0, 1], order)
-    f1 = -at_one / z_series
+    f1 = _over_z(at_one)
     f0, columns = [], [[] for _ in range(window + 1)]
     for n, row in enumerate(_divide_rows(kp, small, order)):
         for c in row.coeffs:
@@ -188,14 +177,19 @@ def kernel_gfs(kp, order=32, window=16):
     )
 
 
+def _over_z(s):
+    """-s/z for a series s with s[0] = 0: its coefficients shifted down by one
+    and negated, one order shorter."""
+    return TruncSeries._of([-c for c in s.coeffs[1:]])
+
+
 def _reconcile_excursions(kp, small, f0):
     """Which single-formula excursion variant reproduces the u^0 column:
     -S(z,0)/z, or -S(z,0) divided by the constant-term slice of K."""
     s_low = small.coeffs[0]
     matches = []
     if s_low[0] == 0:
-        via_z = -s_low / TruncSeries.from_poly([0, 1], s_low.order)
-        if via_z.agrees_with(f0):
+        if _over_z(s_low).agrees_with(f0):
             matches.append("-S(z,0)/z")
     p0 = Counter(kp.jumps).get(0, 0)
     denom = TruncSeries.from_poly([1, 1 - p0], s_low.order)

@@ -11,9 +11,10 @@ return the shortest order that is actually justified by the inputs
 
 `UPoly` is a polynomial in a second variable u whose coefficients are
 truncated series in z.  It is what kernel-method computations work with:
-Newton iteration finds the power-series root of the unit branch, and Hensel
-lifting splits off the monic small factor carrying all branches finite at
-z = 0.
+Hensel lifting splits off the monic small factor carrying all branches
+finite at z = 0, which the kernel route takes for every back width b.
+Newton iteration finds the power-series root of one simple branch; at b = 0
+that root U gives the small factor u - U by an independent route.
 """
 
 from __future__ import annotations

@@ -299,6 +299,11 @@ class TestGF:
         assert code == 1
         assert "algebraic route does not apply" in err
 
+    def test_refusal_names_the_detector_reason(self, capsys):
+        code, out, err = run(capsys, "gf", "--system", "bell")
+        assert (code, out) == (1, "")
+        assert "(the shape needs exactly one step-1 interval)" in err
+
     def test_kernel_report(self, capsys):
         code, out, _ = run(
             capsys, "gf", "--system", "schroeder", "--format", "json"

@@ -780,24 +780,31 @@ def test_layout_matches_the_reference_on_generated_specs(spec, n):
 
 
 def test_labels_below_the_thresholds_keep_their_descriptions(monkeypatch):
-    # Motzkin's one class starts at label 2, so label 1, lowered alone on
-    # every dense level, is described once; labels from 2 on every time, and
-    # so are all labels from _KEPT_LABELS on.
+    # Range keeps the last _KEPT_LABELS descriptions it made, so while a
+    # tree holds fewer labels each is described once.  Motzkin's one class
+    # starts at label 2, so label 1 is lowered alone on every dense level:
+    # keeping one description, the labels between evict it.
     spec = get_entry("motzkin").spec()
-    plan = engine._class_plan(spec)
-    describe, calls = describer(spec), []
+    calls = []
 
-    def counted(k):
-        calls.append(k)
-        return describe(k)
+    def counted(spec):
+        describe = describer(spec)
 
-    lower = engine._kept_below(counted, plan)
-    assert [lower(k) for k in (1, 1, 2, 2)] == [describe(k) for k in (1, 1, 2, 2)]
-    assert calls == [1, 2, 2]
+        def lower(k):
+            calls.append(k)
+            return describe(k)
+
+        return lower
+
+    monkeypatch.setattr(engine, "describer", counted)
+    want = list(iter_levels(spec, 30, "naive"))
+    calls.clear()
+    assert list(iter_levels(spec, 30, "range")) == want
+    assert sorted(calls) == sorted(set(calls))
     monkeypatch.setattr(engine, "_KEPT_LABELS", 1)
-    lower, calls[:] = engine._kept_below(counted, plan), []
-    lower(1), lower(1)
-    assert calls == [1, 1]
+    calls.clear()
+    assert list(iter_levels(spec, 30, "range")) == want
+    assert calls.count(1) > 1
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,16 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ecokit import kernel, series
 from ecokit.catalog import get_entry
 from ecokit.classify import factorial_form
 from ecokit.engine import iter_levels, total_series
 from ecokit.kernel import (
     KernelError,
+    WalkForm,
     build_kernel,
     closed_form_check,
     closed_form_series,
@@ -15,7 +19,7 @@ from ecokit.kernel import (
 )
 from ecokit.dsl import parse_spec
 from ecokit.qpoly import QPoly
-from ecokit.series import TruncSeries
+from ecokit.series import TruncSeries, UPoly, hensel_small_factor, newton_series_root
 
 KERNEL_SYSTEMS = (
     "catalan",
@@ -101,6 +105,51 @@ class TestKernelGFs:
         notched = kernel_gfs(build_kernel(form_of("walk_notch1"), 12), 12)
         assert flat.excursion_variant == "-S(z,0)/(1+(1-p0)z)"
         assert notched.excursion_variant == "-S(z,0)/z"
+
+
+def newton_small_factor(K, order):
+    """u - U(z) for the root U(0) = 1 of K: the small factor when b = 0."""
+    return UPoly([-newton_series_root(K, 1, order), TruncSeries.one(order)])
+
+
+class TestSmallFactorLift:
+    """At b = 0 the Hensel lift kernel_gfs runs must give the factor u - U
+    that Newton iteration on the unit branch gives, an independent route."""
+
+    @pytest.mark.parametrize("order", [2, 31, 120])
+    @pytest.mark.parametrize("name", [n for n in KERNEL_SYSTEMS if n != "walk_notch1"])
+    def test_lift_is_newton_on_catalog_kernels(self, name, order):
+        kp = build_kernel(form_of(name), order)
+        assert kp.b == 0
+        small, _ = hensel_small_factor(kp.K, 0, order)
+        assert small.coeffs == newton_small_factor(kp.K, order).coeffs
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        jumps=st.lists(st.integers(0, 4), min_size=1, max_size=5).filter(lambda j: max(j) >= 1),
+        order=st.integers(2, 30),
+    )
+    def test_lift_is_newton_on_generated_walks(self, jumps, order):
+        form = WalkForm(
+            base=0,
+            jumps=tuple(sorted(jumps)),
+            removed_offsets=frozenset(),
+            removed_low=frozenset(),
+            start_height=0,
+        )
+        kp = build_kernel(form, order)
+        small, _ = hensel_small_factor(kp.K, 0, order)
+        assert small.coeffs == newton_small_factor(kp.K, order).coeffs
+
+    @pytest.mark.parametrize("name", KERNEL_SYSTEMS)
+    def test_kernel_gfs_runs_without_newton(self, name, monkeypatch):
+        def no_newton(*args):
+            raise AssertionError("kernel_gfs called Newton")
+
+        monkeypatch.setattr(series, "newton_series_root", no_newton)
+        monkeypatch.setattr(kernel, "newton_series_root", no_newton, raising=False)
+        gf = kernel_gfs(build_kernel(form_of(name), 21), 21)
+        assert gf.F1.as_ints() == total_series(get_entry(name).spec(), 20)
 
 
 class TestClosedForms:
