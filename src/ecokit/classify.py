@@ -5,7 +5,9 @@ produces, and emits a closed-form generating function when the structure
 supports one:
 
 * finite label set          -> shortest recurrence of the level totals, of
-                               length at most the label count;
+                               length at most the label count, fitted to
+                               the naive engine's totals and re-checked
+                               against the range engine's;
 * affine label sum          -> order-2 rational form (child-count mode only);
 * parity-split label sum    -> order-3 rational form;
 * interval-plus-jumps shape -> walk form and kernel readiness, from `kernel`;
@@ -52,8 +54,8 @@ from .dsl import (
     _reachable_closure,
     class_view,
     describer,
-    expand,
     expr_affine,
+    expr_quotient,
     expr_text,
     residue_split,
 )
@@ -87,56 +89,27 @@ def _closure(spec):
     return describe_at, *_reachable_closure(spec, PROBE, describe_at)
 
 
-def transition_matrix(spec, labels, describe_at=None):
-    """pi[j][k]: how many k-successors a node labeled j has.
-
-    Requires the label set to be closed; in child-count mode each row must
-    sum to its own label.
-    """
-    describe_at = describe_at or describer(spec)
-    pi = {}
-    for j in sorted(labels):
-        desc = describe_at(j)
-        row = expand(desc)
-        stray = [k for k in row if k not in labels]
-        if stray:
-            raise ClassifyError(f"label {stray[0]} leaves the given label set")
-        if spec.mode == "eco" and _arity(desc) != j:
-            raise ClassifyError(f"label {j} does not have {j} successors")
-        pi[j] = row
-    return pi
-
-
 def rational_from_finite(spec, closure=None):
     """Exact totals generating function when finitely many labels occur.
 
     With d reachable labels, the level totals are u^T M^n v for the d x d
-    transition matrix M, so by Cayley-Hamilton they satisfy a recurrence of
-    length at most d.  The shortest one, found from 2d totals (iterating the
-    `transition_matrix` rows on an integer vector), is therefore the exact
-    generating function; it is re-expanded and checked against direct
-    propagation before returning.  `closure` is a report's `_closure(spec)`,
-    walked here when not given.
+    transfer matrix M, M[j][k] being the k-successors of a node labeled j,
+    so by Cayley-Hamilton they satisfy a recurrence of length at most d.
+    The shortest one, found from 2d totals of the naive engine, is
+    therefore the exact generating function; it is re-expanded and checked
+    against the range engine before returning.  In child-count mode every
+    label j must have j successors.  `closure` is a report's
+    `_closure(spec)`, walked here when not given.
     """
     describe_at, ordered, stop = closure or _closure(spec)
     if stop is not None:
         raise ClassifyError(f"label set not finite within probe: {stop.message}")
+    if spec.mode == "eco":
+        for j in ordered:
+            if _arity(describe_at(j)) != j:
+                raise ClassifyError(f"label {j} does not have {j} successors")
     d = len(ordered)
-    idx = {k: i for i, k in enumerate(ordered)}
-    pi = transition_matrix(spec, set(ordered), describe_at)
-    rows = [[(idx[k], m) for k, m in pi[j].items()] for j in ordered]
-    vec = [0] * d
-    vec[idx[spec.axiom]] = 1
-    terms = []
-    for _ in range(2 * d):
-        terms.append(sum(vec))
-        nxt = [0] * d
-        for row, c in zip(rows, vec):
-            if c:
-                for i, m in row:
-                    nxt[i] += c * m
-        vec = nxt
-    total = shortest_recurrence(terms, d)
+    total = shortest_recurrence(total_series(spec, 2 * d, method="naive"), d)
     if total is None:
         raise ClassifyError(f"level totals need a recurrence longer than {d} labels")
     check = 2 * max(total.num.degree, total.den.degree, 1) + 5
@@ -391,19 +364,10 @@ def linear_bound_check(spec):
         for item in clause.items:
             la = expr_affine(item.label)
             if la is None:
-                bt = item.label
-                arg = expr_affine(bt.args[0])
-                den = expr_affine(bt.args[-1])
-                if (
-                    bt.name != "ceil_div"
-                    or arg is None
-                    or den is None
-                    or arg[0] != 1
-                    or den[0] != 0
-                    or den[1] < 2
-                ):
-                    return LinearBound(False, reason=f"{expr_text(bt)} has no jump cap")
-                best = max(best, arg[1], 0)
+                quo = expr_quotient(item.label)
+                if quo is None or quo[0] != 1 or quo[2] < 2:
+                    return LinearBound(False, reason=f"{expr_text(item.label)} has no jump cap")
+                best = max(best, quo[1], 0)
             else:
                 a, t = la
                 if a >= 2:

@@ -295,9 +295,12 @@ def _cmd_gf(args):
 
         closed = get_entry(args.system).form
     report = gf_report(name, form, order=args.order, window=args.window, closed=closed)
+    # A closed form that disagrees with the kernel series fails either format.
+    cf = report.get("closed_form")
+    code = 0 if cf is None or cf["match"] else 1
     if args.format == "json":
         _emit_json({"command": "gf", **report})
-        return 0
+        return code
     kp = report["kernel"]
     print(f"system: {name}")
     print(
@@ -309,13 +312,10 @@ def _cmd_gf(args):
     print(f"all walks   F(z,1): {report['F1']}")
     print(f"excursions  F(z,0): {report['F0']}")
     print(f"excursion formula matched: {report['excursion_variant']}")
-    if "closed_form" in report:
-        cf = report["closed_form"]
+    if cf is not None:
         verdict = "matches" if cf["match"] else f"FAILS at z^{cf['first_mismatch']}"
         print(f"closed form {cf['form']}: {verdict}")
-        if not cf["match"]:
-            return 1
-    return 0
+    return code
 
 
 def _cmd_guess(args):

@@ -19,6 +19,7 @@ the rest past z^(N-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import mul
 
 from .dsl import SpecError, describer, eval_expr, expand
@@ -26,7 +27,7 @@ from .errors import ContFracError
 from .series import TruncSeries
 
 
-CHECK_TO = 60  # last level the multiplicities are checked or read on
+CHECK_TO = 60  # last level the multiplicities are checked on up front
 
 
 def _as_function(spec_or_callable):
@@ -73,24 +74,32 @@ class BirthDeathRule:
     @classmethod
     def from_spec(cls, spec):
         """Read the three multiplicities off a spec whose jumps all lie in
-        {-1, 0, +1}; any larger jump is an error."""
+        {-1, 0, +1}; any larger jump is an error.  Each label is read once,
+        when first asked for; the labels up to CHECK_TO are read here, so a
+        larger jump among them fails before any evaluation."""
         floor = 1 if spec.mode == "eco" else 0
         describe = describer(spec)
-        table = {}
-        for k in range(floor, CHECK_TO + 1):
+
+        @cache
+        def steps(k):
+            if k < floor:
+                return 0, 0, 0
             try:
                 succ = expand(describe(k))
             except SpecError:
-                continue  # below the guarded domain, so the label never occurs
+                return 0, 0, 0  # below the guarded domain, so the label never occurs
             stray = [j for j in succ if abs(j - k) > 1]
             if stray:
                 raise ContFracError(
                     f"label {k} rewrites to {stray[0]}, outside {{k-1, k, k+1}}"
                 )
-            table[k] = (succ.get(k - 1, 0), succ.get(k, 0), succ.get(k + 1, 0))
+            return succ.get(k - 1, 0), succ.get(k, 0), succ.get(k + 1, 0)
+
+        for k in range(floor, CHECK_TO + 1):
+            steps(k)
 
         def pick(i):
-            return lambda k: table[k][i] if k in table else 0
+            return lambda k: steps(k)[i]
 
         return cls(pick(0), pick(1), pick(2), spec.mode)
 

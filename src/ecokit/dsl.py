@@ -246,6 +246,17 @@ def expr_affine(e):
     return None
 
 
+def expr_quotient(e):
+    """(a, b, q) of a builtin label ceil_div(a*k + b, q) with a constant
+    divisor q >= 1, or None for any other builtin label."""
+    if e.name != "ceil_div":
+        return None
+    num, den = map(expr_affine, e.args)
+    if num is None or den is None or den[0] or den[1] < 1:
+        return None
+    return (*num, den[1])
+
+
 # ---------------------------------------------------------------------------
 # Lexer / parser
 

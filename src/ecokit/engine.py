@@ -124,7 +124,7 @@ from .dsl import (
     class_view,
     describer,
     expand,
-    expr_affine,
+    expr_quotient,
     residue_split,
 )
 
@@ -271,17 +271,6 @@ class _Class:
     widths: tuple
 
 
-def _quotient(label):
-    """(a, b, q) of a builtin label ceil_div(a*k + b, q) with a constant
-    divisor q >= 1, or None for any other builtin label."""
-    if label.name != "ceil_div":
-        return None
-    num, den = map(expr_affine, label.args)
-    if num is None or den is None or den[0] or den[1] < 1:
-        return None
-    return (*num, den[1])
-
-
 def _class_of(clauses, modulus, residue, floor):
     """The _Class of one residue class, or None when its labels must be
     lowered one at a time: no single open-ended clause guards it, a guard
@@ -302,7 +291,7 @@ def _class_of(clauses, modulus, residue, floor):
         if c < 0 or (c == 0 and d < 0):
             return None
         if isinstance(label, Builtin):
-            label = _quotient(label)
+            label = expr_quotient(label)
             if label is None:
                 return None
             a, b, q = label
@@ -339,7 +328,7 @@ def _class_plan(spec):
     steps = [a.m for c in spec.clauses for a in c.guard.atoms if a.kind == "mod"]
     steps += [iv.step for c in spec.clauses for iv in c.intervals]
     labels = [i.label for c in spec.clauses for i in c.items if isinstance(i.label, Builtin)]
-    divisors = [q // gcd(a, q) for a, _, q in filter(None, map(_quotient, labels))]
+    divisors = [q // gcd(a, q) for a, _, q in filter(None, map(expr_quotient, labels))]
     if lcm(*steps, *divisors) > _MAX_MODULUS:
         return None
     modulus, split = residue_split(spec.clauses)

@@ -23,7 +23,6 @@ from ecokit.classify import (
     rational_from_finite,
     rational_gf_affine,
     rational_gf_parity,
-    transition_matrix,
 )
 from ecokit.dsl import (
     Affine,
@@ -39,7 +38,7 @@ from ecokit.dsl import (
     parse_spec,
     validate_spec,
 )
-from ecokit import cli, engine, kernel
+from ecokit import classify, cli, engine, kernel
 from ecokit.engine import total_series
 from ecokit.errors import KernelError
 from ecokit.qpoly import QPoly
@@ -121,16 +120,27 @@ class TestFiniteLabels:
     def test_unbounded_systems_return_none(self):
         assert reachable_labels(spec_of("catalan")) is None
 
-    def test_transition_matrix_rows(self):
-        spec = spec_of("fibonacci")
-        pi = transition_matrix(spec, frozenset({1, 2}))
-        assert pi[1] == {2: 1}
-        assert pi[2] == {1: 1, 2: 1}
-
     def test_rational_solve_fibonacci(self):
         rf = rational_from_finite(spec_of("fibonacci"))
         assert rf.num == QPoly([1])
         assert rf.den == QPoly([1, -1, -1])
+
+    def test_naive_fit_is_rechecked_against_the_range_totals(self, monkeypatch):
+        # The recurrence is fitted to the naive engine's totals; range
+        # totals off by one at z^3 must still fail the solve.
+        methods = []
+
+        def off_by_one(spec, order, method="auto", max_labels=None):
+            methods.append(method)
+            terms = total_series(spec, order, method, max_labels)
+            if method != "naive":
+                terms[3] += 1
+            return terms
+
+        monkeypatch.setattr(classify, "total_series", off_by_one)
+        with pytest.raises(ClassifyError, match="^finite-label solve disagrees with propagation$"):
+            rational_from_finite(spec_of("fibonacci"))
+        assert methods == ["naive", "auto"]
 
     def test_rational_solve_rejects_unbounded(self):
         with pytest.raises(ClassifyError):

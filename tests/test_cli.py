@@ -217,6 +217,14 @@ class TestClassify:
             "invalid spec: [width] label 1 has 2147483649 successor labels, more than 100000\n"
         )
 
+    def test_finite_label_without_its_arity_is_rejected(self, capsys, tmp_path):
+        # classify does not run the validator on a file; the finite-label
+        # solve's arity guard rejects the spec.
+        path = tmp_path / "bad.eco"
+        path.write_text("system bad { mode eco; axiom 2; rule always: (2) x 1; }\n")
+        code, out, err = run(capsys, "classify", "--file", str(path))
+        assert (code, out, err) == (1, "", "error: label 2 does not have 2 successors\n")
+
     def test_csv_not_offered(self, capsys):
         code, _, err = run(
             capsys, "classify", "--system", "catalan", "--format", "csv"
@@ -318,6 +326,19 @@ class TestGF:
         code, out, err = run(capsys, "gf", "--system", "catalan", "--order", order)
         assert (code, out) == (2, "")
         assert "--order must be at least 2" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_closed_form_mismatch_exits_1(self, capsys, monkeypatch, fmt):
+        # (1 - sqrt(1-4z))/2 is z*C(z), not Catalan's F(z,1) = C(z).
+        wrong = dataclasses.replace(get_entry("catalan"), form=("sqrt", (1,), (1, -4), (2,)))
+        monkeypatch.setattr(catalog, "get_entry", lambda name: wrong)
+        code, out, err = run(capsys, "gf", "--system", "catalan", "--format", fmt)
+        assert (code, err) == (1, "")
+        if fmt == "json":
+            cf = json.loads(out)["closed_form"]
+            assert (cf["match"], cf["first_mismatch"]) == (False, 0)
+        else:
+            assert "closed form (1 - sqrt(1 - 4z))/(2): FAILS at z^0" in out
 
     def test_series_error_is_reported(self, capsys, monkeypatch):
         def broken(*args, **kwargs):

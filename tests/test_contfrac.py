@@ -44,6 +44,11 @@ class TestExcursions:
         got = cf_excursions(bessel_rule(), 26).as_ints()
         assert got == [levels[n].get(0, 0) for n in range(26)]
 
+    def test_from_spec_reads_labels_past_the_up_front_check(self):
+        # Order 160 nests to height 81, past CHECK_TO = 60.
+        exact = BirthDeathRule.from_functions(1, lambda k: k or 1, 1)
+        assert cf_excursions(bessel_rule(), 160) == cf_excursions(exact, 160)
+
     def test_growing_stay_rule(self):
         rule = BirthDeathRule.from_functions(1, lambda k: k + 1, 1)
         got = cf_excursions(rule, 8).as_ints()
