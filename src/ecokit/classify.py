@@ -22,7 +22,10 @@ the odd-label count, or the successors at or above k - b (the arity check in
 `dsl.validate_spec` folds the count).  Anything outside that fragment yields
 an honest "none" or "inconclusive", with the reason in the note, rather than
 a claim.  Every closed form is re-expanded and compared against direct
-propagation before it is reported.
+propagation before it is reported.  The child-count formulas (finite
+labels, affine and parity-split label sums in eco mode) assume that a
+label k has k successors, so each first checks that on every reachable
+label (`_check_arity`).
 
 A report walks the reachable labels once, with `dsl._reachable_closure` to
 `dsl.PROBE`: the label set counts as finite exactly when that walk
@@ -89,6 +92,15 @@ def _closure(spec):
     return describe_at, *_reachable_closure(spec, PROBE, describe_at)
 
 
+def _check_arity(closure):
+    """ClassifyError unless each reachable label k of `closure` has k
+    successors, as every child-count formula needs."""
+    describe_at, reach, _ = closure
+    for k in reach:
+        if _arity(describe_at(k)) != k:
+            raise ClassifyError(f"label {k} does not have {k} successors")
+
+
 def rational_from_finite(spec, closure=None):
     """Exact totals generating function when finitely many labels occur.
 
@@ -101,13 +113,12 @@ def rational_from_finite(spec, closure=None):
     label j must have j successors.  `closure` is a report's
     `_closure(spec)`, walked here when not given.
     """
-    describe_at, ordered, stop = closure or _closure(spec)
+    closure = closure or _closure(spec)
+    _, ordered, stop = closure
     if stop is not None:
         raise ClassifyError(f"label set not finite within probe: {stop.message}")
     if spec.mode == "eco":
-        for j in ordered:
-            if _arity(describe_at(j)) != j:
-                raise ClassifyError(f"label {j} does not have {j} successors")
+        _check_arity(closure)
     d = len(ordered)
     total = shortest_recurrence(total_series(spec, 2 * d, method="naive"), d)
     if total is None:
@@ -637,6 +648,7 @@ def build_report(spec, order=30):
     else:
         witness = {"alpha": aw.alpha, "beta": aw.beta}
         if spec.mode == "eco":
+            _check_arity(closure)
             add("affine-label-sum", "holds", witness, rational_gf_affine(aw, spec.axiom))
         else:
             note = "no totals formula outside child-count mode"
@@ -647,6 +659,7 @@ def build_report(spec, order=30):
         add("parity-label-sum", "none", note=why)
     else:
         witness = {k: getattr(pw, k) for k in ("alpha", "beta_even", "beta_odd", "odd_per_rule")}
+        _check_arity(closure)
         add("parity-label-sum", "holds", witness, rational_gf_parity(pw))
 
     form, why = factorial_form(spec, why=True)

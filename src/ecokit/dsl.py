@@ -614,19 +614,48 @@ def _expr_json(e):
     return {"affine": [e.a, e.b]}
 
 
+def _json_int(value, what):
+    """`value` when it is a JSON integer; true and false are not."""
+    if type(value) is not int:
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_field(obj, key, what, *default):
+    """obj[key] of the JSON object `obj`, or default[0] when key is absent
+    and a default is given."""
+    if type(obj) is not dict:
+        raise SpecError(f"{what} must be an object, got {obj!r}")
+    if key in obj:
+        return obj[key]
+    if default:
+        return default[0]
+    raise SpecError(f"{what} is missing field {key!r}")
+
+
+def _json_list(obj, key, what):
+    """The JSON array obj[key], empty when key is absent."""
+    value = _json_field(obj, key, what, [])
+    if type(value) is not list:
+        raise SpecError(f"{key} must be a list, got {value!r}")
+    return value
+
+
 def _expr_from_json(obj):
     if not isinstance(obj, dict):
         raise SpecError(f"bad expression node {obj!r}")
     if "const" in obj:
-        return Affine(a=0, b=int(obj["const"]))
+        return Affine(a=0, b=_json_int(obj["const"], "const"))
     if "affine" in obj:
-        a, b = obj["affine"]
-        return Affine(a=int(a), b=int(b))
+        pair = _json_list(obj, "affine", "expression")
+        if len(pair) != 2:
+            raise SpecError(f"affine needs [a, b], got {pair!r}")
+        return Affine(*(_json_int(x, "affine coefficient") for x in pair))
     if "builtin" in obj:
         name = obj["builtin"]
-        if name not in BUILTIN_ARITY:
+        if type(name) is not str or name not in BUILTIN_ARITY:
             raise SpecError(f"unknown builtin {name!r}")
-        args = tuple(_expr_from_json(a) for a in obj.get("args", ()))
+        args = tuple(map(_expr_from_json, _json_list(obj, "args", "expression")))
         if len(args) != BUILTIN_ARITY[name]:
             raise SpecError(f"{name} takes {BUILTIN_ARITY[name]} argument(s)")
         return Builtin(name=name, args=args)
@@ -646,16 +675,19 @@ def _atom_json(a):
 
 
 def _atom_from_json(obj):
-    kind = obj.get("kind")
+    kind = _json_field(obj, "kind", "guard atom")
     if kind in ("ge", "le"):
-        return GuardAtom(kind=kind, c=int(obj["c"]))
+        return GuardAtom(kind=kind, c=_json_int(_json_field(obj, "c", f"{kind} atom"), "c"))
     if kind == "mod":
-        m, r = int(obj["m"]), int(obj["r"])
+        m, r = (_json_int(_json_field(obj, key, "mod atom"), key) for key in "mr")
         if m <= 0 or not 0 <= r < m:
             raise SpecError("bad mod atom")
         return GuardAtom(kind="mod", m=m, r=r)
     if kind in ("pow2", "prime"):
-        return GuardAtom(kind=kind, negated=bool(obj.get("negated", False)))
+        negated = obj.get("negated", False)
+        if type(negated) is not bool:
+            raise SpecError(f"negated must be true or false, got {negated!r}")
+        return GuardAtom(kind=kind, negated=negated)
     raise SpecError(f"unknown guard atom kind {kind!r}")
 
 
@@ -690,9 +722,11 @@ def to_canonical_json(spec) -> str:
 
 
 def from_canonical_json(text) -> EcoSpec:
+    """The spec a `to_canonical_json` document holds; SpecError on any
+    malformed document, one with no rule clauses included."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("schema") != "ecospec/1":
         raise SpecError("missing or unsupported schema tag (want ecospec/1)")
@@ -701,30 +735,28 @@ def from_canonical_json(text) -> EcoSpec:
             raise SpecError(f"missing field {key!r}")
     if obj["mode"] not in ("eco", "walk"):
         raise SpecError(f"bad mode {obj['mode']!r}")
+    if type(obj["name"]) is not str:
+        raise SpecError(f"name must be a string, got {obj['name']!r}")
     clauses = []
-    for c in obj["clauses"]:
-        guard = Guard(tuple(_atom_from_json(a) for a in c.get("guard", ())))
+    for c in _json_list(obj, "clauses", "spec"):
+        guard = Guard(tuple(map(_atom_from_json, _json_list(c, "guard", "clause"))))
         items = tuple(
-            Item(label=_expr_from_json(i["label"]), mult=_expr_from_json(i["mult"]))
-            for i in c.get("items", ())
+            Item(*(_expr_from_json(_json_field(i, key, "item")) for key in ("label", "mult")))
+            for i in _json_list(c, "items", "clause")
         )
         intervals = []
-        for iv in c.get("intervals", ()):
-            step = int(iv.get("step", 1))
+        for iv in _json_list(c, "intervals", "clause"):
+            lo, hi = (_expr_from_json(_json_field(iv, key, "interval")) for key in ("lo", "hi"))
+            step = _json_int(iv.get("step", 1), "step")
             if step <= 0:
                 raise SpecError("interval step must be positive")
-            intervals.append(
-                Interval(
-                    lo=_expr_from_json(iv["lo"]),
-                    hi=_expr_from_json(iv["hi"]),
-                    step=step,
-                    minus=tuple(_expr_from_json(e) for e in iv.get("minus", ())),
-                )
-            )
+            minus = tuple(map(_expr_from_json, _json_list(iv, "minus", "interval")))
+            intervals.append(Interval(lo=lo, hi=hi, step=step, minus=minus))
         clauses.append(RuleClause(guard=guard, items=items, intervals=tuple(intervals)))
-    return EcoSpec(
-        name=str(obj["name"]), mode=obj["mode"], axiom=int(obj["axiom"]), clauses=tuple(clauses)
-    )
+    if not clauses:
+        raise SpecError("spec has no rule clauses")
+    axiom = _json_int(obj["axiom"], "axiom")
+    return EcoSpec(name=obj["name"], mode=obj["mode"], axiom=axiom, clauses=tuple(clauses))
 
 
 # ---------------------------------------------------------------------------

@@ -75,34 +75,35 @@ clause.  Without a label cap, propagation still stops (marked truncated)
 before a run wider than ``dsl.MAX_SUCCESSORS``, and before its cached
 pairs pass ``NAIVE_PAIRS`` when it keeps them; see ``stop_text``.
 
-The back table's closure (``_closure``) holds the labels reachable at each
-depth, each layer a ``Row`` whose flags and counts are one bytes object of
-0/1 when dense, else a dict of ones, and keeps each dense layer's
-``_dense_layout``.  Its first layers are the range step of the one before
-on levels of ones.  That step's support F is a union over labels, and it
-grows with its layer, so once a layer R_d holds R_{d-p} for a period p of
-1, 2 or 3, so does every later one, and R_{d+1} is R_{d+1-p} plus
-F(R_d - R_{d-p}): only the labels a layer gained are described
-(semi-naive evaluation).  A Row grows by one slice write of the earlier
-layer's flags, a dict by the gained labels; a layer that gains nothing is
-the earlier layer itself, with its layout.  A Row that gained more than
+The back table's closure (``_closure``) returns the labels reachable at
+each depth, and only those: each layer a ``Row`` whose flags and counts are
+one bytes object of 0/1 when dense, else a dict of ones.  Its first layers
+are the range step of the one before on levels of ones.  That step's
+support F is a union over labels, and it grows with its layer, so once a
+layer R_d holds R_{d-p} for a period p of 1, 2 or 3, so does every later
+one, and R_{d+1} is R_{d+1-p} plus F(R_d - R_{d-p}): only the labels a
+layer gained are described (semi-naive evaluation), each run of a gained
+label read on its own, less its own cuts.  A Row grows by one slice write
+of the earlier layer's flags, a dict by the gained labels; a layer that
+gains nothing is the earlier layer itself.  A Row that gained more than
 1/``_GAIN_RATIO`` of its labels, and every layer of a closure that never
 nests, takes the full step.
-``back_table`` builds each row from that layout as the transpose of the
-step: on a dense layer each batched residue class reads a point as one
-strided slice of the padded previous row times its affine multiplicity, a
-run as the difference of two strided slices of its per-(step, residue)
-prefix array, and a removed label as a strided slice taken away, and
-writes its counts as one strided slice of a ``Row`` over the layer's
-flags.  Other labels are lowered one at a time, each run summed from the
-same kind of prefix sums, into a dict row.  The table stops, raising
-``TableBudgetError``, before its cells (charged ``_CELL_BITS`` each in the
-closure) plus the bits of its counts pass ``BACK_BITS``.  ``WalkSampler``
-reuses the closure's cached descriptions and memoizes a flat draw entry per
-(label, remaining depth): the total, its bit length, the successor labels
-and the prefix sums of their weights, read from a ``Row``'s list by index.
-It draws with the ``getrandbits`` rejection loop that ``Random.randrange``
-runs, so a seed gives the same walks as one ``randrange`` per step.
+``back_table`` lays out each dense layer (``_dense_layout``) when it builds
+that layer's row, the transpose of the step: each batched residue class
+reads a point as one strided slice of the padded previous row times its
+affine multiplicity, a run as the difference of two strided slices of its
+per-(step, residue) prefix array, and a removed label as a strided slice
+taken away, and writes its counts as one strided slice of a ``Row`` over
+the layer's flags.  Other labels are lowered one at a time, each run summed
+from the same kind of prefix sums, into a dict row.  The table stops,
+raising ``TableBudgetError``, before its cells (charged ``_CELL_BITS`` each
+in the closure) plus the bits of its counts pass ``BACK_BITS``.
+``WalkSampler`` reuses the closure's cached descriptions and memoizes a
+flat draw entry per (label, remaining depth): the total, its bit length,
+the successor labels and the prefix sums of their weights, read from a
+``Row``'s list by index.  It draws with the ``getrandbits`` rejection loop
+that ``Random.randrange`` runs, so a seed gives the same walks as one
+``randrange`` per step.
 """
 
 from __future__ import annotations
@@ -778,7 +779,7 @@ def _class_step(level, plan, pairs, fold):
     return nxt, ops, lowered, moved
 
 
-def _next_level_range(level, describe, plan, cap=None, pairs=None, fold=None, layouts=None):
+def _next_level_range(level, describe, plan, cap=None, pairs=None, fold=None):
     """(next level, update ops, labels lowered one at a time, the next
     level's fold or None).
 
@@ -786,9 +787,7 @@ def _next_level_range(level, describe, plan, cap=None, pairs=None, fold=None, la
     `plan` (from `_class_plan`) unless its layout is None; any other level
     is lowered label by label.  The next level is a Row (flags = vals) when
     `_is_dense` holds for its labels, else a dict.  _OverCap, before any
-    label is written, when a single run is wider than `cap` labels.  With
-    `layouts`, a list, the level's `_dense_layout` (None for a level lowered
-    label by label) is appended to it.
+    label is written, when a single run is wider than `cap` labels.
 
     With `pairs`, naive's cached (label, mult) pairs of a spec without
     intervals, a level that does not take `_dense_core` is not described
@@ -797,12 +796,8 @@ def _next_level_range(level, describe, plan, cap=None, pairs=None, fold=None, la
     through `_class_step`.  `_dense_core` and `_class_step` read the level's
     `fold` (total, label sum or None) and give the next level's from it
     when its one batched class has `moments`; every other route gives None."""
-    layout = None
     # Row is a Mapping, so isinstance would run the abc check on every level.
-    if type(level) is Row:
-        layout = _dense_layout(level.vals, level.base, plan, describe, cap)
-    if layouts is not None:
-        layouts.append(layout)
+    layout = _dense_layout(level.vals, level.base, plan, describe, cap) if type(level) is Row else None
     if layout is not None:
         nxt, low, ops, lowered, moved = _dense_core(layout, plan, fold)
         base, vals, size, dense = _trim(nxt, low, plan)
@@ -1066,38 +1061,17 @@ def _missing(prior, lo, last, step):
 
 def _gained(delta, prior, describe, cap):
     """The labels outside the layer `prior` that the labels `delta` reach:
-    their points, and each run's labels less its own cuts.  The runs of one
-    (step, residue) grid are merged before `_missing` scans them, and a cut
-    label they reach stays only when a point reaches it or a run that does
-    not cut it covers it.  _OverCap when a run is wider than `cap` labels."""
-    points, runs = set(), []
-    for k in delta:
-        pairs, own = describe(k)
-        if cap is not None:
-            _check_runs(own, cap)
-        points.update(j for j, _ in pairs)
-        runs += own
-    grids = {}
-    for lo, last, step, _ in runs:
-        grids.setdefault((step, lo % step), []).append((lo, last))
+    their points, and each run's labels less that run's own cuts, read one
+    run at a time by `_missing`.  _OverCap when a run is wider than `cap`
+    labels."""
     got = set()
-    for (step, _), spans in grids.items():
-        spans.sort()
-        lo, last = spans[0]
-        for a, b in spans[1:]:
-            if a > last + step:
-                got.update(_missing(prior, lo, last, step))
-                lo = a
-            last = max(last, b)
-        got.update(_missing(prior, lo, last, step))
-    cut = {j for *_, cuts in runs for j in cuts}
-    for j in (got & cut) - points:
-        if not any(
-            lo <= j <= last and not (j - lo) % step and j not in cuts
-            for lo, last, step, cuts in runs
-        ):
-            got.discard(j)
-    got.update(j for j in points if j not in prior)
+    for k in delta:
+        points, runs = describe(k)
+        if cap is not None:
+            _check_runs(runs, cap)
+        got.update(j for j, _ in points if j not in prior)
+        for lo, last, step, cuts in runs:
+            got.update(set(_missing(prior, lo, last, step)).difference(cuts))
     return got
 
 
@@ -1121,22 +1095,21 @@ def _grown(prior, gained, plan):
 
 
 def _closure(spec, n, max_labels, describe, plan):
-    """(layers R_0..R_n, layouts): R_d holds the labels reachable in d
-    steps, each with count 1, and layouts[d] is the `_dense_layout` of R_d
-    (None for a dict, or a Row too sparse to lay out) for d < n.
+    """The layers R_0..R_n: R_d holds the labels reachable in d steps, each
+    with count 1.
 
     Each layer is the range step of the one before, batched by `plan`, with
     its counts reset to 1 (`_ones`), until R_{d-p} is within R_d for a
     period p of _PERIODS.  The step's support F is a union over labels, so
     from then on R_{d+1} = R_{d+1-p} + F(D_d), with D_d = R_d - R_{d-p} the
     labels R_d gained (`_gained`): only those are described.  A layer that
-    gains nothing is R_{d+1-p} itself, with its layout.  A Row that gained
-    more than 1/_GAIN_RATIO of its labels takes the full step.
+    gains nothing is R_{d+1-p} itself.  A Row that gained more than
+    1/_GAIN_RATIO of its labels takes the full step.
 
     LabelCapError when a layer would hold more than max_labels labels;
     TableBudgetError when the layers' cells, charged _CELL_BITS each, pass
     BACK_BITS.  Both name the last layer that fit."""
-    layers, layouts = [{spec.axiom: 1}], []
+    layers = [{spec.axiom: 1}]
     cells, period, gained = 1, None, None
     for depth in range(1, n + 1):
         layer = layers[-1]
@@ -1146,20 +1119,13 @@ def _closure(spec, n, max_labels, describe, plan):
             if period is None or type(layer) is Row and (
                 len(layer) - len(older)
             ) * _GAIN_RATIO > len(layer):
-                level = _ones(_next_level_range(layer, describe, plan, max_labels, layouts=layouts)[0])
+                level = _ones(_next_level_range(layer, describe, plan, max_labels)[0])
                 if period is None:
                     period = next((p for p in _PERIODS[:depth] if _within(layers[-p], level)), None)
                 gained = None
             else:
                 if gained is None:
                     gained = [k for k in layer if k not in older]
-                if layer is older:
-                    layout = layouts[-period]
-                elif type(layer) is Row:
-                    layout = _dense_layout(layer.flags, layer.base, plan, describe, max_labels)
-                else:
-                    layout = None
-                layouts.append(layout)
                 prior = layers[-period]
                 if gained:
                     gained = _gained(gained, prior, describe, max_labels)
@@ -1172,7 +1138,7 @@ def _closure(spec, n, max_labels, describe, plan):
         if cells * _CELL_BITS > BACK_BITS:
             raise TableBudgetError(depth - 1)
         layers.append(level)
-    return layers, layouts
+    return layers
 
 
 def _split(pairs):
@@ -1196,10 +1162,8 @@ def _run_sum(row, prefix, lo, last, step):
 
 
 def _sparse_row(labels, prev, describe):
-    """{k: sum of prev over the successors of k} for k in labels, one label
-    at a time."""
-    if isinstance(prev, Row):
-        prev = dict(prev.items())
+    """{k: sum of prev, a dict or a Row, over the successors of k} for k in
+    labels, one label at a time."""
     prefix, row = {}, {}
     # Every successor of a label in the layer is a label of prev; a cut
     # label may be missing from it.
@@ -1225,17 +1189,20 @@ def _padded(prev, low, high):
     return vals
 
 
-def _dense_row(layer, layout, prev, plan):
+def _dense_row(layer, prev, plan, describe):
     """The row of `_sparse_row` on a closure layer as a Row, the transpose
-    of `_dense_core` on the `_dense_layout` the layer was stepped with, or
-    None when that layout is None (the layer is a dict, or was too sparse
-    to lay out).
+    of `_dense_core` on the layer's `_dense_layout`, or None when the layer
+    is a dict or too sparse to lay out.
 
     prev becomes a zero-padded list; each batched class reads a point as one
     strided slice times its multiplicity, a run as the difference of two
     strided slices of a per-(step, residue) prefix array and a removed label
     as a strided slice taken away, and writes its counts as one strided
     slice of the row."""
+    if type(layer) is not Row:
+        return None
+    # The closure checked every run against the label cap.
+    layout = _dense_layout(layer.flags, layer.base, plan, describe, None)
     if layout is None:
         return None
     base, flags = layer.base, layer.flags
@@ -1305,15 +1272,17 @@ def back_table(spec, n, max_labels=None):
     """g[m][k] = walks of length m starting at label k, for k reachable at depth n-m.
 
     g[n][axiom] equals the level-n total of count_levels, which gives an
-    independent route to the same number.  LabelCapError when a closure
-    layer would hold more than `max_labels` labels, TableBudgetError when
-    the table would pass BACK_BITS; each names the last closure layer or
-    table row that fit.  The rows come back as a BackTable.
+    independent route to the same number.  The closure gives only its
+    layers; each row on a dense layer lays that layer out itself
+    (`_dense_row`), so layout time counts as rows.  LabelCapError when a
+    closure layer would hold more than `max_labels` labels, TableBudgetError
+    when the table would pass BACK_BITS; each names the last closure layer
+    or table row that fit.  The rows come back as a BackTable.
     """
     describe = cache(describer(spec))
     t0 = time.perf_counter()
     plan = _class_plan(spec)
-    layers, layouts = _closure(spec, n, max_labels, describe, plan)
+    layers = _closure(spec, n, max_labels, describe, plan)
     t1 = time.perf_counter()
     cells = sum(map(len, layers))
     # The bottom row is layer n: its counts are all 1, one bit each.
@@ -1321,7 +1290,7 @@ def back_table(spec, n, max_labels=None):
     charged = _CELL_BITS * cells + len(layers[n])
     for m in range(1, n + 1):
         layer, prev = layers[n - m], g[-1]
-        row = _dense_row(layer, layouts.pop(), prev, plan)
+        row = _dense_row(layer, prev, plan, describe)
         if row is None:
             row = _sparse_row(layer, prev, describe)
             charged += sum(map(int.bit_length, row.values()))

@@ -182,6 +182,37 @@ class TestAffineLabelSum:
     def test_no_witness_when_sum_is_quadratic(self):
         assert affine_sigma(spec_of("catalan")) is None
 
+    @pytest.mark.parametrize(
+        "rules, alpha, beta",
+        [
+            # Labels 1 and 2: the sum is fitted through both.
+            ("rule k <= 1: (2) x 1; rule k >= 2 and k <= 2: (1) x 1, (2) x 1;", 1, 1),
+            # Label 1 alone: the fit is the line through the origin.
+            ("rule k <= 1: (1) x 1;", 1, 0),
+        ],
+        ids=["two-labels", "one-label"],
+    )
+    def test_bounded_clauses_fit_the_finite_label_form(self, rules, alpha, beta):
+        # With every clause bounded there is no tail class to read the sum
+        # from, so it is fitted through the lowest reachable labels; the
+        # closed form must be the finite-label route's.
+        spec = parse_spec(f"system b {{ mode eco; axiom 1; {rules} }}")
+        closure = _closure(spec)
+        witness, why = _affine_sigma(spec, closure)
+        assert (witness.alpha, witness.beta, why) == (alpha, beta, "")
+        rf = rational_gf_affine(witness, spec.axiom)
+        assert rf == rational_from_finite(spec, closure)
+        assert engine_match(rf, spec)
+
+    def test_bounded_clauses_past_the_probe_have_no_witness(self):
+        # Every clause is bounded, yet the walk climbs past the probe before
+        # it runs out of rules: there are no labels to fit the sum through.
+        spec = parse_spec("system up { mode walk; axiom 0; rule k <= 300: (k+1) x 1; }")
+        assert _affine_sigma(spec, _closure(spec)) == (
+            None,
+            "every clause is bounded, yet label 201 is beyond probe 200",
+        )
+
 
 class TestParityLabelSum:
     def test_parity_witness_and_form(self):

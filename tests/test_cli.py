@@ -225,6 +225,25 @@ class TestClassify:
         code, out, err = run(capsys, "classify", "--file", str(path))
         assert (code, out, err) == (1, "", "error: label 2 does not have 2 successors\n")
 
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            "rule k >= 1: (k) x 1, (k+1) x 1;",
+            "rule k >= 1 and k mod 2 == 0: (k+1) x 1, (k) x 1;"
+            " rule k >= 1 and k mod 2 == 1: (k+1) x 1, (k+2) x 1;",
+        ],
+        ids=["affine", "parity"],
+    )
+    def test_label_sum_without_its_arity_is_rejected(self, capsys, tmp_path, rules):
+        # The labels are infinite, but the label sum is 2k + 1, or 2k + 1 and
+        # 2k + 3 by parity with one odd successor: the closed form's arity
+        # guard rejects the spec before its child-count formula is checked
+        # against propagation.
+        path = tmp_path / "bad.eco"
+        path.write_text(f"system bad {{ mode eco; axiom 1; {rules} }}\n")
+        code, out, err = run(capsys, "classify", "--file", str(path))
+        assert (code, out, err) == (1, "", "error: label 1 does not have 1 successors\n")
+
     def test_csv_not_offered(self, capsys):
         code, _, err = run(
             capsys, "classify", "--system", "catalan", "--format", "csv"

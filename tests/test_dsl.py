@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -199,6 +200,77 @@ class TestRoundTrips:
     def test_json_rejects_wrong_schema(self):
         with pytest.raises(SpecError):
             from_canonical_json('{"schema": "other/9"}')
+
+    @pytest.mark.parametrize("entry", ENTRIES, ids=[e.name for e in ENTRIES])
+    def test_catalog_json_roundtrip_is_byte_stable(self, entry):
+        blob = to_canonical_json(entry.spec())
+        assert to_canonical_json(from_canonical_json(blob)) == blob
+
+
+# A canonical document with an item, a ge atom and an interval.
+JSON_BASE = {
+    "schema": "ecospec/1", "name": "t", "mode": "eco", "axiom": 1,
+    "clauses": [{
+        "guard": [{"kind": "ge", "c": 1}],
+        "items": [{"label": {"affine": [1, 1]}, "mult": {"const": 1}}],
+        "intervals": [{"lo": {"const": 1}, "hi": {"affine": [1, 0]}, "step": 1, "minus": []}],
+    }],
+}
+DROP = object()
+ITEM = ("clauses", 0, "items", 0)
+INTERVAL = ("clauses", 0, "intervals", 0)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        pytest.param(("clauses",), [1], id="clause-not-object"),
+        pytest.param(("clauses",), [], id="no-clauses"),
+        pytest.param(("clauses",), {}, id="clauses-not-list"),
+        pytest.param(("clauses", 0, "items"), [1], id="item-not-object"),
+        pytest.param(("clauses", 0, "guard"), {"kind": "ge", "c": 1}, id="guard-not-list"),
+        pytest.param((*ITEM, "mult"), DROP, id="item-without-mult"),
+        pytest.param((*ITEM, "label"), DROP, id="item-without-label"),
+        pytest.param(("clauses", 0, "guard", 0, "c"), DROP, id="ge-without-c"),
+        pytest.param(("clauses", 0, "guard", 0), {"kind": "mod", "m": True, "r": 0}, id="bool-modulus"),
+        pytest.param(("clauses", 0, "guard", 0), {"kind": "prime", "negated": 1}, id="int-negated"),
+        pytest.param(("name",), 5, id="int-name"),
+        pytest.param(("axiom",), "a", id="string-axiom"),
+        pytest.param(("axiom",), 2.7, id="float-axiom"),
+        pytest.param(("axiom",), True, id="bool-axiom"),
+        pytest.param((*ITEM, "label", "affine"), [1], id="short-affine"),
+        pytest.param((*ITEM, "label", "affine"), ["1", 0], id="string-affine"),
+        pytest.param((*ITEM, "mult", "const"), 2.9, id="float-const"),
+        pytest.param((*ITEM, "mult", "const"), True, id="bool-const"),
+        pytest.param((*ITEM, "label"), {"builtin": ["pow"], "args": []}, id="list-builtin"),
+        pytest.param((*ITEM, "label"), {"builtin": "pow2", "args": {}}, id="args-not-list"),
+        pytest.param((*INTERVAL, "step"), 1.0, id="float-step"),
+        pytest.param((*INTERVAL, "hi"), DROP, id="interval-without-hi"),
+        pytest.param((*INTERVAL, "minus"), [7], id="bad-minus"),
+    ],
+)
+def test_malformed_json_raises_spec_error(path, value):
+    doc = json.loads(json.dumps(JSON_BASE))
+    assert from_canonical_json(json.dumps(doc)).axiom == 1
+    *head, key = path
+    node = doc
+    for part in head:
+        node = node[part]
+    if value is DROP:
+        del node[key]
+    else:
+        node[key] = value
+    with pytest.raises(SpecError):
+        from_canonical_json(json.dumps(doc))
+
+
+def test_deeply_nested_json_raises_spec_error():
+    # The JSON decoder gives up on deep nesting with RecursionError.
+    label = '{"builtin": "next_prime", "args": [' * 5000 + '{"const": 1}' + "]}" * 5000
+    doc = json.dumps(JSON_BASE).replace('{"affine": [1, 1]}', label)
+    assert label in doc
+    with pytest.raises(SpecError):
+        from_canonical_json(doc)
 
 
 class TestValidation:

@@ -24,7 +24,7 @@ def spec_of(name):
 
 def closure_layers(spec, n, max_labels=None):
     """The back table's closure layers R_0..R_n as sets of labels."""
-    layers, _ = engine._closure(spec, n, max_labels, cache(describer(spec)), engine._class_plan(spec))
+    layers = engine._closure(spec, n, max_labels, cache(describer(spec)), engine._class_plan(spec))
     return [set(layer) for layer in layers]
 
 

@@ -140,7 +140,7 @@ def recount_ops(spec, levels):
 
 def closure_layers(spec, n):
     """The back table's closure layers R_0..R_n as sets of labels."""
-    layers, _ = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
+    layers = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
     return [set(layer) for layer in layers]
 
 
@@ -190,7 +190,7 @@ def test_engine_routes_agree(spec, n, seed, cap):
         recount = recount_auto_points(spec, naive[:-1])
         assert (ranged_stats["update_ops"], ranged_stats["fallback_labels"]) == recount
     plan = engine._class_plan(spec)
-    layers, _ = engine._closure(spec, n, None, cache(describer(spec)), plan)
+    layers = engine._closure(spec, n, None, cache(describer(spec)), plan)
     assert [set(layer) for layer in layers] == [set(level) for level in naive]
     # One rule: a range level and a closure layer are Rows exactly when
     # `_is_dense` holds for their labels (at least _ROW_MIN_LABELS of them),
@@ -331,6 +331,48 @@ def test_point_rule_levels_step_by_class(spec, n):
     # A level the cap drops was still stepped, and its work is counted.
     stepped = naive if stats.get("truncated") else naive[:-1]
     assert (stats["update_ops"], stats["fallback_labels"]) == recount_auto_points(spec, stepped)
+
+
+# The even labels are one batched class; the odd ones step to next_prime(k),
+# which `_class_of` does not batch, so their class of the plan is None.
+UNBATCHED = parse_spec(
+    "system unbatched { mode walk; axiom 1;\n"
+    " rule k mod 2 == 0: (2*k+1) x 1, (k+1) x 1;\n"
+    " rule k mod 2 == 1: (next_prime(k)) x 1, (2*k) x 1; }\n"
+)
+
+
+def test_an_unbatched_class_of_a_dict_level_is_lowered_alone(monkeypatch):
+    modulus, classes = engine._class_plan(UNBATCHED)
+    assert modulus == 2 and classes[0] is not None and classes[1] is None
+    # (level, labels it lowered one at a time) per `_class_step`: the first
+    # `_next_level_naive` call of a class step lowers its lone labels.
+    seen = []
+    naive_step, class_step = engine._next_level_naive, engine._class_step
+
+    def spy_naive(level, succ):
+        if seen and seen[-1][1] is None:
+            seen[-1] = seen[-1][0], set(level)
+        return naive_step(level, succ)
+
+    def spy_class_step(level, *args):
+        seen.append((level, None))
+        return class_step(level, *args)
+
+    monkeypatch.setattr(engine, "_next_level_naive", spy_naive)
+    monkeypatch.setattr(engine, "_class_step", spy_class_step)
+    n, cap = 14, 2000
+    ranged = count_levels(UNBATCHED, n, "range", cap, label_sums=True)
+    monkeypatch.undo()
+    naive = count_levels(UNBATCHED, n, "naive", cap, label_sums=True)
+    assert (ranged.totals, ranged.label_sums, ranged.stats["update_ops"]) == (
+        naive.totals, naive.label_sums, naive.stats["update_ops"]
+    )
+    assert len(seen) >= 4
+    for level, lowered in seen:
+        assert type(level) is dict and len(level) >= engine._ROW_MIN_LABELS
+        odd = {k for k in level if k % 2}
+        assert odd and odd <= lowered
 
 
 @st.composite
@@ -733,9 +775,9 @@ def test_layout_matches_the_reference_on_every_entry(name):
     seen = set()
     compare_layouts(iter_levels(spec, 80, "range", engine.LABEL_CAP), plan, describe, seen)
     try:
-        layers, _ = engine._closure(spec, 80, engine.LABEL_CAP, describe, plan)
+        layers = engine._closure(spec, 80, engine.LABEL_CAP, describe, plan)
     except engine.LabelCapError:
-        layers, _ = engine._closure(spec, 15, engine.LABEL_CAP, describe, plan)
+        layers = engine._closure(spec, 15, engine.LABEL_CAP, describe, plan)
     compare_layouts(layers, plan, describe, seen)
     if name in ("catalan", "motzkin", "ceil_half", "parity_three_odd"):
         assert {"zero ends", "trimmed", "slice at its threshold"} <= seen
@@ -865,7 +907,7 @@ def test_ceil_half_is_batched():
     assert table.stats["fallback_labels"] <= n + small
     g = back_table(spec, n)
     assert g == reference_back_table(spec, levels)
-    layers, _ = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
+    layers = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
     sizes = [len(layer) for layer in reversed(layers)]
     wide = [m for m, size in enumerate(sizes) if size >= engine._ROW_MIN_LABELS]
     assert len(wide) > n - 2 * engine._ROW_MIN_LABELS
@@ -873,32 +915,32 @@ def test_ceil_half_is_batched():
 
 
 @pytest.mark.parametrize("name", ["ceil_half", "catalan"])
-def test_each_dense_layer_is_laid_out_once(monkeypatch, name):
-    # The closure keeps the layout it stepped each dense layer with, and the
-    # layer's row reads it instead of laying the layer out again.
+def test_each_dense_row_lays_out_its_layer(monkeypatch, name):
+    # The closure returns only its layers; once it is done, the row of each
+    # dense layer lays that layer out, once, from layer n - 1 down to 0.
     spec = get_entry(name).spec()
     n = 60
-    plan = engine._class_plan(spec)
     levels = list(iter_levels(spec, n, "naive"))
-    # Layer d is stepped unless it equals layer d - 1 (a reused fixed layer).
-    stepped = [
-        min(level)
-        for d, level in enumerate(levels[:n])
-        if engine._is_dense(plan, min(level), max(level), len(level))
-        and (d == 0 or set(level) != set(levels[d - 1]))
-    ]
-    # Every layer from the first of _ROW_MIN_LABELS labels on.
-    assert len(stepped) >= n - engine._ROW_MIN_LABELS
-    bases = []
-    layout = engine._dense_layout
+    bases, marks = [], []
+    layout, closure = engine._dense_layout, engine._closure
 
     def counted(cur, base, *args):
         bases.append(base)
         return layout(cur, base, *args)
 
+    def marked(*args):
+        layers = closure(*args)
+        marks.append((len(bases), layers))
+        return layers
+
     monkeypatch.setattr(engine, "_dense_layout", counted)
+    monkeypatch.setattr(engine, "_closure", marked)
     g = back_table(spec, n)
-    assert bases == stepped
+    ((start, layers),) = marks
+    dense = [layer.base for layer in reversed(layers[:n]) if type(layer) is engine.Row]
+    # Every layer from the first of _ROW_MIN_LABELS labels on.
+    assert len(dense) >= n - engine._ROW_MIN_LABELS
+    assert bases[start:] == dense
     assert g == reference_back_table(spec, levels)
 
 
@@ -907,7 +949,7 @@ def test_fixed_closure_layer_is_reused():
     spec = get_entry("fibonacci").spec()
     n = 3000
     naive = list(iter_levels(spec, n, "naive"))
-    layers, _ = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
+    layers = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
     assert [set(layer) for layer in layers] == [set(level) for level in naive]
     assert all(layer is layers[2] for layer in layers[3:])
     assert back_table(spec, n).cells == sum(map(len, naive)) == 2 * n
@@ -957,11 +999,11 @@ def test_back_bits_stop_at_the_same_level(monkeypatch, name, n, bits):
 def full_step_closure(spec, n, max_labels, describe, plan):
     """The closure with every layer the range step of the one before, its
     counts reset to 1: the oracle of `engine._closure`."""
-    layers, layouts = [{spec.axiom: 1}], []
+    layers = [{spec.axiom: 1}]
     cells = 1
     for depth in range(1, n + 1):
         try:
-            level = engine._next_level_range(layers[-1], describe, plan, max_labels, layouts=layouts)[0]
+            level = engine._next_level_range(layers[-1], describe, plan, max_labels)[0]
         except engine._OverCap:
             raise engine.LabelCapError(max_labels, depth - 1) from None
         level = engine._ones(level)
@@ -971,7 +1013,7 @@ def full_step_closure(spec, n, max_labels, describe, plan):
         if cells * engine._CELL_BITS > engine.BACK_BITS:
             raise engine.TableBudgetError(depth - 1)
         layers.append(level)
-    return layers, layouts
+    return layers
 
 
 def shape(layer):
@@ -983,16 +1025,16 @@ def shape(layer):
 
 
 def closure_outcome(build, spec, n, max_labels=None, bits=None):
-    """The layers (by `shape`) and layouts that `build` makes, or the type,
-    level and text of the budget error it raises, under BACK_BITS = bits."""
+    """The layers (by `shape`) that `build` makes, or the type, level and
+    text of the budget error it raises, under BACK_BITS = bits."""
     with pytest.MonkeyPatch.context() as mp:
         if bits is not None:
             mp.setattr(engine, "BACK_BITS", bits)
         try:
-            layers, layouts = build(spec, n, max_labels, cache(describer(spec)), engine._class_plan(spec))
+            layers = build(spec, n, max_labels, cache(describer(spec)), engine._class_plan(spec))
         except (engine.LabelCapError, engine.TableBudgetError) as exc:
             return type(exc), exc.level, str(exc)
-    return [shape(layer) for layer in layers], layouts
+    return [shape(layer) for layer in layers]
 
 
 def assert_closure_is_the_full_step(spec, n, max_labels=None, bits=None):
@@ -1007,7 +1049,7 @@ BUDGETS = (None, 40 * engine._CELL_BITS, 400 * engine._CELL_BITS)
 
 @pytest.mark.parametrize("name", [e.name for e in ENTRIES])
 def test_closure_is_the_full_step_on_every_entry(name):
-    # Labels, Row or dict per layer, layouts, and the budget errors' levels
+    # Labels, Row or dict per layer, and the budget errors' levels
     # and texts under small label caps and cell budgets.  The cap keeps
     # even_jumps' doubling layers in bounds.
     spec = get_entry(name).spec()
@@ -1080,7 +1122,7 @@ def traced_closure(monkeypatch, spec, n):
     monkeypatch.setattr(engine, "_next_level_range", spy_step)
     monkeypatch.setattr(engine, "_within", spy_within)
     monkeypatch.setattr(engine, "_gained", spy_gained)
-    layers, _ = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
+    layers = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
 
     def index(layer):
         return next(d for d, other in enumerate(layers) if other is layer)
@@ -1165,11 +1207,15 @@ CYCLE = parse_spec(
 def test_a_fixed_row_layer_is_reused_with_its_layout(spec, period):
     n = 80
     assert_closure_is_the_full_step(spec, n)
-    layers, layouts = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
+    layers = engine._closure(spec, n, None, cache(describer(spec)), engine._class_plan(spec))
     assert type(layers[n]) is engine.Row
     fixed = [d for d in range(period, n + 1) if layers[d] is layers[d - period]]
     assert fixed == list(range(fixed[0], n + 1)) and fixed[0] < 45
-    assert all(layouts[d] is layouts[d - period] for d in fixed if d < n)
+    # The rows on a fixed layer lay out that one layer and share its flags.
+    g = back_table(spec, n)
+    assert g == reference_back_table(spec, list(iter_levels(spec, n, "naive")))
+    assert all(type(g[n - d]) is engine.Row for d in fixed)
+    assert all(g[n - d].flags is g[n - d + period].flags for d in fixed)
 
 
 @st.composite
@@ -1206,7 +1252,7 @@ ODD = bytes([1, 0, 1, 0, 1])
 @example(([0], {0: ((), ((0, 8, 2, ()),))}.__getitem__, engine.Row(1, ODD, ODD, 3)))
 @example(([0], {0: (((4, 1),), ((0, 6, 1, (3, 4, 5)), (3, 9, 3, ())))}.__getitem__, {20: 1}))
 def test_gained_labels_are_the_expanded_successors_outside_the_layer(case):
-    # Runs of one grid merge, overlap other grids and cut labels that a
+    # Runs overlap on one grid and across grids, and cut labels that a
     # point or another run may still reach.
     labels, describe, prior = case
     reached = set().union(*(expand(describe(k)) for k in labels))
